@@ -44,6 +44,7 @@ from repro.rdma import (
     RecvWorkRequest,
     SendWorkRequest,
     Sge,
+    alloc_registered,
 )
 from repro.rubin import RubinChannel, RubinConfig, RubinServerChannel
 
@@ -225,10 +226,10 @@ def rdma_send_recv_echo(payload_bytes: int, messages: int) -> EchoResult:
     result = EchoResult("rdma_send_recv", payload_bytes, messages)
 
     size = max(payload_bytes, 1)
-    client_send = rig.client_dev.reg_mr(rig.client_pd, bytearray(size))
-    client_recv = rig.client_dev.reg_mr(rig.client_pd, bytearray(size))
-    server_send = rig.server_dev.reg_mr(rig.server_pd, bytearray(size))
-    server_recv = rig.server_dev.reg_mr(rig.server_pd, bytearray(size))
+    client_send = rig.client_dev.reg_mr(rig.client_pd, alloc_registered(size))
+    client_recv = rig.client_dev.reg_mr(rig.client_pd, alloc_registered(size))
+    server_send = rig.server_dev.reg_mr(rig.server_pd, alloc_registered(size))
+    server_recv = rig.server_dev.reg_mr(rig.server_pd, alloc_registered(size))
     client_send.buffer[:payload_bytes] = b"\xa5" * payload_bytes
 
     def server(env):
@@ -302,11 +303,11 @@ def rdma_read_write_echo(payload_bytes: int, messages: int) -> EchoResult:
     result = EchoResult("rdma_read_write", payload_bytes, messages)
 
     size = max(payload_bytes, 1)
-    client_src = rig.client_dev.reg_mr(rig.client_pd, bytearray(size))
+    client_src = rig.client_dev.reg_mr(rig.client_pd, alloc_registered(size))
     client_src.buffer[:payload_bytes] = b"\xa5" * payload_bytes
     server_dst = rig.server_dev.reg_mr(
         rig.server_pd,
-        bytearray(size),
+        alloc_registered(size),
         Access.LOCAL_WRITE | Access.REMOTE_WRITE,
     )
 
@@ -391,6 +392,11 @@ def rubin_channel_echo(
         got = 0
         blocked = False
         while got < nbytes:
+            if blocked and not channel.receivable and not channel.closed:
+                # Nothing has arrived: a read would drain an empty CQ and
+                # return 0, so only its place on the poll grid is kept.
+                yield env.timeout(0.2e-6)
+                continue
             n = yield channel.read(buffer)
             if n is None:
                 raise ReproError("channel closed mid-message")

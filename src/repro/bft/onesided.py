@@ -69,6 +69,7 @@ from repro.rdma import (
     RemoteAddress,
     SendWorkRequest,
     Sge,
+    alloc_registered,
 )
 from repro.sim.monitor import Counter
 
@@ -501,7 +502,7 @@ class OneSidedReplica(Replica):
         access = Access.LOCAL_WRITE | Access.REMOTE_WRITE
         self._os_proposal_mr = device.reg_mr(
             self._os_pd,
-            bytearray(proposal_slot_count(self.config) * slot_bytes),
+            alloc_registered(proposal_slot_count(self.config) * slot_bytes),
             access,
         )
         self._os_proposal_reader = _ProposalReader(
@@ -512,7 +513,7 @@ class OneSidedReplica(Replica):
                 continue
             mr = device.reg_mr(
                 self._os_pd,
-                bytearray(lane_slot_count(self.config) * slot_bytes),
+                alloc_registered(lane_slot_count(self.config) * slot_bytes),
                 access,
             )
             self._os_lane_mrs[peer_id] = mr
@@ -701,7 +702,7 @@ def wire_onesided(cluster: "BftCluster") -> None:
             target_qp.connect(writer_id, writer_qp.qp_num)
             staging = writer_device.reg_mr(
                 writer_pd,
-                bytearray(cluster.config.onesided_slot_bytes),
+                alloc_registered(cluster.config.onesided_slot_bytes),
                 Access.LOCAL_WRITE,
             )
             writer._os_links[target_id] = OneSidedLink(

@@ -239,8 +239,11 @@ class ScenarioSpec:
         )
 
     def rubin_config(self) -> RubinConfig:
-        # Small pools: the default config spends ~98% of a short run's
-        # host time allocating 128 KiB buffers the workload never fills.
+        # Small pools, chosen when the default config's 128 KiB buffers
+        # were allocated eagerly.  Pool memory is demand-paged now and
+        # the default would be as cheap, but every recorded explore trace
+        # is pinned to this config (pool size shapes credit and re-post
+        # timing), so it stays.
         return RubinConfig(
             retry_timeout=1e-3,
             retry_count=3,

@@ -22,6 +22,7 @@ from repro.rdma.mr import (
     RemoteAddress,
     StalePermissionError,
     UnauthorizedAccessError,
+    alloc_registered,
 )
 from repro.rdma.qp import QpCapabilities, QueuePair
 from repro.rdma.transport import PacketType, RocePacket
@@ -41,6 +42,7 @@ __all__ = [
     "DeviceAttributes",
     "ProtectionDomain",
     "MemoryRegion",
+    "alloc_registered",
     "RemoteAddress",
     "StalePermissionError",
     "UnauthorizedAccessError",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, Iterator, List, Optional
 
 from repro.audit import get_audit
 from repro.errors import RdmaError
@@ -171,6 +171,10 @@ class CompletionQueue:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __iter__(self) -> Iterator[WorkCompletion]:
+        """The pending completions, oldest first, without reaping them."""
+        return iter(self._entries)
 
     def __repr__(self) -> str:
         return f"<CompletionQueue {self.name} pending={len(self._entries)}>"

@@ -96,7 +96,7 @@ class RdmaDevice:
     def reg_mr(
         self,
         pd: ProtectionDomain,
-        buffer: bytearray,
+        buffer: bytearray | memoryview,
         access: Access = Access.LOCAL_WRITE,
     ) -> MemoryRegion:
         """Register ``buffer`` for RDMA (no simulated time; see
@@ -115,7 +115,7 @@ class RdmaDevice:
     def reg_mr_timed(
         self,
         pd: ProtectionDomain,
-        buffer: bytearray,
+        buffer: bytearray | memoryview,
         access: Access = Access.LOCAL_WRITE,
     ) -> "Event":
         """Like :meth:`reg_mr` but charges the (expensive) pin+map cost.

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.errors import RdmaError
 from repro.rdma.cm import ConnectionManager
 from repro.rdma.cq import CompletionChannel
+from repro.rdma.mr import alloc_registered
 from repro.rdma.qp import QpCapabilities
 from repro.rdma.verbs import Opcode, QpState, WcStatus
 from repro.rdma.wr import RecvWorkRequest, SendWorkRequest, Sge
@@ -152,9 +153,11 @@ class ActiveEndpoint:
 
     def _prepost_receives(self) -> None:
         device = self.group.device
+        size = self.group.buffer_size
+        memory = alloc_registered(self.group.buffer_count * size)
         batch = []
-        for _ in range(self.group.buffer_count):
-            mr = device.reg_mr(self.pd, bytearray(self.group.buffer_size))
+        for start in range(0, len(memory), size):
+            mr = device.reg_mr(self.pd, memory[start : start + size])
             wr_id = next(_wr_ids)
             self._recv_buffers[wr_id] = mr
             batch.append(RecvWorkRequest(wr_id=wr_id, sge=Sge(mr)))

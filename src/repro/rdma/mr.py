@@ -15,6 +15,7 @@ same PD — the containment mechanism the security tests exercise.
 from __future__ import annotations
 
 import itertools
+import mmap
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import RdmaError
@@ -28,6 +29,7 @@ __all__ = [
     "ProtectionDomain",
     "MemoryRegion",
     "RemoteAddress",
+    "alloc_registered",
     "StalePermissionError",
     "UnauthorizedAccessError",
 ]
@@ -48,6 +50,24 @@ _keys = itertools.count(0x1000)
 _mr_tokens = itertools.count(1)
 
 
+def alloc_registered(nbytes: int) -> memoryview:
+    """``nbytes`` of zeroed memory for registration, as a writable view.
+
+    The memory is one private anonymous mapping, so the host pays for a
+    page only once the model writes to it: a pool sized for the largest
+    message costs resident memory in proportion to the bytes that
+    actually arrive.  Callers carve a pool into buffers by slicing the
+    view; the mapping is unmapped when the last slice is dropped.
+    """
+    mapping = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        # With transparent huge pages set to "always", one touched byte
+        # would make 2 MiB resident — a 256-byte message per 128 KiB
+        # buffer would fault the whole pool in.
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    return memoryview(mapping)
+
+
 class ProtectionDomain:
     """A protection domain: the ownership scope for QPs and MRs."""
 
@@ -62,19 +82,33 @@ class ProtectionDomain:
 class MemoryRegion:
     """A registered, pinned buffer the RNIC may DMA to/from.
 
-    The backing store is a ``bytearray`` the application also holds — the
-    zero-copy property of RDMA is literal here: a one-sided WRITE mutates
-    the application's own buffer bytes.
+    The backing store is a writable byte buffer the application also
+    holds (a ``bytearray``, or a view from :func:`alloc_registered`) —
+    the zero-copy property of RDMA is literal here: a one-sided WRITE
+    mutates the application's own buffer bytes.
     """
 
     def __init__(
         self,
         pd: ProtectionDomain,
-        buffer: bytearray,
+        buffer: bytearray | memoryview,
         access: Access = Access.LOCAL_WRITE,
     ):
-        if not isinstance(buffer, bytearray):
-            raise RdmaError("memory regions must wrap a mutable bytearray")
+        try:
+            view = memoryview(buffer)
+            usable = (
+                not view.readonly
+                and view.c_contiguous
+                and view.format == "B"
+                and view.ndim == 1
+            )
+        except TypeError:
+            usable = False
+        if not usable:
+            raise RdmaError(
+                "memory regions must wrap a mutable, contiguous buffer "
+                "of bytes"
+            )
         self.pd = pd
         self.buffer = buffer
         self.access = access

@@ -4,6 +4,12 @@
 can be reused as needed" (paper, Section IV).  Registration is expensive
 (page pinning, RNIC translation-table updates), so RUBIN pays it once at
 channel creation and recycles buffers afterwards.
+
+That cost is a *modeled* one (:meth:`BufferPool.registration_pages`).
+The host pays only for pages the model writes: a pool is one demand-zero
+mapping (:func:`repro.rdma.mr.alloc_registered`) and each buffer a slice
+of it, so 64 x 128 KiB receive buffers that only ever see 256-byte
+messages cost 64 resident pages, not 8 MiB.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.audit import get_audit
 from repro.errors import RubinError
-from repro.rdma.mr import MemoryRegion, ProtectionDomain
+from repro.rdma.mr import MemoryRegion, ProtectionDomain, alloc_registered
 from repro.rdma.verbs import Access
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,7 +39,7 @@ class PooledBuffer:
         self.in_use = False
 
     @property
-    def data(self) -> bytearray:
+    def data(self) -> memoryview:
         """The buffer's backing bytes (shared with the MR)."""
         return self.mr.buffer
 
@@ -47,7 +53,12 @@ class PooledBuffer:
 
 
 class BufferPool:
-    """A fixed set of equal-size registered buffers."""
+    """A fixed set of equal-size registered buffers.
+
+    The buffers are non-overlapping slices of one mapping that is
+    created, like each buffer's MR, on first acquire;
+    :meth:`destroy` deregisters the MRs and gives the mapping back.
+    """
 
     def __init__(
         self,
@@ -66,19 +77,26 @@ class BufferPool:
         self.buffer_size = buffer_size
         self._pd = pd
         self._count = count
-        # Backing memory is allocated (and the MR registered) lazily on
+        # Backing memory is mapped (and each MR registered) lazily on
         # first acquire.  The *model* pays the full pre-registration cost
         # upfront either way — registration_pages() reports the configured
         # count and reg_mr() charges no simulated time — so laziness is
-        # invisible to the schedule; it only spares the host the memset of
-        # buffers that are never taken (e.g. the send pool when zero-copy
-        # sends are on).
+        # invisible to the schedule; it only spares the host a mapping
+        # for pools that are never taken from (e.g. the send pool when
+        # zero-copy sends are on).
+        self._memory: memoryview | None = None
         self._buffers: List[PooledBuffer] = []
         self._free: List[PooledBuffer] = []
+        self._destroyed = False
 
     def _allocate_one(self) -> None:
+        if self._memory is None:
+            self._memory = alloc_registered(self._count * self.buffer_size)
+        start = len(self._buffers) * self.buffer_size
         mr = self.device.reg_mr(
-            self._pd, bytearray(self.buffer_size), Access.LOCAL_WRITE
+            self._pd,
+            self._memory[start : start + self.buffer_size],
+            Access.LOCAL_WRITE,
         )
         # Pool buffers are recycled only on completion, so the send
         # path may gather zero-copy views of them.
@@ -95,6 +113,8 @@ class BufferPool:
     @property
     def available(self) -> int:
         """Buffers currently free (counting ones not yet materialized)."""
+        if self._destroyed:
+            return 0
         return len(self._free) + (self._count - len(self._buffers))
 
     def registration_pages(self) -> int:
@@ -117,8 +137,11 @@ class BufferPool:
 
         An exhausted probe here is an *expected* outcome the caller
         handles by stalling — only :meth:`acquire`, whose caller has no
-        fallback, fires the ``on_pool_exhausted`` audit alarm.
+        fallback, fires the ``on_pool_exhausted`` audit alarm.  Taking
+        from a destroyed pool is a caller bug, not exhaustion: it raises.
         """
+        if self._destroyed:
+            raise RubinError(f"{self.name}: buffer pool has been destroyed")
         if not self._free:
             if len(self._buffers) >= self._count:
                 return None
@@ -149,13 +172,22 @@ class BufferPool:
         if not pooled.in_use:
             return
         pooled.in_use = False
-        self._free.append(pooled)
+        if not self._destroyed:
+            self._free.append(pooled)
 
     def destroy(self) -> None:
-        """Deregister every buffer (pool becomes unusable)."""
+        """Deregister every buffer; the pool is unusable afterwards.
+
+        The pool also lets go of its buffers, so the mapping is unmapped
+        as soon as the last loaned-out buffer (or in-flight zero-copy
+        view of one) is dropped.
+        """
+        self._destroyed = True
         for pooled in self._buffers:
             self.device.dereg_mr(pooled.mr)
+        self._buffers.clear()
         self._free.clear()
+        self._memory = None
 
     def __repr__(self) -> str:
         return (

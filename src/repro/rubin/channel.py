@@ -313,6 +313,9 @@ class RubinChannel:
             self.last_error = cause
         self.errored = True
         self.closed = True
+        if self.remote_addr is None:
+            # An accepted channel cannot re-dial: the error is final.
+            self._release_buffers()
         self._notify()
 
     def reconnect(self) -> int:
@@ -776,7 +779,25 @@ class RubinChannel:
             self.cm.abort_connect(self._pending_conn_id)
             self._pending_conn_id = None
         self.device.destroy_qp(self.qp)
+        self._release_buffers()
         self._notify()
+
+    def _release_buffers(self) -> None:
+        """Give the pools' memory back: no buffer will be posted again.
+
+        Called once the QP is dead for good, so every posted receive has
+        completed.  Only the ones whose flush is visible in the CQ are
+        forgotten — a successful completion, queued or held by a drain in
+        progress, still finds its buffer, and parked messages stay
+        readable through ``_ready_messages``.
+        """
+        for wc in self.recv_cq:
+            if not wc.ok:
+                self._recv_wr_map.pop(wc.wr_id, None)
+        self._send_wr_buffers.clear()
+        self._repost_backlog = []
+        self.recv_pool.destroy()
+        self.send_pool.destroy()
 
     def __repr__(self) -> str:
         state = (

@@ -127,6 +127,11 @@ class ChannelSupervisor:
         waiter = self._waiters.get(channel.channel_id)
         if waiter is not None and not waiter.triggered:
             waiter.succeed()
+        if channel.closed and not channel.errored:
+            # Closed by its owner: close() gave the buffer pools back, so
+            # the channel must never be re-dialed, whatever it reports
+            # later (a recovery in flight stops at its next attempt).
+            self._abandoned.add(channel.channel_id)
         if channel.errored:
             self._maybe_recover(channel)
 
@@ -147,7 +152,7 @@ class ChannelSupervisor:
         try:
             for attempt in range(self.policy.max_attempts):
                 yield self.env.timeout(self.policy.delay(attempt, self._rng))
-                if self._stopped:
+                if self._stopped or cid in self._abandoned:
                     return
                 self.reconnect_attempts.increment()
                 audit = get_audit(self.env)

@@ -140,7 +140,7 @@ class CalendarQueue:
         if when < self._bucket_top:
             # Due within the bucket being served: keep the current run
             # sorted.  The insertion window starts at ``_idx`` — already
-            # served entries below it are logically gone.
+            # served slots below it hold ``None``.
             cur = self._cur
             _insort(cur, entry, self._idx)
             self.head = cur[self._idx]
@@ -162,6 +162,10 @@ class CalendarQueue:
         cur = self._cur
         idx = self._idx
         entry = cur[idx]
+        # Let go of the served entry: a run can outlive millions of pops
+        # (one far-out timer's bucket swallows every later push), and
+        # each slot would pin its event and everything the event holds.
+        cur[idx] = None
         idx += 1
         self._idx = idx
         try:

@@ -471,15 +471,18 @@ class Environment:
                 # Merge the lanes: full-key tuple comparison, so dispatch
                 # order is independent of which lane an entry landed in.
                 # Far pops are inlined (``head`` *is* ``_cur[_idx]``, so
-                # advancing the serve index and rebinding head replaces a
-                # method call on the per-timeout hot path).
+                # clearing the served slot, advancing the serve index and
+                # rebinding head replaces a method call on the
+                # per-timeout hot path).
                 if dq:
                     entry = dq[0]
                     head = far.head
                     if head is not None and head < entry:
                         entry = head
                         cur = far._cur
-                        idx = far._idx + 1
+                        idx = far._idx
+                        cur[idx] = None
+                        idx += 1
                         far._idx = idx
                         try:
                             far.head = cur[idx]
@@ -492,7 +495,9 @@ class Environment:
                     if entry is None:
                         break
                     cur = far._cur
-                    idx = far._idx + 1
+                    idx = far._idx
+                    cur[idx] = None
+                    idx += 1
                     far._idx = idx
                     try:
                         far.head = cur[idx]
@@ -531,7 +536,9 @@ class Environment:
                     if head is not None and head < entry:
                         entry = head
                         cur = far._cur
-                        idx = far._idx + 1
+                        idx = far._idx
+                        cur[idx] = None
+                        idx += 1
                         far._idx = idx
                         try:
                             far.head = cur[idx]
@@ -547,7 +554,9 @@ class Environment:
                         self._now = stop_at
                         return None
                     cur = far._cur
-                    idx = far._idx + 1
+                    idx = far._idx
+                    cur[idx] = None
+                    idx += 1
                     far._idx = idx
                     try:
                         far.head = cur[idx]

@@ -1,5 +1,7 @@
 """Device factories, limits, and memory-region lifecycle."""
 
+from array import array
+
 import pytest
 
 from repro.errors import RdmaError
@@ -9,6 +11,7 @@ from repro.rdma import (
     DeviceAttributes,
     QpCapabilities,
     RdmaDevice,
+    alloc_registered,
 )
 from repro.sim import Environment
 
@@ -109,6 +112,40 @@ class TestMemoryRegions:
         pd = device.alloc_pd()
         with pytest.raises(RdmaError, match="mutable"):
             device.reg_mr(pd, b"immutable")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            memoryview(bytearray(8)).toreadonly(),
+            memoryview(bytearray(8))[::2],  # not contiguous
+            memoryview(array("i", [1, 2])),  # not bytes
+            "text",
+        ],
+        ids=["readonly", "strided", "int-items", "str"],
+    )
+    def test_mr_rejects_buffers_the_rnic_cannot_dma(self, device, buffer):
+        pd = device.alloc_pd()
+        with pytest.raises(RdmaError, match="mutable"):
+            device.reg_mr(pd, buffer)
+
+    def test_mr_wraps_a_writable_view_in_place(self, device):
+        pd = device.alloc_pd()
+        backing = bytearray(16)
+        mr = device.reg_mr(pd, memoryview(backing)[4:12])
+        assert mr.length == 8
+        mr.write_bytes(2, b"dma")
+        assert bytes(backing) == bytes(6) + b"dma" + bytes(7)
+        assert mr.read_bytes(2, 3) == b"dma"
+        with pytest.raises(RdmaError, match="outside"):
+            mr.check_local_write(6, 3)
+
+    def test_alloc_registered_is_zeroed_writable_bytes(self, device):
+        memory = alloc_registered(3 * 4096 + 1)
+        assert len(memory) == 3 * 4096 + 1
+        assert not any(memory)
+        mr = device.reg_mr(device.alloc_pd(), memory[4096:8192])
+        mr.write_bytes(0, b"x")
+        assert memory[4095:4098] == b"\0x\0"
 
     def test_timed_registration_charges_cpu(self, device):
         pd = device.alloc_pd()

@@ -167,3 +167,20 @@ class TestSupervision:
         assert client.errored
         assert client.reconnects == 0
         assert supervisor.reconnect_attempts.value == 0
+
+    def test_owner_close_mid_recovery_stops_redialing(self, rig):
+        _server, client, _accepted = dial_established(rig)
+        supervisor = self.make_supervisor(rig, connect_timeout=500e-6)
+        supervisor.supervise(client)
+        # Handshakes black-hole, so the first re-dial hangs until its
+        # connect timeout — the window in which the owner gives up.
+        rig.fabric.host("server").nic.power_off()
+        client.qp._enter_error()
+        rig.run_for(300e-6)
+        attempts = supervisor.reconnect_attempts.value
+        assert attempts >= 1 and not client.errored and not client.closed
+
+        client.close()  # gives the buffer pools back
+        rig.run_for(10e-3)
+        assert supervisor.reconnect_attempts.value == attempts
+        assert client.closed and not client.established
