@@ -319,7 +319,7 @@ class Replica:
             index = 0
         else:
             index = seq % len(self._pipelines)
-        self._pipelines[index].put((message, sender))
+        self._pipelines[index].post((message, sender))
 
     def _pipeline_loop(self, queue: Store):
         cpu = self.endpoint.host.cpu

@@ -83,16 +83,9 @@ class Link:
         self._tx_frame: Optional[Frame] = None
         self._tx_span = None
         self._tx_traced = False
-        # Kick the transmit loop off on the next kernel step at URGENT
-        # priority — the exact bootstrap the generator process this replaces
-        # used, so agenda order (and therefore every modeled timestamp) is
-        # unchanged.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._tx_next)
-        bootstrap._ok = True
-        bootstrap._value = None
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        # The transmit loop starts where the generator process it
+        # replaces did: on the urgent lane.
+        env._urgent.append(self._tx_next)
 
     def attach_receiver(self, deliver: DeliverFn) -> None:
         """Register the function invoked for every arriving frame."""
@@ -104,7 +97,7 @@ class Link:
         """Queue ``frame`` for transmission (returns immediately)."""
         if self._receiver is None:
             raise NetworkError(f"{self.name}: no receiver attached")
-        self._outbox.put(frame)
+        self._outbox.post(frame)
         depth = len(self._outbox)
         if depth > self.queue_highwater:
             self.queue_highwater = depth
@@ -121,7 +114,7 @@ class Link:
     # frame costs three bound-method calls instead of three generator
     # ``send`` dispatches through Process._resume.
 
-    def _tx_next(self, _event: Optional[Event]) -> None:
+    def _tx_next(self, _event: Optional[Event] = None) -> None:
         """Wait for the next queued frame."""
         self._outbox.get().callbacks.append(self._tx_serialize)
 
@@ -180,10 +173,10 @@ class Link:
                     track=self.name,
                     frame_id=frame.frame_id,
                 )
-            self._tx_next(None)
+            self._tx_next()
             return
         self._schedule_arrival(frame, traced)
-        self._tx_next(None)
+        self._tx_next()
 
     def _schedule_arrival(self, frame: Frame, traced: bool) -> None:
         """Serialization finished: put the frame in flight.

@@ -225,7 +225,7 @@ class ConnectionManager:
         )
 
     def _emit(self, event: CmEvent) -> None:
-        self.events.put(event)
+        self.events.post(event)
         for watcher in list(self._event_watchers):
             watcher(event)
 

@@ -62,7 +62,7 @@ class CompletionChannel:
         return self._events.try_get()
 
     def _notify(self, cq: "CompletionQueue") -> None:
-        self._events.put(cq)
+        self._events.post(cq)
 
     def __repr__(self) -> str:
         return f"<CompletionChannel pending={len(self._events)}>"

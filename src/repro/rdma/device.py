@@ -225,7 +225,7 @@ class RdmaDevice:
     # -- packet engine -------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        self._rx_queue.put(frame.payload)
+        self._rx_queue.post(frame.payload)
 
     def _rx_loop(self):
         """Serialize inbound packet processing (the RNIC's rx pipeline)."""

@@ -80,7 +80,7 @@ class EndpointGroup:
             return
         queue = self._accept_queues.get(event.listener_port)
         if queue is not None:
-            queue.put(event.request)
+            queue.post(event.request)
 
     def __repr__(self) -> str:
         return (
@@ -221,7 +221,7 @@ class ActiveEndpoint:
             for wc in self.recv_cq.poll():
                 mr = self._recv_buffers.pop(wc.wr_id, None)
                 if wc.status is WcStatus.SUCCESS and mr is not None:
-                    self._messages.put(bytes(mr.buffer[: wc.byte_len]))
+                    self._messages.post(bytes(mr.buffer[: wc.byte_len]))
                     # Recycle: re-post the same buffer.
                     new_id = next(_wr_ids)
                     self._recv_buffers[new_id] = mr

@@ -380,7 +380,7 @@ class QueuePair:
                     )
             entry = _PendingSend(wr)
             self._pending.append(entry)
-            self._sq_store.put(entry)
+            self._sq_store.post(entry)
 
     def post_recv(self, wr: RecvWorkRequest) -> None:
         """Post one receive WR (non-blocking)."""

@@ -599,7 +599,7 @@ class ReptorEndpoint:
             yield self.host.cpu.execute(cost)
         for payload in payloads:
             connection.messages_received += 1
-            connection.inbox.put(payload)
+            connection.inbox.post(payload)
         if span is not None:
             span.end()
 

@@ -15,22 +15,39 @@ every figure in EXPERIMENTS.md reproduces bit-for-bit.
 Agenda structure
 ----------------
 
-Physically the agenda is split into two lanes that are merged by tuple
-comparison at dispatch:
+Physically the agenda is split into three lanes:
 
+* an **urgent lane** (a deque of callables) receiving every zero-delay
+  URGENT push — process, drive and hold starts, interrupts.  Such an entry
+  means exactly "run after the current event's callbacks, in push order,
+  before anything NORMAL": it needs no key, no :class:`Event` and no
+  sequence number, so the loops drain this lane first and call each
+  *start* directly.  (While a :class:`TieBreakPolicy` is installed starts
+  stay keyed heap entries, because same-instant starts are choice points
+  the policy enumerates.)
 * a **zero-delay lane** (a deque) receiving every ``(now, NORMAL)`` push —
   event triggers, store grants, process completions.  The clock never moves
   backwards and sequence numbers only grow, so entries are appended in
   exactly the order they would leave a heap: FIFO *is* sorted order.
-* a **far lane** for everything else (timeouts, urgent bootstraps),
-  implemented either as a binary heap or as a
-  :class:`~repro.sim.calqueue.CalendarQueue`, selected by
-  ``Environment(scheduler=...)``.
+* a **far lane** for everything with a delay, implemented either as a
+  binary heap or as a :class:`~repro.sim.calqueue.CalendarQueue`, selected
+  by ``Environment(scheduler=...)``.
 
-Because the merge compares full ``(time, priority, sequence)`` keys, the
-dispatch order is identical no matter which lane an entry landed in — the
-split is purely a performance device, and both schedulers reproduce the
-pinned schedule fingerprints bit-for-bit.
+The zero-delay and far lanes are merged by comparing full ``(time,
+priority, sequence)`` keys, so the dispatch order is identical no matter
+which lane an entry landed in — the split is purely a performance device,
+and both schedulers reproduce the pinned schedule fingerprints bit-for-bit.
+
+Adjacency
+---------
+
+A chain whose private tail would push a zero-delay entry may *call* it
+instead when that entry is provably the next one served: the urgent lane
+is empty, the zero-delay lane is empty and the far head is strictly later
+than ``now``.  Nothing can run, or take a sequence number, in between, so
+every other entry keeps its time and its rank.
+:class:`~repro.sim.resources.TimedHold` does this for its grant and its
+completion.
 """
 
 from __future__ import annotations
@@ -39,6 +56,7 @@ import gc as _gc
 import heapq
 import os as _os
 from collections import deque
+from functools import partial
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Iterable, Optional
 
@@ -58,7 +76,8 @@ SCHEDULERS = ("heap", "calendar")
 #: Scheduler used when neither the constructor argument nor the
 #: ``REPRO_SCHEDULER`` environment variable says otherwise.  ``calendar``
 #: is the default: it reproduces every pinned schedule fingerprint
-#: bit-for-bit and wins the wallclock matrix (BENCH_wallclock.json).
+#: bit-for-bit; on the Fig-3/4 sweeps the two are within noise of each
+#: other, on unbatched PBFT the heap is 6-16 % slower (DESIGN §16).
 DEFAULT_SCHEDULER = "calendar"
 
 
@@ -81,7 +100,9 @@ class TieBreakPolicy:
     indices fall back to ``0``.
 
     With no policy installed the kernel never materializes ready sets
-    and runs the original fast loop untouched.
+    and runs the fast loops.  Starts (zero-delay URGENT entries) are
+    choice points like any other tie, so while a policy is installed
+    they are keyed heap entries instead of urgent-lane callables.
     """
 
     def choose(self, now: float, entries: list) -> int:
@@ -117,6 +138,47 @@ class _HeapLanes:
 
     push = append
 
+    # The read side, for ``peek``/``step`` and adjacency tests (see the
+    # module docstring).  As the zero-delay lane the shim holds nothing
+    # ``head`` does not cover; as the far lane its head is the heap's.
+    def __len__(self) -> int:
+        return 0
+
+    @property
+    def head(self):
+        queue = self._queue
+        return queue[0] if queue else None
+
+    def pop(self):
+        return _heappop(self._queue)
+
+
+class _HeapStarts:
+    """Urgent-lane stand-in while a :class:`TieBreakPolicy` is installed.
+
+    Same-instant starts are ties the policy may permute, so each one
+    becomes the ``(now, URGENT, sequence)`` heap entry it used to be: an
+    event whose single callback is the start (every start accepts and
+    ignores that event).  Always empty as far as an adjacency test is
+    concerned — what it was given is in the heap, under ``head``.
+    """
+
+    __slots__ = ("_env",)
+
+    def __init__(self, env: "Environment"):
+        self._env = env
+
+    def append(self, start) -> None:
+        env = self._env
+        event = Event(env)
+        event.callbacks.append(start)
+        event._value = None
+        env._eid += 1
+        _heappush(env._queue, (env._now, 0, env._eid, event))
+
+    def __len__(self) -> int:
+        return 0
+
 
 class Environment:
     """A simulation environment: clock, agenda, and factory methods.
@@ -140,14 +202,15 @@ class Environment:
     #: events scheduled for the same time.
     URGENT = 0
 
-    # Slots: the inlined push sites read _now/_eid/_dq/_far on every
-    # event, and slot descriptors beat instance-dict lookups at sweep
-    # scale.  ``tracer`` and ``audit`` are the two attributes external
-    # modules attach (install_tracer / install_audit).
+    # Slots: the inlined push sites read _now/_eid/_urgent/_dq/_far on
+    # every event, and slot descriptors beat instance-dict lookups at
+    # sweep scale.  ``tracer`` and ``audit`` are the two attributes
+    # external modules attach (install_tracer / install_audit).
     __slots__ = (
         "_scheduler",
         "_lanes",
         "_now",
+        "_urgent",
         "_dq",
         "_far",
         "_queue",
@@ -167,6 +230,10 @@ class Environment:
             )
         self._scheduler = scheduler
         self._now = float(initial_time)
+        # The urgent lane: starts, called as ``start()`` in push order
+        # before anything else due now.  ``env._urgent.append(start)`` is
+        # the one way to schedule one.
+        self._urgent: Any = deque()
         # Single-heap agenda: the whole agenda under ``scheduler="heap"``
         # and whenever a TieBreakPolicy is installed; empty otherwise.
         self._queue: list[tuple[float, int, int, Event]] = []
@@ -214,6 +281,9 @@ class Environment:
         """Put ``event`` on the agenda ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if delay == 0.0 and priority == 0 and self._tiebreak is None:
+            self._urgent.append(partial(self._fire, event))
+            return
         self._eid += 1
         if delay == 0.0 and priority == 1:
             self._dq.append((self._now, 1, self._eid, event))
@@ -222,8 +292,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``Infinity`` if none."""
-        if self._tiebreak is not None or not self._lanes:
-            return self._queue[0][0] if self._queue else Infinity
+        if self._urgent:
+            return self._now
         head = self._far.head
         dq = self._dq
         if dq:
@@ -234,30 +304,41 @@ class Environment:
     def _pending(self) -> int:
         """Number of agenda entries across all lanes."""
         if self._tiebreak is not None or not self._lanes:
-            return len(self._queue)
-        return len(self._dq) + len(self._far)
+            return len(self._urgent) + len(self._queue)
+        return len(self._urgent) + len(self._dq) + len(self._far)
 
     def set_tiebreak(self, policy: Optional[TieBreakPolicy]) -> None:
         """Install (or clear) the equal-timestamp tie-break policy.
 
-        Installing a policy migrates both lanes into the legacy single
-        heap the policy loop consumes (entries keep their original
-        ``(time, priority, sequence)`` keys, so a policy that always
-        answers 0 reproduces the native order bit-for-bit); clearing it
-        migrates the pending entries back into the lanes.
+        Installing a policy migrates every lane into the legacy single
+        heap the policy loop consumes.  Keyed entries keep their
+        ``(time, priority, sequence)``; pending starts take fresh
+        sequence numbers in lane order, which puts them exactly where
+        the lane had them — after any delayed URGENT entry due now,
+        before everything NORMAL.  A policy that always answers 0
+        therefore reproduces the native order bit-for-bit.  Clearing the
+        policy migrates the pending entries back into the lanes; starts
+        still pending then stay keyed URGENT entries, which the loops
+        serve ahead of the (empty) urgent lane.
 
-        Under ``scheduler="heap"`` there is nothing to migrate: the
-        agenda already is the single heap the policy loop consumes.
+        Under ``scheduler="heap"`` only the urgent lane migrates: the
+        rest of the agenda already is the heap the policy loop consumes.
         """
-        if self._lanes:
-            if policy is not None:
-                if self._tiebreak is None:
+        if policy is not None:
+            if self._tiebreak is None:
+                if self._lanes:
                     entries = list(self._dq)
                     entries.extend(self._far._entries())
                     heapq.heapify(entries)
                     self._queue = entries
                     self._dq = self._far = _HeapLanes(entries)
-            elif self._tiebreak is not None:
+                starts = self._urgent
+                self._urgent = _HeapStarts(self)
+                for start in starts:
+                    self._urgent.append(start)
+        elif self._tiebreak is not None:
+            self._urgent = deque()
+            if self._lanes:
                 entries = sorted(self._queue)
                 self._queue = []
                 self._dq = deque()
@@ -290,51 +371,51 @@ class Environment:
                 heapq.heappush(queue, other)
         return entry
 
-    def step(self) -> None:
-        """Process the single next event on the agenda."""
-        if self._tiebreak is not None:
-            if not self._queue:
-                raise SimulationError("agenda is empty")
-            when, _prio, _eid, event = self._pop_choice()
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else SimulationError(
-                    repr(exc)
-                )
-            return
-        if not self._lanes:
-            if not self._queue:
-                raise SimulationError("agenda is empty")
-            entry = _heappop(self._queue)
-        else:
-            dq = self._dq
-            far = self._far
-            if dq:
-                entry = dq[0]
-                head = far.head
-                if head is not None and head < entry:
-                    entry = far.pop()
-                else:
-                    dq.popleft()
-            elif far.head is not None:
-                entry = far.pop()
-            else:
-                raise SimulationError("agenda is empty")
+    def _fire(self, event: Event, _entry: Optional[Event] = None) -> None:
+        """Run ``event``'s callbacks; surface a failure nobody handled.
 
-        self._now = entry[0]
-        event = entry[3]
+        Doubles as the start that ``schedule(event, priority=URGENT)``
+        puts on the urgent lane, hence the ignored second argument.
+        """
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-
         if not event._ok and not event._defused:
             # A failed event nobody waited on: surface it loudly.
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+
+    def step(self) -> None:
+        """Process the single next entry on the agenda."""
+        if self._tiebreak is not None:
+            if not self._queue:
+                raise SimulationError("agenda is empty")
+            entry = self._pop_choice()
+        else:
+            # One path for both schedulers: under "heap" the lane shim
+            # is an empty ``dq`` whose ``head``/``pop`` are the heap's.
+            dq = self._dq
+            far = self._far
+            head = far.head
+            # Starts first, unless a delayed URGENT entry fell due this
+            # instant (see _run_loop).
+            if self._urgent and (
+                head is None or head[1] or head[0] > self._now
+            ):
+                self._urgent.popleft()()
+                return
+            if dq:
+                entry = dq[0]
+                if head is not None and head < entry:
+                    entry = far.pop()
+                else:
+                    dq.popleft()
+            elif head is not None:
+                entry = far.pop()
+            else:
+                raise SimulationError("agenda is empty")
+        self._now = entry[0]
+        self._fire(entry[3])
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -403,31 +484,50 @@ class Environment:
         """Run loop for the legacy single-heap scheduler."""
         queue = self._queue
         pop = _heappop
+        urgent = self._urgent
+        next_start = urgent.popleft
         if stop_event is not None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
+            while True:
+                # Starts first — unless a delayed URGENT entry fell due
+                # this instant: it was keyed before the instant began, so
+                # it precedes every start pushed during it.
+                if urgent and not (
+                    queue and queue[0][1] == 0 and queue[0][0] <= self._now
+                ):
+                    next_start()()
+                elif queue:
+                    entry = pop(queue)
+                    self._now = entry[0]
+                    event = entry[3]
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    if not event._ok and not event._defused:
+                        # A failed event nobody waited on: surface it loudly.
+                        exc = event._value
+                        raise exc if isinstance(
+                            exc, BaseException
+                        ) else SimulationError(repr(exc))
                 else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody waited on: surface it loudly.
-                    exc = event._value
-                    raise exc if isinstance(
-                        exc, BaseException
-                    ) else SimulationError(repr(exc))
+                    break
                 if stop_event.callbacks is None:
                     if stop_event._ok:
                         return stop_event._value
                     stop_event._defused = True
                     raise stop_event._value
         else:
-            while queue:
+            while True:
+                if urgent and not (
+                    queue and queue[0][1] == 0 and queue[0][0] <= self._now
+                ):
+                    next_start()()
+                    continue
+                if not queue:
+                    break
                 if queue[0][0] > stop_at:
                     self._now = stop_at
                     return None
@@ -462,23 +562,52 @@ class Environment:
         stop_event: Optional[Event],
         stop_at: float,
     ) -> Any:
+        urgent = self._urgent
+        next_start = urgent.popleft
         dq = self._dq
         dq_popleft = dq.popleft
         far = self._far
         far_advance = far._advance
         if stop_event is not None:
             while True:
-                # Merge the lanes: full-key tuple comparison, so dispatch
-                # order is independent of which lane an entry landed in.
-                # Far pops are inlined (``head`` *is* ``_cur[_idx]``, so
-                # clearing the served slot, advancing the serve index and
-                # rebinding head replaces a method call on the
-                # per-timeout hot path).
-                if dq:
-                    entry = dq[0]
-                    head = far.head
-                    if head is not None and head < entry:
-                        entry = head
+                # Starts first — unless a delayed URGENT entry fell due
+                # this instant: it was keyed before the instant began, so
+                # it precedes every start pushed during it (the merge
+                # below then serves it, URGENT sorting ahead of NORMAL).
+                if urgent and (
+                    (head := far.head) is None
+                    or head[1]
+                    or head[0] > self._now
+                ):
+                    next_start()()
+                else:
+                    # Merge the lanes: full-key tuple comparison, so
+                    # dispatch order is independent of which lane an
+                    # entry landed in.  Far pops are inlined (``head``
+                    # *is* ``_cur[_idx]``, so clearing the served slot,
+                    # advancing the serve index and rebinding head
+                    # replaces a method call on the per-timeout hot
+                    # path).
+                    if dq:
+                        entry = dq[0]
+                        head = far.head
+                        if head is not None and head < entry:
+                            entry = head
+                            cur = far._cur
+                            idx = far._idx
+                            cur[idx] = None
+                            idx += 1
+                            far._idx = idx
+                            try:
+                                far.head = cur[idx]
+                            except IndexError:
+                                far_advance()
+                        else:
+                            dq_popleft()
+                    else:
+                        entry = far.head
+                        if entry is None:
+                            break
                         cur = far._cur
                         idx = far._idx
                         cur[idx] = None
@@ -488,38 +617,25 @@ class Environment:
                             far.head = cur[idx]
                         except IndexError:
                             far_advance()
+                    self._now = entry[0]
+                    event = entry[3]
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    # Single-callback events are the overwhelmingly
+                    # common case; calling directly skips the iterator
+                    # setup.
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
                     else:
-                        dq_popleft()
-                else:
-                    entry = far.head
-                    if entry is None:
-                        break
-                    cur = far._cur
-                    idx = far._idx
-                    cur[idx] = None
-                    idx += 1
-                    far._idx = idx
-                    try:
-                        far.head = cur[idx]
-                    except IndexError:
-                        far_advance()
-                self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                # Single-callback events are the overwhelmingly common
-                # case; calling directly skips the iterator setup.
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody waited on: surface it loudly.
-                    exc = event._value
-                    raise exc if isinstance(
-                        exc, BaseException
-                    ) else SimulationError(repr(exc))
+                        for callback in callbacks:
+                            callback(event)
+                    if not event._ok and not event._defused:
+                        # A failed event nobody waited on: surface it
+                        # loudly.
+                        exc = event._value
+                        raise exc if isinstance(
+                            exc, BaseException
+                        ) else SimulationError(repr(exc))
                 if stop_event.callbacks is None:
                     if stop_event._ok:
                         return stop_event._value
@@ -527,6 +643,14 @@ class Environment:
                     raise stop_event._value
         else:
             while True:
+                if urgent and (
+                    (head := far.head) is None
+                    or head[1]
+                    or head[0] > self._now
+                ):
+                    # Starts are due now, and now never outruns stop_at.
+                    next_start()()
+                    continue
                 if dq:
                     # Zero-delay entries never outrun the clock, so only a
                     # far head can cross stop_at; the dq branch needs no
@@ -592,10 +716,8 @@ class Environment:
     ) -> Any:
         """Run loop variant used when a tie-break policy is installed.
 
-        Mirrors :meth:`_run_loop` exactly, except every pop goes through
-        :meth:`_pop_choice` on the migrated legacy heap.  Kept separate
-        so the no-policy fast path stays byte-identical to the pinned
-        fingerprints.
+        Every pop goes through :meth:`_pop_choice` on the migrated legacy
+        heap, which holds the whole agenda — starts included.
         """
         queue = self._queue
         while queue:
@@ -604,16 +726,7 @@ class Environment:
                 return None
             entry = self._pop_choice()
             self._now = entry[0]
-            event = entry[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else SimulationError(
-                    repr(exc)
-                )
+            self._fire(entry[3])
             if stop_event is not None and stop_event.callbacks is None:
                 if stop_event._ok:
                     return stop_event._value

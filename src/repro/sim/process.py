@@ -24,6 +24,32 @@ __all__ = ["Process", "Drive", "ProcessGenerator"]
 #: Type alias for the generators that implement process bodies.
 ProcessGenerator = Generator[Event, Any, Any]
 
+#: What a start delivers to a fresh generator: success, value ``None``.
+#: Shared by every start (the urgent lane calls ``start()`` bare); while a
+#: TieBreakPolicy keeps starts as heap entries, the entry's own event —
+#: equally successful and empty — arrives in its place.
+_START = Event(None)  # type: ignore[arg-type]
+_START._value = None
+
+
+class _Interruption(Event):
+    """The failed, pre-defused event that carries one Interrupt in."""
+
+    __slots__ = ("_process", "name")
+
+    def __init__(self, process: "Process", cause: Any):
+        super().__init__(process.env)
+        self._ok = False
+        self._value = Interrupt(cause)
+        self._defused = True
+        self._process = process
+        #: Names the interrupted process as the owner of the delivery
+        #: when it sits in a TieBreakPolicy's ready set.
+        self.name = process.name
+
+    def deliver(self, _entry: Optional[Event] = None) -> None:
+        self._process._resume(self)
+
 
 class Process(Event):
     """A running simulation process (and the event of its termination)."""
@@ -40,7 +66,12 @@ class Process(Event):
             not hasattr(generator, "throw") or not hasattr(generator, "send")
         ):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Open-coded Event.__init__, like every other per-operation event.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         #: The event this process is currently waiting on (None if running
         #: right now or finished).
@@ -48,19 +79,11 @@ class Process(Event):
         #: Human-readable name used in reprs and error messages.
         self.name = name or getattr(generator, "__name__", "process")
 
-        # Kick the generator off on the next kernel step at the current
-        # time.  URGENT priority guarantees the bootstrap runs before any
-        # interrupt scheduled later in the same instant, so the generator
-        # has started before an Interrupt can be thrown into it.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap._ok = True
-        bootstrap._value = None
-        # Inlined env.schedule(bootstrap, priority=URGENT): process creation
-        # is on the hot path (every cpu.execute spawns one).  Urgent
-        # entries go to the kernel's far lane.
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        # Kick the generator off once the current event's callbacks are
+        # done.  The urgent lane is FIFO, so the start runs before any
+        # interrupt raised later in the same instant: the generator has
+        # started before an Interrupt can be thrown into it.
+        env._urgent.append(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -84,16 +107,9 @@ class Process(Event):
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished {self!r}")
 
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        env = self.env
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, interrupt_event))
+        self.env._urgent.append(_Interruption(self, cause).deliver)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Event = _START) -> None:
         """Advance the generator with ``event``'s outcome."""
         if self._value is not PENDING:
             # The process already finished (e.g. an interrupt raced with the
@@ -171,10 +187,10 @@ class Process(Event):
 class Drive(Event):
     """A stripped-down generator driver for hot internal loops.
 
-    Pushes exactly the agenda entries a :class:`Process` would — one
-    URGENT bootstrap at creation, one NORMAL completion when the
-    generator returns — so swapping a Process for a Drive never changes a
-    schedule.  What it drops is everything those loops never use:
+    Schedules what a :class:`Process` would — a start on the urgent lane
+    at creation, one NORMAL completion entry when the generator returns —
+    so swapping a Process for a Drive never changes a schedule.  What it
+    drops is everything those loops never use:
     interrupt delivery, target tracking, ``active_process`` bookkeeping
     and the yielded-value type checks.  Use it only for generators that
 
@@ -193,14 +209,9 @@ class Drive(Event):
         self._ok = True
         self._defused = False
         self._generator = generator
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._advance)
-        bootstrap._ok = True
-        bootstrap._value = None
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        env._urgent.append(self._advance)
 
-    def _advance(self, event: Event) -> None:
+    def _advance(self, event: Event = _START) -> None:
         try:
             if event._ok:
                 target = self._generator.send(event._value)

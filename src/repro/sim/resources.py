@@ -118,6 +118,33 @@ class Store:
         self._dispatch()
         return event
 
+    def post(self, item: Any) -> None:
+        """Queue ``item`` for callers that would discard :meth:`put`'s event.
+
+        Stores the item, or hands it to the waiting getter, exactly as
+        :meth:`put` does — minus the put event, which with no callback
+        attached is an agenda entry that does nothing.  Only a full store
+        still needs one (the item waits in it), so that case is a plain
+        ``put``.
+        """
+        getters = self._getters
+        if getters and getters[0].filter is None:
+            # A blocked unfiltered getter means the store is empty: the
+            # item is its, as _dispatch would find.  Inlined succeed()
+            # (a queued getter is pending).
+            get = getters.popleft()
+            get._value = item
+            env = self.env
+            env._eid += 1
+            env._dq.append((env._now, 1, env._eid, get))
+            return
+        if len(self.items) >= self.capacity:
+            self.put(item)
+            return
+        self.items.append(item)
+        if getters:
+            self._dispatch()
+
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Take the first (matching) item; event value is the item."""
         event = StoreGet(self.env, filter)
@@ -283,12 +310,17 @@ class TimedHold(Event):
     """Request a slot, hold it for a duration, release it — as one event.
 
     A hand-rolled replacement for the ubiquitous request/timeout/release
-    generator process.  It pushes exactly the same agenda entries in the
-    same order the process version did (URGENT bootstrap, grant, timeout,
-    completion), so schedules are bit-identical, but drives them with
-    bound-method callbacks instead of a generator — no process object, no
-    generator frame, no ``send`` dispatch on the hottest path in the
-    simulator (every charged CPU slot and DMA transfer is one of these).
+    generator process, on the hottest path in the simulator (every
+    charged CPU slot and DMA transfer is one of these).  The process
+    version is a start, a grant entry, a timeout and a completion entry;
+    this does the same four things at the same times in the same order
+    relative to everything else, driven by bound-method callbacks
+    instead of a generator.  Only the timeout is always an agenda entry.
+    The grant and the completion are each the private tail of their
+    step, so when the entry they would push is provably the next one
+    served (the adjacency rule in :mod:`repro.sim.core`) they run on the
+    spot: an uncontended hold with nothing else due at either end costs
+    one sequence number, a contended or crowded one up to three.
 
     ``tracker`` (optional) has ``begin()``/``end()`` called around the
     hold; ``span`` (optional) has ``end()`` called after release.
@@ -311,35 +343,38 @@ class TimedHold(Event):
         self._defused = False
         self._resource = resource
         self._duration = duration
+        #: The request holding (or queued for) the slot; ``None`` when
+        #: the grant was adjacent and the hold itself is the slot's user.
         self._request: Optional[ResourceRequest] = None
         self._tracker = tracker
         self._span = span
-        # Start on the next kernel step at URGENT priority — exactly the
-        # Process bootstrap this replaces.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._acquire)
-        bootstrap._ok = True
-        bootstrap._value = None
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
+        env._urgent.append(self._acquire)
 
-    def _acquire(self, _event: Event) -> None:
-        # Inlined Resource.request() (same grant push, same FIFO order).
+    def _acquire(self, _entry: Optional[Event] = None) -> None:
         resource = self._resource
-        request = ResourceRequest(resource.env, resource)
-        self._request = request
         users = resource._users
-        if len(users) < resource.capacity:
+        env = self.env
+        free = len(users) < resource.capacity
+        if free and not env._urgent and not env._dq:
+            head = env._far.head
+            if head is None or head[0] > env._now:
+                # Adjacent: the grant would be served next, so it is
+                # taken now, and needs no request to carry it.
+                users.append(self)
+                self._hold()
+                return
+        # Inlined Resource.request() (same grant push, same FIFO order).
+        request = self._request = ResourceRequest(env, resource)
+        if free:
             users.append(request)
             request._value = None
-            env = self.env
             env._eid += 1
             env._dq.append((env._now, 1, env._eid, request))
         else:
             resource._waiters.append(request)
         request.callbacks.append(self._hold)
 
-    def _hold(self, _event: Event) -> None:
+    def _hold(self, _event: Optional[Event] = None) -> None:
         tracker = self._tracker
         if tracker is not None:
             tracker.begin()
@@ -352,11 +387,14 @@ class TimedHold(Event):
             tracker.end()
         # Inlined request.release() fast path: the grant fired (we held the
         # slot), so the request is in _users and cannot be double-released.
-        request = self._request
-        request.released = True
-        resource = request.resource
+        resource = self._resource
         users = resource._users
-        users.remove(request)
+        request = self._request
+        if request is None:
+            users.remove(self)
+        else:
+            request.released = True
+            users.remove(request)
         waiters = resource._waiters
         if waiters:
             capacity = resource.capacity
@@ -372,5 +410,15 @@ class TimedHold(Event):
         self._ok = True
         self._value = None
         env = self.env
+        if not env._urgent and not env._dq:
+            head = env._far.head
+            if head is None or head[0] > env._now:
+                # Adjacent (and no waiter was granted above, or the
+                # zero-delay lane would hold its grant): the completion
+                # would be served next, so the waiters run now.
+                callbacks, self.callbacks = self.callbacks, None
+                for callback in callbacks:
+                    callback(self)
+                return
         env._eid += 1
         env._dq.append((env._now, 1, env._eid, self))

@@ -176,35 +176,12 @@ class TcpConnection:
             return
         self._processes_started = True
         name = f"tcp[{self.host.name}:{self.local_port}]"
-        # rx and tx are callback state machines; each gets the same URGENT
-        # bootstrap event its generator-process predecessor got, so agenda
-        # order (and every modeled timestamp) is unchanged.
-        self._bootstrap(self._rx_step)
-        self._bootstrap(self._tx_step)
+        # rx and tx are callback state machines; each starts where its
+        # generator-process predecessor did, on the urgent lane.
+        urgent = self.env._urgent
+        urgent.append(self._rx_step)
+        urgent.append(self._tx_step)
         self.env.process(self._retransmit_loop(), name=f"{name}.rto")
-
-    def _bootstrap(self, callback: Callable[[Optional[Event]], None]) -> None:
-        """Schedule ``callback`` on the next kernel step at URGENT priority."""
-        env = self.env
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(callback)
-        bootstrap._ok = True
-        bootstrap._value = None
-        env._eid += 1
-        env._far.push((env._now, 0, env._eid, bootstrap))
-
-    def _loop_done(self) -> None:
-        """Mimic the completion event a finished generator process pushed.
-
-        Keeping the push preserves event-id parity with the process-based
-        loops, so schedules stay bit-identical across the refactor.
-        """
-        env = self.env
-        done = Event(env)
-        done._ok = True
-        done._value = None
-        env._eid += 1
-        env._dq.append((env._now, 1, env._eid, done))
 
     def open_active(self) -> None:
         """Client side: send SYN and start the machinery."""
@@ -517,11 +494,10 @@ class TcpConnection:
     # when idle), keeping schedules bit-identical while removing the
     # generator ``send`` dispatch per segment.
 
-    def _tx_step(self, _event: Optional[Event]) -> None:
+    def _tx_step(self, _event: Optional[Event] = None) -> None:
         if self.state == CLOSED:
             # Drain: wake anyone still blocked on a closed connection.
             self._wake_send_waiters()
-            self._loop_done()
             return
         send_queue = self._send_queue
         if (
@@ -593,12 +569,12 @@ class TcpConnection:
     def enqueue_segment(self, segment: Segment) -> None:
         """Called by the stack's demux for every arriving segment."""
         self._rx_queued_bytes += len(segment.data)
-        self._rx_queue.put(segment)
+        self._rx_queue.post(segment)
 
     # The receive loop mirrors _tx_step: wait-for-segment -> charge CPU ->
     # handle, as callbacks with the same event order the generator had.
 
-    def _rx_step(self, _event: Optional[Event]) -> None:
+    def _rx_step(self, _event: Optional[Event] = None) -> None:
         """Wait for the next inbound segment."""
         rx_queue = self._rx_queue
         # NAPI-style interrupt coalescing: the first segment of a burst
@@ -610,7 +586,6 @@ class TcpConnection:
 
     def _rx_dequeued(self, event: Event) -> None:
         if self.state == CLOSED:
-            self._loop_done()
             return
         self._rx_segment = event._value
         cost = self._cost_rx_burst if self._rx_blocked else self._cost_per_segment
@@ -626,7 +601,6 @@ class TcpConnection:
         self._rx_queued_bytes -= len(segment.data)
         self._handle_segment(segment)
         if self.state == CLOSED:
-            self._loop_done()
             return
         self._rx_step(None)
 

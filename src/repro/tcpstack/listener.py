@@ -69,7 +69,7 @@ class TcpListener:
 
     def enqueue_established(self, connection: "TcpConnection") -> None:
         """Called by the stack once a passive handshake completes."""
-        self._accept_queue.put(connection)
+        self._accept_queue.post(connection)
         for watcher in list(self._watchers):
             watcher()
 

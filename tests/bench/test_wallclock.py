@@ -74,6 +74,21 @@ class TestCheckWallclock:
         assert "fig4.events_per_sec" in warned
         assert ok  # nothing host-independent regressed (copies grew? no: 1 < 100 with +1 direction passes)
 
+    def test_event_counts_are_exact_on_any_host_and_may_only_fall(self):
+        baseline = _synthetic_document(100.0)
+        baseline["host"]["fingerprint"] = "not-this-machine"
+        for sweep in ("fig3", "fig4"):
+            more = _synthetic_document(100.0)
+            more[sweep]["sim_events"] = 101.0
+            ok, checks = check_wallclock(more, baseline)
+            assert not ok
+            assert [c["metric"] for c in checks if c["regressed"]] == [
+                f"{sweep}.sim_events"
+            ]
+            fewer = _synthetic_document(100.0)
+            fewer[sweep]["sim_events"] = 99.0
+            assert check_wallclock(fewer, baseline)[0]
+
     def test_bad_tolerance_scale_rejected(self):
         with pytest.raises(ReproError):
             check_wallclock(_synthetic_document(), _synthetic_document(), 0.0)

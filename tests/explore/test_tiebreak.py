@@ -6,8 +6,11 @@ policy at all.  These tests pin that, plus the reorder and clamping
 semantics the explorer relies on.
 """
 
+from hypothesis import given, settings
+
 from repro.explore.policy import RecordingPolicy, SeededFuzz
 from repro.sim import Environment, TieBreakPolicy
+from tests.sim.test_properties import _ACTORS, _run_program
 
 
 def _tied_run(policy=None, names=("a", "b", "c", "d")):
@@ -172,3 +175,80 @@ class TestSeededFuzz:
         picks = [fuzz(0.0, [None] * 4, i) for i in range(32)]
         assert fuzz.deviations == 2
         assert sum(1 for p in picks if p != 0) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The agenda diet leaves every choice point where it was
+# ---------------------------------------------------------------------------
+#
+# A TimedHold that runs its grant or completion on the spot does so only
+# when that entry would have been alone at its instant — so it was never
+# part of a tie, and the policy sees exactly the ready sets it would see
+# if every charge were the request / timeout / release process, which
+# never fuses.  Starts stay heap entries while a policy is installed, so
+# same-instant starts remain ties.
+
+
+class _Ties(RecordingPolicy):
+    """Also records when each choice point arose."""
+
+    def __init__(self, pick=None):
+        super().__init__(fallback=pick)
+        self.times = []
+
+    def choose(self, now, entries):
+        self.times.append(now)
+        return super().choose(now, entries)
+
+
+def _rotate(now, entries, position):
+    return 1 if len(entries) > 1 else 0
+
+
+#: Four actors charging one 4-slot resource for exactly tied durations,
+#: and one that charges alone at instants nobody shares.
+_TIED = [
+    (0.0, [("charge", 1, 2.0, True, True), ("charge", 1, 1.0, True, True)]),
+    (
+        0.0,
+        [
+            ("charge", 1, 2.0, True, True),
+            ("put", True),
+            ("charge", 1, 1.0, True, True),
+        ],
+    ),
+    (0.0, [("charge", 1, 2.0, True, True), ("get",)]),
+    (1.0, [("charge", 1, 1.0, True, True)]),
+    (3.5, [("charge", 0, 0.25, True, True), ("charge", 0, 0.25, True, True)]),
+]
+
+
+class TestFusionAndPolicies:
+    def test_always_zero_policy_reproduces_the_policy_free_order(self):
+        free, free_events = _run_program(_TIED)
+        chosen, chosen_events = _run_program(_TIED, policy=TieBreakPolicy())
+        assert chosen == free
+        # Under a policy each start is a heap entry again (5 actors, 8
+        # holds); nothing else differs.
+        assert chosen_events - free_events == 5 + 8
+
+    def test_lone_holds_fuse_and_tied_ones_do_not(self):
+        policy = _Ties()
+        _trace, events = _run_program(_TIED, policy=policy)
+        _trace, long_events = _run_program(_TIED, policy=_Ties(), long_charges=True)
+        # The isolated actor's two holds fused both ends (4 entries), the
+        # policy never heard of them, and every tie it did see involved
+        # the crowded instants 0..3.
+        assert long_events - events >= 4
+        assert policy.times and max(policy.times) <= 3.0
+
+    @given(actors=_ACTORS)
+    @settings(max_examples=100, deadline=None)
+    def test_ready_sets_match_the_unfused_reference(self, actors):
+        for pick in (None, _rotate):
+            short, long = _Ties(pick), _Ties(pick)
+            trace, _ = _run_program(actors, policy=short)
+            expected, _ = _run_program(actors, policy=long, long_charges=True)
+            assert (short.times, short.sizes) == (long.times, long.sizes)
+            assert short.choices == long.choices
+            assert trace == expected

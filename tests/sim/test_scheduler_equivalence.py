@@ -12,10 +12,14 @@ current bucket boundary and take the insort slow path) — and require
 bit-identical dispatch traces.
 """
 
+import heapq
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment
+from repro.sim import Environment, TieBreakPolicy
 from repro.sim.events import Event
 
 _DELAYS = st.floats(min_value=0.0, max_value=2e-3, allow_nan=False)
@@ -94,3 +98,87 @@ def test_timeout_fast_path_matches_heap(delays):
         return fired
 
     assert run("heap") == run("calendar")
+
+
+# ---------------------------------------------------------------------------
+# The urgent lane against the definition of the order
+# ---------------------------------------------------------------------------
+#
+# Zero-delay URGENT entries (process starts, ``schedule(.., 0, URGENT)``)
+# sit in a keyless FIFO that the loops drain first; delayed URGENT entries
+# keep their key in the far lane.  Whatever the mix, dispatch must follow
+# the definition — a single heap keyed ``(time, priority, sequence)`` —
+# under either scheduler, by either pair of run loops or by ``step()``,
+# and under a policy that always answers 0.  Delays are small integers so that ties,
+# including several delayed URGENT entries at one instant, are common.
+
+_TIED_OPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3).map(float),
+        st.integers(min_value=0, max_value=1),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _order_by_definition(ops):
+    heap, sequence, trace = [], itertools.count(), []
+    for index, (delay, priority) in enumerate(ops):
+        heapq.heappush(heap, (delay, priority, next(sequence), index))
+    while heap:
+        now, _priority, _sequence, what = heapq.heappop(heap)
+        trace.append((now, what))
+        if isinstance(what, int) and what % 2 == 0:
+            # What ``fire`` below does, in the same order.
+            heapq.heappush(heap, (now, 0, next(sequence), ("start", what)))
+            heapq.heappush(heap, (now, 0, next(sequence), ("urgent", what)))
+            heapq.heappush(heap, (now, 1, next(sequence), ("normal", what)))
+    return trace
+
+
+def _order_by_kernel(ops, scheduler, drive):
+    env = Environment(scheduler=scheduler)
+    trace = []
+
+    def ready(what):
+        event = Event(env)
+        event._value = None
+        event.callbacks.append(lambda _e: trace.append((env.now, what)))
+        return event
+
+    def starter(what):
+        trace.append((env.now, what))
+        return
+        yield
+
+    def fire(index):
+        trace.append((env.now, index))
+        if index % 2 == 0:
+            env.process(starter(("start", index)))
+            env.schedule(ready(("urgent", index)), priority=Environment.URGENT)
+            env.schedule(ready(("normal", index)))
+
+    for index, (delay, priority) in enumerate(ops):
+        event = Event(env)
+        event._value = None
+        event.callbacks.append(lambda _e, i=index: fire(i))
+        env.schedule(event, delay=delay, priority=priority)
+    if drive == "policy":
+        env.set_tiebreak(TieBreakPolicy())
+    if drive == "step":
+        while env.peek() != float("inf"):
+            env.step()
+    elif drive == "until":
+        env.run(until=env.timeout(10.0))  # the run-until-event loops
+    else:
+        env.run()
+    return trace
+
+
+@pytest.mark.parametrize("drive", ["run", "until", "step", "policy"])
+@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@given(ops=_TIED_OPS)
+@settings(max_examples=60, deadline=None)
+def test_urgent_lane_follows_the_key_order(scheduler, drive, ops):
+    assert _order_by_kernel(ops, scheduler, drive) == _order_by_definition(ops)
