@@ -47,6 +47,7 @@ from repro.rdma import (
     alloc_registered,
 )
 from repro.rubin import RubinChannel, RubinConfig, RubinServerChannel
+from repro.sim import grid_wait
 
 __all__ = [
     "tcp_echo",
@@ -342,6 +343,54 @@ def rdma_read_write_echo(payload_bytes: int, messages: int) -> EchoResult:
     return result
 
 
+def _read_exactly(channel, host, buffer, nbytes):
+    """Read a whole message, charging one event-queue wake per block.
+
+    The channel application blocks on RUBIN's user-space hybrid event
+    queue — a thread wake-up, but no interrupt and no syscall (the
+    notification arrived via the event manager, and selective
+    signaling keeps send completions off this path entirely).
+    """
+    env = channel.env
+    got = 0
+    blocked = False
+    while got < nbytes:
+        n = yield channel.read(buffer)
+        if n is None:
+            raise ReproError("channel closed mid-message")
+        if n == 0:
+            blocked = True
+            yield env.timeout(0.2e-6)  # wait for the event notification
+            # While nothing has arrived a read would drain an empty CQ
+            # and return 0, so only the reader's place on the 0.2 us poll
+            # grid matters — and that costs no events (DESIGN §11).
+            yield from grid_wait(
+                env,
+                0.2e-6,
+                lambda: channel.receivable or channel.closed,
+                channel.when_readable,
+            )
+        else:
+            if blocked:
+                yield host.cpu.execute(host.cpu.costs.context_switch)
+                blocked = False
+            got += n
+    return got
+
+
+def _write_all(channel, buffer, trace_ctx=None):
+    """Write one message from a *reused* application buffer.
+
+    Reuse is the point of the zero-copy send path: the buffer is
+    registered on first use and every later write gathers from it
+    directly (paper, Section IV).
+    """
+    while buffer.has_remaining():
+        n = yield channel.write(buffer, trace_ctx=trace_ctx)
+        if n == 0:
+            yield channel.env.timeout(0.2e-6)
+
+
 def rubin_channel_echo(
     payload_bytes: int,
     messages: int,
@@ -379,49 +428,6 @@ def rubin_channel_echo(
         bed.client.stack("rdma"), client_cm, "server", ECHO_PORT, config
     )
 
-    wake_cost = bed.client.cpu.costs.context_switch
-
-    def read_exactly(channel, host, buffer, nbytes):
-        """Read a whole message, charging one event-queue wake per block.
-
-        The channel application blocks on RUBIN's user-space hybrid event
-        queue — a thread wake-up, but no interrupt and no syscall (the
-        notification arrived via the event manager, and selective
-        signaling keeps send completions off this path entirely).
-        """
-        got = 0
-        blocked = False
-        while got < nbytes:
-            if blocked and not channel.receivable and not channel.closed:
-                # Nothing has arrived: a read would drain an empty CQ and
-                # return 0, so only its place on the poll grid is kept.
-                yield env.timeout(0.2e-6)
-                continue
-            n = yield channel.read(buffer)
-            if n is None:
-                raise ReproError("channel closed mid-message")
-            if n == 0:
-                blocked = True
-                yield env.timeout(0.2e-6)  # wait for the event notification
-            else:
-                if blocked:
-                    yield host.cpu.execute(wake_cost)
-                    blocked = False
-                got += n
-        return got
-
-    def write_all(channel, host, buffer, trace_ctx=None):
-        """Write one message from a *reused* application buffer.
-
-        Reuse is the point of the zero-copy send path: the buffer is
-        registered on first use and every later write gathers from it
-        directly (paper, Section IV).
-        """
-        while buffer.has_remaining():
-            n = yield channel.write(buffer, trace_ctx=trace_ctx)
-            if n == 0:
-                yield env.timeout(0.2e-6)
-
     def server(env):
         host = bed.server
         while not server_chan.connect_pending:
@@ -432,13 +438,12 @@ def rubin_channel_echo(
         inbuf = ByteBuffer.allocate(max(payload_bytes, 1))
         for _ in range(messages):
             inbuf.clear()
-            yield from read_exactly(accepted, host, inbuf, payload_bytes)
+            yield from _read_exactly(accepted, host, inbuf, payload_bytes)
             # Echo straight from the same application buffer: it was
             # registered on the first write and reused ever since.
             inbuf.flip()
-            yield from write_all(
-                accepted, host, inbuf,
-                trace_ctx=accepted.last_read_trace_ctx,
+            yield from _write_all(
+                accepted, inbuf, trace_ctx=accepted.last_read_trace_ctx
             )
 
     def client(env):
@@ -459,12 +464,12 @@ def rubin_channel_echo(
                     "echo.request", layer="client", track="client", msg=i
                 )
             outbuf.rewind()
-            yield from write_all(
-                client_chan, host, outbuf,
+            yield from _write_all(
+                client_chan, outbuf,
                 trace_ctx=root.context if root is not None else None,
             )
             scratch.clear()
-            yield from read_exactly(client_chan, host, scratch, payload_bytes)
+            yield from _read_exactly(client_chan, host, scratch, payload_bytes)
             result.latencies_us.append((env.now - t0) * 1e6)
             if root is not None:
                 root.end()

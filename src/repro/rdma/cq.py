@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 
 from repro.audit import get_audit
 from repro.errors import RdmaError
@@ -96,6 +96,12 @@ class CompletionQueue:
         # (None for untraced completions) so poll() can close them.
         self._wait_spans: Deque[Optional[object]] = deque()
         self._armed = False
+        #: One-shot callbacks: append one to be called after the next
+        #: :meth:`push`.  For a poller that would otherwise spin on an
+        #: empty queue; unlike :meth:`request_notify` this needs no
+        #: completion channel and leaves the armed flag alone, so nothing
+        #: a channel's subscribers see depends on who sleeps here.
+        self.push_waiters: List[Callable[[], None]] = []
         self.overrun = False
         #: Deepest the queue has ever been (bounded-memory evidence for
         #: overload runs; pure observability).
@@ -139,6 +145,8 @@ class CompletionQueue:
         if self._armed and self.channel is not None:
             self._armed = False
             self.channel._notify(self)
+        if self.push_waiters:
+            self.wake_waiters()
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
         """Reap up to ``max_entries`` completions (non-blocking)."""
@@ -168,6 +176,16 @@ class CompletionQueue:
             self.channel._notify(self)
         else:
             self._armed = True
+
+    def wake_waiters(self) -> None:
+        """Call, and forget, everything in :attr:`push_waiters`.
+
+        Also for the queue's owner, when what the sleepers wait for can
+        happen without a push (the connection closing, say).
+        """
+        waiters, self.push_waiters = self.push_waiters, []
+        for waiter in waiters:
+            waiter()
 
     def __len__(self) -> int:
         return len(self._entries)

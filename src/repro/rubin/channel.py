@@ -416,9 +416,23 @@ class RubinChannel:
             watcher()
         self._notify()
 
+    def when_readable(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when a read may have become worthwhile.
+
+        That is the next receive completion, or the next :meth:`_notify`
+        (close, error, a drain that parked a message) — together every
+        way ``receivable or closed`` turns true.  It can also fire for
+        nothing, so whoever is woken looks for itself.  One-shot: a
+        reader that goes back to sleep subscribes again.  No completion
+        channel is attached, so selector-driven schedules never see it.
+        """
+        self.recv_cq.push_waiters.append(callback)
+
     def _notify(self) -> None:
         for watcher in list(self._watchers):
             watcher()
+        if self.recv_cq.push_waiters:
+            self.recv_cq.wake_waiters()
 
     # ------------------------------------------------------------------
     # readiness

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import RubinError
+from repro.rubin.channel import RubinServerChannel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rubin.selector import RubinSelector
@@ -42,6 +43,9 @@ class RubinSelectionKey:
     def __init__(self, selector: "RubinSelector", channel: Any, interest: int):
         self.selector = selector
         self.channel = channel
+        #: Listening channel (OP_CONNECT only) or connected one; fixed
+        #: here so a select pass need not ask the type of every key.
+        self.is_server = isinstance(channel, RubinServerChannel)
         self._interest = interest
         #: Updated "when an I/O event occurred in the related channel".
         self.ready_ops = 0

@@ -29,6 +29,7 @@ from repro.rubin.events import (
     EVENT_CONNECTION,
     EventManager,
     HybridEventQueue,
+    RubinEvent,
 )
 from repro.rubin.selection_key import (
     OP_ACCEPT,
@@ -58,6 +59,8 @@ class RubinSelector:
         self.manager = EventManager(self.env, self.queue)
         self._keys: Dict[int, RubinSelectionKey] = {}  # channel_id -> key
         self._selected: List[RubinSelectionKey] = []
+        #: Cached :meth:`_select_overhead`; None after the key set changed.
+        self._overhead: Optional[float] = None
         self._watched_cms: set[int] = set()
         self._wakeup_requested = False
         self.closed = False
@@ -86,6 +89,7 @@ class RubinSelector:
                 )
         key = RubinSelectionKey(self, channel, interest)
         self._keys[channel.channel_id] = key
+        self._overhead = None
         self._watch_cm_once(channel.cm)
         if isinstance(channel, RubinChannel):
             self.manager.watch_cq(channel.recv_cq, channel.channel_id)
@@ -103,6 +107,7 @@ class RubinSelector:
 
     def _cancel(self, key: RubinSelectionKey) -> None:
         self._keys.pop(key.channel.channel_id, None)
+        self._overhead = None
         if isinstance(key.channel, RubinChannel):
             self.manager.unwatch_cq(key.channel.recv_cq)
             self.manager.unwatch_cq(key.channel.send_cq)
@@ -160,11 +165,14 @@ class RubinSelector:
 
     def _select_overhead(self) -> float:
         """Per-select bookkeeping cost (max over registered configs)."""
-        overhead = 0.0
-        for key in self._keys.values():
-            config = getattr(key.channel, "config", None)
-            if config is not None:
-                overhead = max(overhead, config.select_overhead)
+        overhead = self._overhead
+        if overhead is None:
+            overhead = 0.0
+            for key in self._keys.values():
+                config = getattr(key.channel, "config", None)
+                if config is not None:
+                    overhead = max(overhead, config.select_overhead)
+            self._overhead = overhead
         return overhead
 
     def _dispatch_events(self):
@@ -172,7 +180,7 @@ class RubinSelector:
         for event in self.queue.drain():
             if event.kind == EVENT_COMPLETION:
                 key = self._keys.get(event.event_id)
-                if key is None or not isinstance(key.channel, RubinChannel):
+                if key is None or key.is_server:
                     continue
                 tracer = get_tracer(self.env)
                 span = None
@@ -221,20 +229,19 @@ class RubinSelector:
     @staticmethod
     def _ready_ops(key: RubinSelectionKey) -> int:
         channel = key.channel
+        interest = key.interest_ops
         ops = 0
-        if isinstance(channel, RubinServerChannel):
-            if key.interest_ops & OP_CONNECT and channel.connect_pending:
+        if key.is_server:
+            if interest & OP_CONNECT and channel.connect_pending:
                 ops |= OP_CONNECT
             return ops
-        if key.interest_ops & OP_ACCEPT and (
-            channel.accept_pending or channel.errored
-        ):
+        if interest & OP_ACCEPT and (channel.accept_pending or channel.errored):
             # Errored establishment also surfaces as OP_ACCEPT so the
             # application's finish_connect() can raise (NIO-style).
             ops |= OP_ACCEPT
-        if key.interest_ops & OP_RECEIVE and channel.receivable:
+        if interest & OP_RECEIVE and channel.receivable:
             ops |= OP_RECEIVE
-        if key.interest_ops & OP_SEND and channel.sendable:
+        if interest & OP_SEND and channel.sendable:
             ops |= OP_SEND
         return ops
 
@@ -247,8 +254,6 @@ class RubinSelector:
         """Make a blocked :meth:`select` return immediately (NIO's
         ``Selector.wakeup()`` analog): pushes a synthetic wake event onto
         the hybrid queue."""
-        from repro.rubin.events import RubinEvent
-
         self.queue.push(RubinEvent(kind="wakeup", event_id=None))
 
     # -- lifecycle ---------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.sim.events import (
     Interrupt,
     Timeout,
 )
+from repro.sim.gridwait import GridWait, grid_wait
 from repro.sim.monitor import (
     Counter,
     Gauge,
@@ -52,6 +53,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "GridWait",
+    "grid_wait",
     "Process",
     "ProcessGenerator",
     "Store",

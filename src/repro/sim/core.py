@@ -752,6 +752,15 @@ class Environment:
         """Create an event that triggers after ``delay`` time units."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that triggers at the absolute time ``when``.
+
+        Unlike ``timeout(when - now)`` the entry is keyed with ``when``
+        to the bit (see :meth:`Event.succeed_at`); ``when == now`` is
+        allowed, a past instant is an error.
+        """
+        return Event(self).succeed_at(when, value)
+
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None
     ) -> Process:

@@ -136,6 +136,27 @@ class Event:
         env._dq.append((env._now, 1, env._eid, self))
         return self
 
+    def succeed_at(self, when: float, value: Any = None) -> "Event":
+        """Trigger the event successfully at the absolute time ``when``.
+
+        The entry is keyed with ``when`` itself.  A relative timeout
+        would key it ``now + (when - now)``, which need not round back
+        to ``when`` — and a caller that has computed an instant (a point
+        of a poll grid, say) needs that very float on the agenda.
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        env = self.env
+        if when < env._now:
+            raise SimulationError(
+                f"cannot schedule into the past (when={when}, now={env._now})"
+            )
+        self._ok = True
+        self._value = value
+        env._eid += 1
+        env._far.push((when, 1, env._eid, self))
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 

@@ -9,6 +9,11 @@ seeded RNG.  This AST lint enforces it:
 * ``random`` may only be used to construct seeded ``random.Random``
   instances — the module-level functions share hidden global state;
 * no ``from random import ...`` anywhere (it hides which RNG is used).
+
+One more rule is about cost, not determinism: a ``while`` loop that wakes
+on a fixed period pays an agenda entry per period, busy or not, so every
+such loop is listed below with the reason it ticks
+(:func:`repro.sim.grid_wait` is the tickless way to wait on a grid).
 """
 
 import ast
@@ -29,6 +34,96 @@ TIME_ALLOWED = {
 MULTIPROCESSING_ALLOWED = {
     "sim/parallel.py",
 }
+
+
+#: Every ``while`` loop whose body yields ``env.timeout(<constant or
+#: configured period>)``, by function, with the number of such loops in
+#: it.  A new entry is a decision: either the loop does work on every
+#: tick, or its idle ticks cannot be dropped — say which.
+TICKING_LOOPS = {
+    # -- polls left ticking on purpose ---------------------------------
+    # The tick after a read that returned 0.  The read it leads to is
+    # not a no-op (progress marker, a ``rubin.read`` process, a CQ
+    # drain), so it is armed for real; the idle grid behind it is a
+    # ``grid_wait``.
+    "bench/echo.py::_read_exactly": 1,
+    # Retry of a refused write: each retry is a ``rubin.write`` with
+    # the same side effects, and refusals are rare (full send queue).
+    "bench/echo.py::_write_all": 1,
+    # Connection establishment: tens of ticks per run, once.
+    "bench/echo.py::rubin_channel_echo.server": 2,
+    "bench/echo.py::rubin_channel_echo.client": 1,
+    # The one-sided poller's 5 us grid starts at a round instant beside
+    # round-number protocol timers, so bit-exact ties with other entries
+    # are plausible rather than measure-zero, every tick drains links
+    # and polls readers, and no perfbench workload covers it.
+    "bft/onesided.py::OneSidedReplica._os_poll_loop": 1,
+    # -- periodic work: the tick is the job ------------------------------
+    # Samples every probe on the sim clock each period.
+    "obs/sampler.py::MetricsSampler._loop": 1,
+    # Compares outstanding requests against the stall threshold.
+    "audit/watchdog.py::ConsensusWatchdog._loop": 1,
+    # View-change timer: compares request deadlines with the clock.
+    "bft/replica.py::Replica._timer_loop": 1,
+    # Adaptive batching: one bounded wait for more requests per batch.
+    "bft/replica.py::Replica._batch_loop": 1,
+    # Re-broadcasts the state-transfer request until answered.
+    "bft/replica.py::Replica._state_transfer_loop": 1,
+    # Expires stale requests and fills merge gaps with no-ops.
+    "bft/cop/group.py::CopReplica._merge_fill_loop": 1,
+    # A Byzantine writer hammering a slot: one write per tick.
+    "bft/byzantine.py::PermissionRaceReplica._race_loop": 1,
+}
+
+
+def _is_period(node: ast.expr) -> bool:
+    """A numeric literal, or a bare name/attribute (a configured period);
+    a computed delay (``retry_timeout / 2``, ``deadline - now``) is a
+    timer, not a grid."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float))
+    return isinstance(node, (ast.Name, ast.Attribute))
+
+
+def _yields_a_period(loop: ast.While) -> bool:
+    """``yield <env>.timeout(<period>)`` in the loop's own body."""
+    stack = list(loop.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.While)
+        ):
+            continue  # another scope, or a loop judged on its own
+        if (
+            isinstance(node, ast.Yield)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "timeout"
+            and len(node.value.args) == 1
+            and _is_period(node.value.args[0])
+        ):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _ticking_loops(tree: ast.AST, relative: str) -> dict:
+    found: dict = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.While) and _yields_a_period(child):
+                key = f"{relative}::{'.'.join(scope)}"
+                found[key] = found.get(key, 0) + 1
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
 
 
 def _source_files():
@@ -126,6 +221,31 @@ class TestDeterminismLint:
                 ):
                     offenders.append(f"{_relative(path)}:{node.lineno}")
         assert not offenders, f"OS entropy in the model: {offenders}"
+
+    def test_every_ticking_loop_is_there_on_purpose(self):
+        found = {}
+        for path in _source_files():
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found.update(_ticking_loops(tree, _relative(path)))
+        assert found == TICKING_LOOPS, (
+            "a loop that wakes every period costs an agenda entry per "
+            "period; wait with repro.sim.grid_wait, or list the loop in "
+            "TICKING_LOOPS with the reason it must tick"
+        )
+
+    def test_the_ticking_loop_rule_sees_what_it_should(self):
+        source = """
+def poll(env, ready, config):
+    while not ready():
+        yield env.timeout(0.2e-6)
+    while True:
+        if ready():
+            yield env.timeout(config.period)
+    while True:
+        yield env.timeout(config.period / 2)
+        yield env.event()
+"""
+        assert _ticking_loops(ast.parse(source), "x.py") == {"x.py::poll": 2}
 
     def test_multiprocessing_only_in_parallel_kernel(self):
         """Worker processes exist only in ``sim/parallel.py`` — model

@@ -194,6 +194,34 @@ class TestCompletionChannel:
         assert channel.try_get_cq_event() is rig.right_recv_cq
         assert channel.try_get_cq_event() is None  # not re-armed
 
+    def test_push_waiters_are_one_shot_and_need_no_channel(self, rig):
+        cq = rig.right_recv_cq
+        woken = []
+        cq.push_waiters.append(lambda: woken.append(len(cq)))
+        src = rig.register("left", 64)
+        dst = rig.register("right", 64)
+        rig.right_qp.post_recv_batch([recv_wr(1, dst), recv_wr(2, dst)])
+        rig.left_qp.post_send(send_wr(1, src, length=4))
+        rig.left_qp.post_send(send_wr(2, src, length=4))
+        rig.run_for(2e-3)
+        # Called once, after the first CQE was queued; not for the second.
+        assert woken == [1]
+        assert len(cq) == 2 and cq.push_waiters == []
+        assert cq.channel is None
+
+    def test_a_waiter_may_subscribe_again_from_its_wake_up(self, rig):
+        cq = rig.right_recv_cq
+        calls = []
+
+        def waiter():
+            calls.append(len(calls))
+            cq.push_waiters.append(waiter)
+
+        cq.push_waiters.append(waiter)
+        cq.wake_waiters()
+        cq.wake_waiters()
+        assert calls == [0, 1] and cq.push_waiters == [waiter]
+
     def test_request_notify_without_channel_raises(self, rig):
         with pytest.raises(RdmaError, match="no completion channel"):
             rig.left_send_cq.request_notify()

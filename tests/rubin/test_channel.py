@@ -202,6 +202,38 @@ class TestDataTransfer:
         assert zeros > 0  # backpressure observed
 
 
+class TestWhenReadable:
+    """The one-shot subscription a sleeping reader wakes on."""
+
+    def test_fires_once_when_a_message_lands(self, rig):
+        client, server = rig.establish()
+        woken = []
+        server.when_readable(lambda: woken.append(server.receivable))
+        write_all(rig, client, b"first")
+        write_all(rig, client, b"second")
+        rig.run_for(1e-3)
+        assert woken == [True]
+        assert server.recv_cq.push_waiters == []
+
+    def test_fires_on_close_and_on_error(self, rig):
+        client, server = rig.establish()
+        woken = []
+        client.when_readable(lambda: woken.append("close"))
+        client.close()
+        assert woken == ["close"] and client.closed
+        # No receive is posted on a dead QP, so only _notify can tell.
+        client.when_readable(lambda: woken.append("error"))
+        client._enter_error("test")
+        assert woken == ["close", "error"]
+        assert client.recv_cq.push_waiters == []
+
+    def test_attaches_no_completion_channel(self, rig):
+        client, server = rig.establish()
+        server.when_readable(lambda: None)
+        assert server.recv_cq.channel is None
+        assert len(server._watchers) == 0
+
+
 class TestOptimizations:
     def test_inline_path_used_for_small_messages(self, rig):
         client, server = rig.establish()

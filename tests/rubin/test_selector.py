@@ -9,6 +9,7 @@ from repro.rubin import (
     OP_CONNECT,
     OP_RECEIVE,
     OP_SEND,
+    RubinConfig,
     RubinSelector,
 )
 
@@ -267,3 +268,27 @@ def test_echo_server_with_rubin_selector(rig):
     p = rig.env.process(client_loop(rig.env))
     replies = rig.env.run(until=p)
     assert replies == [b"echo-0", b"echo-1", b"echo-2"]
+
+
+def test_select_overhead_follows_the_registered_set(rig):
+    """The per-select cost is the max over registered configs, cached
+    between registrations and cancellations."""
+    slow = RubinConfig(select_overhead=3e-6)
+    client, server = rig.establish()
+    other_client, other_server = rig.establish(port=4792, config=slow)
+    selector = RubinSelector.open(rig.fabric.host("server"))
+    assert selector._select_overhead() == 0.0
+    selector.register(server, OP_RECEIVE)
+    assert selector._select_overhead() == rig.config.select_overhead
+    slow_key = selector.register(other_server, OP_RECEIVE)
+    assert selector._select_overhead() == 3e-6
+    slow_key.cancel()
+    assert selector._select_overhead() == rig.config.select_overhead
+
+
+def test_keys_know_whether_they_hold_a_server_channel(rig):
+    listener = rig.serve()
+    client, server = rig.establish(port=4792)
+    selector = RubinSelector.open(rig.fabric.host("server"))
+    assert selector.register(listener, OP_CONNECT).is_server
+    assert not selector.register(server, OP_RECEIVE | OP_SEND).is_server

@@ -1,9 +1,18 @@
 """Property-based tests for the kernel's core ordering invariants."""
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, Store, TieBreakPolicy
+from repro.errors import SimulationError
+from repro.sim import (
+    Environment,
+    GridWait,
+    Resource,
+    Store,
+    TieBreakPolicy,
+    grid_wait,
+)
 from repro.sim.resources import TimedHold
 
 
@@ -464,3 +473,378 @@ class TestPost:
         store.post("b")
         env.run()
         assert got == ["b", "a"]
+
+
+# ---------------------------------------------------------------------------
+# Tickless waits: grid_wait is the ticking loop without the ticks
+# ---------------------------------------------------------------------------
+#
+# ``yield from grid_wait(env, period, ready, subscribe)`` stands for
+# ``while not ready(): yield env.timeout(period)``.  A random program —
+# waiters on different grids, flags set, closed, consumed and poked for
+# nothing, unrelated timers and holds, a clock that starts below zero —
+# must dispatch the identical (time, label) trace whichever way its
+# waiters wait, on either scheduler and under a policy that always
+# answers 0.  The one thing the two may disagree on is the order *within*
+# an instant that a tick shares bit-exactly with something else (the tick's
+# entry is keyed at the wake-up, not one period before its instant), so
+# times here are fractions that no grid sum lands on; a program that
+# manages a tie anyway is discarded, and the directed cases below pin what
+# happens in one.
+
+
+class _Flag:
+    """Something to wait for, with one-shot subscriptions like a CQ's."""
+
+    def __init__(self):
+        self.value = False
+        self.closed = False
+        self.watchers = []
+
+    def ready(self):
+        return self.value or self.closed
+
+    def subscribe(self, callback):
+        self.watchers.append(callback)
+
+    def notify(self):
+        watchers, self.watchers = self.watchers, []
+        for watcher in watchers:
+            watcher()
+
+
+def _ticking_wait(env, period, ready, _subscribe):
+    """The literal loop ``grid_wait`` stands for."""
+    while not ready():
+        yield env.timeout(period)
+
+
+_GRID_PERIODS = st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.7, 1.1])
+_OFF_GRID = st.integers(min_value=1, max_value=6000).map(lambda n: n / 997)
+_GRID_WAITERS = st.lists(
+    st.tuples(
+        _OFF_GRID,  # when it starts waiting
+        _GRID_PERIODS,
+        st.integers(min_value=0, max_value=1),  # which flag
+        st.integers(min_value=1, max_value=3),  # rounds: wake, consume, again
+    ),
+    min_size=1,
+    max_size=4,
+)
+_GRID_STEPS = st.lists(
+    st.tuples(
+        _OFF_GRID,
+        st.one_of(
+            st.tuples(st.just("set"), st.integers(min_value=0, max_value=1)),
+            st.tuples(st.just("poke"), st.integers(min_value=0, max_value=1)),
+            st.tuples(st.just("timer")),
+            st.tuples(
+                st.just("hold"),
+                st.integers(min_value=1, max_value=900).map(lambda n: n / 983),
+            ),
+        ),
+    ),
+    max_size=10,
+)
+#: When each flag closes for good (waiters must always come home).
+_GRID_CLOSES = st.tuples(_OFF_GRID, _OFF_GRID).map(
+    lambda pair: (6.5 + pair[0], 6.5 + pair[1])
+)
+
+
+def _run_grid_program(
+    waiters, steps, closes, start, wait, scheduler="calendar", policy=None
+):
+    """Dispatch the program; return (trace, tick instants, flip instants, ids)."""
+    env = Environment(initial_time=start, scheduler=scheduler)
+    flags = [_Flag(), _Flag()]
+    cpu = Resource(env, capacity=1)
+    trace, looked, flipped = [], [], []
+
+    def waiter(env, label, delay, period, flag, rounds):
+        yield env.timeout(delay)
+
+        def ready():
+            looked.append((env.now, label))
+            return flag.ready()
+
+        for round_ in range(rounds):
+            yield from wait(env, period, ready, flag.subscribe)
+            trace.append((env.now, label, "closed" if flag.closed else round_))
+            if flag.closed:
+                return
+            flag.value = False
+
+    def step(env, label, delay, what):
+        yield env.timeout(delay)
+        if what[0] == "set":
+            flags[what[1]].value = True
+            flags[what[1]].notify()
+            flipped.append(env.now)
+        elif what[0] == "poke":
+            flags[what[1]].notify()
+        elif what[0] == "hold":
+            yield TimedHold(cpu, what[1], tracker=_Marks(env, trace, label))
+        trace.append((env.now, label, what[0]))
+
+    def close(env, flag, delay):
+        yield env.timeout(delay)
+        flag.closed = True
+        flag.notify()
+        flipped.append(env.now)
+
+    for number, (delay, period, which, rounds) in enumerate(waiters):
+        env.process(
+            waiter(env, f"w{number}", delay, period, flags[which], rounds)
+        )
+    for number, (delay, what) in enumerate(steps):
+        env.process(step(env, f"s{number}", delay, what))
+    for flag, delay in zip(flags, closes):
+        env.process(close(env, flag, delay))
+    if policy is not None:
+        env.set_tiebreak(policy)
+    env.run()
+    return trace, looked, flipped, env._eid
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    waiters=_GRID_WAITERS,
+    steps=_GRID_STEPS,
+    closes=_GRID_CLOSES,
+    start=st.sampled_from([0.0, -2.5]),
+)
+# A flag set before the waiter's first tick, and one that only ever closes.
+@example(
+    waiters=[(1.0, 0.7, 0, 1), (1.0, 0.3, 1, 2)],
+    steps=[(1.25, ("set", 0))],
+    closes=(7.0, 7.5),
+    start=0.0,
+)
+def test_grid_wait_dispatches_the_ticking_loops_trace(waiters, steps, closes, start):
+    program = (waiters, steps, closes, start)
+    expected, looked, flipped, reference_events = _run_grid_program(
+        *program, _ticking_wait
+    )
+    # Discard programs with a tie: a tick on the very instant of a flip,
+    # or a tick that found its flag ready sharing its instant with any
+    # other labelled entry.
+    tick_instants = {when for when, _label in looked}
+    assume(not tick_instants & set(flipped))
+    woke = {(when, label) for when, label, _what in expected if label[0] == "w"}
+    assume(
+        not any(
+            when == other and label != who
+            for when, label in woke
+            for other, who, _what in expected
+        )
+    )
+    ties = GridWait.ties
+    calendar, _, _, calendar_events = _run_grid_program(*program, grid_wait)
+    heap, _, _, heap_events = _run_grid_program(
+        *program, grid_wait, scheduler="heap"
+    )
+    chosen, _, _, _ = _run_grid_program(
+        *program, grid_wait, policy=TieBreakPolicy()
+    )
+    assert calendar == expected
+    assert heap == expected
+    assert chosen == expected
+    assert heap_events == calendar_events <= reference_events
+    assert GridWait.ties == ties
+
+
+class TestGridWait:
+    """Directed cases: ties, the first tick, and what a wait costs."""
+
+    @staticmethod
+    def _run(wait, period, flip, start=0.0, arm_flip_at=None, extra=None):
+        """One waiter from ``start``; the flag is set by a timer armed at
+        ``arm_flip_at`` (default: at once) for the instant ``flip``
+        (``None``: set in the starting instant, after the wait began)."""
+        env = Environment(initial_time=start)
+        flag = _Flag()
+        trace = []
+
+        def waiter(env):
+            yield from wait(env, period, flag.ready, flag.subscribe)
+            trace.append((env.now, "woke"))
+
+        def flipper(env):
+            if arm_flip_at is not None:
+                yield env.timeout_at(arm_flip_at)
+            if flip is not None:
+                yield env.timeout_at(flip)
+            flag.value = True
+            flag.notify()
+            trace.append((env.now, "set"))
+
+        env.process(waiter(env))
+        env.process(flipper(env))
+        if extra is not None:
+            env.process(extra(env, trace))
+        env.run()
+        return trace, env._eid
+
+    def test_a_flip_between_grid_points_is_seen_by_the_next_tick(self):
+        # The grid is the running sum 0.1 + 0.1 + ...: its eighth point is
+        # 0.7999999999999999, not 8 * 0.1.
+        for wait in (_ticking_wait, grid_wait):
+            trace, _ = self._run(wait, 0.1, flip=0.75)
+            assert trace == [(0.75, "set"), (0.7999999999999999, "woke")]
+
+    def test_a_flip_before_the_first_tick_waits_for_it(self):
+        for wait in (_ticking_wait, grid_wait):
+            trace, _ = self._run(wait, 0.25, flip=0.0625)
+            assert trace == [(0.0625, "set"), (0.25, "woke")]
+
+    def test_a_flip_in_the_instant_the_wait_began_waits_a_period(self):
+        """The waiter has looked already; it looks again one period on —
+        which is not a tie: the grid point in question is the next one."""
+        ties = GridWait.ties
+        for wait in (_ticking_wait, grid_wait):
+            trace, _ = self._run(wait, 0.25, flip=None)
+            assert trace == [(0.0, "set"), (0.25, "woke")]
+        assert GridWait.ties == ties
+
+    def test_a_wait_costs_one_entry_however_long(self):
+        _, ticking = self._run(_ticking_wait, 0.1, flip=7.75)
+        _, tickless = self._run(grid_wait, 0.1, flip=7.75)
+        # The flipper's timer and two completions, and the wait: 78 ticks
+        # or one entry.
+        assert (ticking, tickless) == (3 + 78, 3 + 1)
+
+    def test_a_flip_on_a_grid_point_is_followed_by_the_tick(self):
+        """The tie rule.  With a 0.25 grid every point is exact, so a
+        flip at 1.0 ties with the fourth tick.  The ticking loop's answer
+        depends on when the flip's entry was keyed — before the third
+        tick armed the fourth (then the flip runs first and the tick sees
+        it) or after (then the tick runs first and misses it).  The
+        tickless wait always takes the first answer, and counts."""
+        ties = GridWait.ties
+        early = self._run(grid_wait, 0.25, flip=1.0)
+        late = self._run(grid_wait, 0.25, flip=1.0, arm_flip_at=0.875)
+        assert early[0] == late[0] == [(1.0, "set"), (1.0, "woke")]
+        assert GridWait.ties == ties + 2
+        ticking, _ = self._run(_ticking_wait, 0.25, flip=1.0)
+        assert ticking == early[0]
+        ticking, _ = self._run(_ticking_wait, 0.25, flip=1.0, arm_flip_at=0.875)
+        assert ticking == [(1.0, "set"), (1.25, "woke")]
+
+    def test_an_unrelated_entry_at_the_wake_instant(self):
+        """Something else due on the tick that sees the flip: it keeps its
+        place when it was keyed before the tick's predecessor ran — any
+        delay longer than the period.  (Keyed inside that last period,
+        and due bit-exactly on the grid point, it would now run before
+        the tick instead of after it; nothing in the tree does that.)"""
+
+        def bystander(env, trace):
+            yield env.timeout(0.5)
+            trace.append((env.now, "bystander"))
+
+        for wait in (_ticking_wait, grid_wait):
+            trace, _ = self._run(wait, 0.25, flip=0.375, extra=bystander)
+            assert trace == [(0.375, "set"), (0.5, "bystander"), (0.5, "woke")]
+
+    def test_ready_on_entry_sleeps_not_and_costs_nothing(self):
+        env = Environment()
+        flag = _Flag()
+        flag.value = True
+        done = []
+
+        def waiter(env):
+            yield from grid_wait(env, 0.1, flag.ready, flag.subscribe)
+            done.append(env.now)
+
+        env.process(waiter(env))
+        env.run()
+        # The process's completion is the only entry; nobody subscribed.
+        assert (done, env._eid, flag.watchers) == ([0.0], 1, [])
+
+    def test_a_notification_for_nothing_costs_a_look(self):
+        """Woken with nothing ready, the waiter looks on its next grid
+        point — where the loop looked too — and goes back to sleep."""
+        env = Environment()
+        flag = _Flag()
+        woke = []
+
+        def waiter(env):
+            yield from grid_wait(env, 0.25, flag.ready, flag.subscribe)
+            woke.append(env.now)
+
+        def poker(env):
+            yield env.timeout(0.6)
+            flag.notify()
+            yield env.timeout(1.0)
+            flag.value = True
+            flag.notify()
+
+        env.process(waiter(env))
+        env.process(poker(env))
+        env.run(until=1.0)
+        assert woke == [] and len(flag.watchers) == 1
+        env.run()
+        assert woke == [1.75]
+        # The poker's two timers, two completions and two grid entries.
+        assert env._eid == 6
+
+    def test_a_grid_needs_a_positive_period(self):
+        env = Environment()
+        flag = _Flag()
+        process = env.process(grid_wait(env, 0.0, flag.ready, flag.subscribe))
+        with pytest.raises(SimulationError, match="positive"):
+            env.run(until=process)
+
+    def test_the_grid_point_is_armed_as_it_was_summed(self):
+        """Across zero ``now + (tick - now)`` does not give ``tick`` back:
+        the wake-up must key the float the loop's additions produce."""
+        tick = -0.3 + 0.2 + 0.2
+        assert -0.05 + (tick - -0.05) != tick
+        for wait in (_ticking_wait, grid_wait):
+            trace, _ = self._run(wait, 0.2, flip=-0.05, start=-0.3)
+            assert trace == [(-0.05, "set"), (tick, "woke")]
+
+
+class TestTimeoutAt:
+    def test_fires_at_the_very_float(self):
+        # 0.25 + 2**-53 + ((1.5 + 2**-52) - (0.25 + 2**-53)) rounds to 1.5.
+        now, when = 0.25 + 2**-53, 1.5 + 2**-52
+        assert now + (when - now) != when
+        env = Environment(initial_time=now)
+        seen = []
+        env.timeout_at(when, value="v").callbacks.append(
+            lambda event: seen.append((env.now, event.value))
+        )
+        env.run()
+        assert seen == [(when, "v")]
+
+    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+    def test_now_is_allowed_and_queues_behind_what_is_due(self, scheduler):
+        env = Environment(initial_time=3.0, scheduler=scheduler)
+        order = []
+        env.event().succeed().callbacks.append(lambda _e: order.append("first"))
+        env.timeout_at(3.0).callbacks.append(lambda _e: order.append("second"))
+        env.timeout(0.0).callbacks.append(lambda _e: order.append("third"))
+        env.run()
+        assert (order, env.now) == (["first", "second", "third"], 3.0)
+
+    def test_the_past_is_refused(self):
+        env = Environment(initial_time=3.0)
+        with pytest.raises(SimulationError, match="past"):
+            env.timeout_at(2.999)
+        event = env.event()
+        with pytest.raises(SimulationError, match="past"):
+            event.succeed_at(2.0)
+        assert not event.triggered
+        event.succeed_at(4.0)
+        with pytest.raises(SimulationError, match="already"):
+            event.succeed_at(5.0)
+
+    def test_under_a_policy_it_is_a_heap_entry_like_any_other(self):
+        env = Environment()
+        env.set_tiebreak(TieBreakPolicy())
+        seen = []
+        env.timeout_at(2.0).callbacks.append(lambda _e: seen.append(env.now))
+        env.timeout(1.0).callbacks.append(lambda _e: seen.append(env.now))
+        env.run()
+        assert seen == [1.0, 2.0]
