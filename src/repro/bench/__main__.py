@@ -97,10 +97,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--wallclock",
         action="store_true",
-        help="measure simulator wall-clock throughput: the heap/calendar "
-        "scheduler matrix (interleaved rounds), the N_SHARDS sharded "
-        "smoke, and bytes copied per delivered frame; with --check, "
-        "gate against BENCH_wallclock.json",
+        help="measure simulator wall-clock throughput: the Fig-3/Fig-4 "
+        "sweeps (median of three rounds) and bytes copied per delivered "
+        "frame; with --check, gate against BENCH_wallclock.json",
     )
     parser.add_argument(
         "--update-baseline",
@@ -306,15 +305,8 @@ def run_wallclock_cli(args) -> int:
     history = args.history or os.path.join(
         args.baseline_dir, "BENCH_history.jsonl"
     )
-    shards = int(os.environ.get("N_SHARDS", "2"))
     print("== Simulator wall-clock throughput ==")
-    document = run_wallclock(verbose=True, shards=shards)
-    ratios = document["ratios"]["calendar_vs_heap"]
-    print(
-        "  scheduler matrix (median of interleaved rounds): "
-        f"calendar/heap fig3 {ratios['fig3']:.3f}x, "
-        f"fig4 {ratios['fig4']:.3f}x"
-    )
+    document = run_wallclock(verbose=True)
     if args.json_dir is not None:
         from repro.obs.sampler import write_json_atomic
 

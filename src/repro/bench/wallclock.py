@@ -9,32 +9,21 @@ usable as it grows — the ROADMAP's large sweeps are gated by simulator
 wall-clock, not by modeled latency — and to stop future PRs from quietly
 re-introducing copies or per-event allocation.
 
-Three passes per run:
+Two passes per run:
 
-1. **Scheduler matrix** (probe *off*): the Fig-3 and Fig-4 sweeps under
-   every kernel scheduler (``heap`` and ``calendar``), *interleaved* —
-   heap then calendar within each round, several rounds, medians
-   reported.  Back-to-back interleaving matters: on a shared host the
-   available CPU drifts by tens of percent between minutes, far more
-   than the real difference between the schedulers, and pairwise ratios
-   cancel that drift while split measurements would just sample it.
-2. **Parallel smoke**: the scaled echo mesh (8 hosts) once sequentially
-   and once sharded across ``N_SHARDS`` (default 2) worker processes,
-   reporting both rates and the speedup.  On a single-core runner the
-   "speedup" is honestly below 1 (the barrier IPC costs real time and
-   there is no second core to buy it back); the row exists to keep the
-   sharded path exercised and its determinism gated, and to measure the
-   real speedup on hosts that have the cores.
-3. **Copy pass** (probe *on*, untimed): one representative workload per
+1. **Timed sweeps** (probe *off*): the Fig-3 and Fig-4 sweeps,
+   :data:`ROUNDS` rounds each, the median round reported — on a shared
+   host the available CPU drifts by tens of percent between minutes, so
+   a single round would just sample the drift.
+2. **Copy pass** (probe *on*, untimed): one representative workload per
    data path, reporting bytes-copied-per-delivered-frame.
 
 The copy metrics are exactly reproducible (the schedule is deterministic
 and the probe never feeds back into it), so the gate holds them to a tight
 band; the sweeps' agenda-entry counts (``sim_events``) are exact too and
-may only fall.  The timing metrics depend on the machine: the baseline records a
-host fingerprint, and when the current host differs the gate *warns*
-instead of failing.  The scheduler *ratios* sit in between — interleaving
-cancels most host drift — and get a tighter band than the absolute rates.
+may only fall.  The timing metrics depend on the machine: the baseline
+records a host fingerprint, and when the current host differs the gate
+*warns* instead of failing.
 """
 
 from __future__ import annotations
@@ -45,14 +34,13 @@ import json
 import os
 import platform
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.bench.echo import run_echo
 from repro.bench.figures import FIG3_PAYLOADS, FIG4_PAYLOADS, fig3_sweep, fig4_sweep
 from repro.bench.selector_echo import reptor_echo
 from repro.errors import ReproError
 from repro.sim.copystats import COPYSTATS
-from repro.sim.core import SCHEDULERS
 
 __all__ = [
     "SCHEMA",
@@ -65,20 +53,15 @@ __all__ = [
     "append_wallclock_history",
 ]
 
-SCHEMA = "wallclock-v2"
+SCHEMA = "wallclock-v3"
 
 #: Messages per sweep point.  Small enough for a CI gate step, large
 #: enough that per-run setup cost does not dominate the rate metrics.
 FIG3_MESSAGES = 10
 FIG4_MESSAGES = 30
 
-#: Interleaved heap/calendar rounds in the scheduler matrix.
-SCHEDULER_ROUNDS = 3
-
-#: The parallel smoke workload: the scaled echo mesh (2 * pairs hosts).
-MESH_PAIRS = 4
-MESH_MESSAGES = 30
-MESH_PAYLOAD = 1024
+#: Rounds per timed sweep; the median round is reported.
+ROUNDS = 3
 
 #: History file cap (satellite: the gate appends one line per CI run and
 #: the file must not grow without bound).  Oldest lines are dropped.
@@ -102,23 +85,11 @@ def _copy_workloads():
 #: Host-dependent metrics are only *warned* about when the baseline was
 #: recorded on different hardware (fingerprint mismatch).
 WALLCLOCK_TOLERANCES: Dict[str, Tuple[float, int, bool]] = {
-    # Default-scheduler sweeps (absolute rates: wide, host-dependent).
+    # Timed sweeps (absolute rates: wide, host-dependent).
     "fig3.events_per_sec": (0.50, -1, True),
     "fig3.host_seconds": (1.00, +1, True),
     "fig4.events_per_sec": (0.50, -1, True),
     "fig4.host_seconds": (1.00, +1, True),
-    # Per-mode rows of the scheduler matrix.
-    "schedulers.heap.fig3.events_per_sec": (0.50, -1, True),
-    "schedulers.heap.fig4.events_per_sec": (0.50, -1, True),
-    "schedulers.calendar.fig3.events_per_sec": (0.50, -1, True),
-    "schedulers.calendar.fig4.events_per_sec": (0.50, -1, True),
-    # Interleaved ratios: host drift mostly cancels, so the band is
-    # tighter than the absolute rates but still host-tagged (a different
-    # CPython or CPU can legitimately move the heap/calendar balance).
-    "ratios.calendar_vs_heap.fig3": (0.15, -1, True),
-    "ratios.calendar_vs_heap.fig4": (0.15, -1, True),
-    # Sharded-kernel smoke (spawn + barrier IPC included in the rate).
-    "parallel.sharded.events_per_sec": (0.50, -1, True),
     # Agenda entries per sweep: schedule-exact and host-independent, so
     # the band is zero on any host.  The count may fall (re-record the
     # baseline then), never grow.
@@ -150,7 +121,7 @@ def host_fingerprint() -> str:
     return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
-def _timed_sweep(label: str, sweep) -> Dict[str, float]:
+def _timed_sweep(sweep) -> Dict[str, float]:
     """Run one sweep callable; return host seconds and event totals."""
     gc.collect()
     start = time.perf_counter()
@@ -164,170 +135,30 @@ def _timed_sweep(label: str, sweep) -> Dict[str, float]:
     }
 
 
-class _forced_scheduler:
-    """Context manager pinning ``REPRO_SCHEDULER`` for a sweep."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self._prior: Optional[str] = None
-
-    def __enter__(self):
-        self._prior = os.environ.get("REPRO_SCHEDULER")
-        os.environ["REPRO_SCHEDULER"] = self.mode
-        return self
-
-    def __exit__(self, *_exc):
-        if self._prior is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = self._prior
-        return False
+def _median_sweep(label: str, sweep, say) -> Dict[str, float]:
+    """``ROUNDS`` timed rounds of ``sweep``; the median-rate round."""
+    runs = []
+    for round_no in range(ROUNDS):
+        runs.append(_timed_sweep(sweep))
+        say(f"    round {round_no} {label}: {runs[-1]['events_per_sec']:,.0f} ev/s")
+    runs.sort(key=lambda r: r["events_per_sec"])
+    return runs[len(runs) // 2]
 
 
-def _median_run(runs: List[Dict[str, float]]) -> Dict[str, float]:
-    """The run whose events/sec is the median of its rounds."""
-    ordered = sorted(runs, key=lambda r: r["events_per_sec"])
-    return dict(ordered[len(ordered) // 2])
-
-
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2]
-
-
-def _scheduler_matrix(say) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Interleaved per-scheduler sweeps; returns (matrix, ratios)."""
-    rounds: Dict[str, Dict[str, List[Dict[str, float]]]] = {
-        mode: {"fig3": [], "fig4": []} for mode in SCHEDULERS
-    }
-    for round_no in range(SCHEDULER_ROUNDS):
-        for mode in SCHEDULERS:
-            with _forced_scheduler(mode):
-                fig3 = _timed_sweep(
-                    "fig3", lambda: fig3_sweep(FIG3_MESSAGES, FIG3_PAYLOADS)
-                )
-                fig4 = _timed_sweep(
-                    "fig4", lambda: fig4_sweep(FIG4_MESSAGES, FIG4_PAYLOADS)
-                )
-            rounds[mode]["fig3"].append(fig3)
-            rounds[mode]["fig4"].append(fig4)
-            say(
-                f"    round {round_no} {mode:>8}: "
-                f"fig3 {fig3['events_per_sec']:,.0f} ev/s, "
-                f"fig4 {fig4['events_per_sec']:,.0f} ev/s"
-            )
-    matrix = {
-        mode: {
-            "fig3": _median_run(rounds[mode]["fig3"]),
-            "fig4": _median_run(rounds[mode]["fig4"]),
-        }
-        for mode in SCHEDULERS
-    }
-    # Pairwise per-round ratios, then the median: each round's heap and
-    # calendar runs are back to back, so host drift divides out.
-    ratios = {
-        "calendar_vs_heap": {
-            figure: _median(
-                [
-                    c["events_per_sec"] / h["events_per_sec"]
-                    for h, c in zip(
-                        rounds["heap"][figure], rounds["calendar"][figure]
-                    )
-                    if h["events_per_sec"] > 0
-                ]
-            )
-            for figure in ("fig3", "fig4")
-        }
-    }
-    return matrix, ratios
-
-
-def _mesh_events(shard_results: List[Any]) -> int:
-    """Total kernel events across shards of one echo-mesh run.
-
-    Every :class:`~repro.bench.results.EchoResult` a shard returns
-    carries that shard's final event id, so one result per shard counts
-    the whole shard exactly once.
-    """
-    total = 0
-    for per_pair in shard_results:
-        if per_pair:
-            total += next(iter(per_pair.values())).sim_events
-    return total
-
-
-def _timed_mesh(shards: int) -> Dict[str, float]:
-    from repro.bench.parallel_echo import echo_mesh_shard
-    from repro.sim.parallel import run_sharded
-
-    gc.collect()
-    start = time.perf_counter()
-    results = run_sharded(
-        echo_mesh_shard,
-        shards,
-        {
-            "transport": "nio",
-            "payload_bytes": MESH_PAYLOAD,
-            "messages": MESH_MESSAGES,
-            "pairs": MESH_PAIRS,
-        },
-    )
-    elapsed = time.perf_counter() - start
-    events = _mesh_events(results)
-    return {
-        "host_seconds": elapsed,
-        "sim_events": float(events),
-        "events_per_sec": events / elapsed if elapsed > 0 else 0.0,
-    }
-
-
-def _parallel_smoke(shards: int, say) -> Dict[str, Any]:
-    say(f"  parallel pass: echo mesh sequential vs {shards} shards...")
-    sequential = _timed_mesh(1)
-    sharded = _timed_mesh(shards)
-    speedup = (
-        sequential["host_seconds"] / sharded["host_seconds"]
-        if sharded["host_seconds"] > 0
-        else 0.0
-    )
-    say(
-        f"    sequential {sequential['host_seconds']:.2f}s, "
-        f"{shards} shards {sharded['host_seconds']:.2f}s "
-        f"(speedup {speedup:.2f}x; spawn + barrier IPC included)"
-    )
-    return {
-        "shards": shards,
-        "mesh_pairs": MESH_PAIRS,
-        "mesh_messages": MESH_MESSAGES,
-        "mesh_payload": MESH_PAYLOAD,
-        "sequential": sequential,
-        "sharded": sharded,
-        "speedup": speedup,
-    }
-
-
-def run_wallclock(verbose: bool = False, shards: int = 2) -> Dict[str, Any]:
-    """Run all passes; return the wallclock document (baseline schema).
-
-    ``shards`` sets the sharded-smoke worker count (the CLI reads it
-    from ``$N_SHARDS``).  The top-level ``fig3``/``fig4`` sections are
-    the *default-scheduler* medians from the matrix, so v1-era metric
-    paths keep meaning "the configuration users actually run".
-    """
+def run_wallclock(verbose: bool = False) -> Dict[str, Any]:
+    """Run both passes; return the wallclock document (baseline schema)."""
     if COPYSTATS.enabled:
         raise ReproError("copy probe must be disabled before the timed pass")
-    if shards < 2:
-        raise ReproError("the parallel smoke needs at least 2 shards")
 
     say = print if verbose else (lambda *_args, **_kw: None)
 
-    say(
-        f"  scheduler matrix: {SCHEDULER_ROUNDS} interleaved rounds x "
-        f"{list(SCHEDULERS)}..."
+    say(f"  timed sweeps: median of {ROUNDS} rounds...")
+    fig3 = _median_sweep(
+        "fig3", lambda: fig3_sweep(FIG3_MESSAGES, FIG3_PAYLOADS), say
     )
-    matrix, ratios = _scheduler_matrix(say)
-
-    parallel = _parallel_smoke(shards, say)
+    fig4 = _median_sweep(
+        "fig4", lambda: fig4_sweep(FIG4_MESSAGES, FIG4_PAYLOADS), say
+    )
 
     copies: Dict[str, Dict[str, float]] = {}
     try:
@@ -346,8 +177,6 @@ def run_wallclock(verbose: bool = False, shards: int = 2) -> Dict[str, Any]:
         COPYSTATS.enabled = False
         COPYSTATS.reset()
 
-    from repro.sim.core import DEFAULT_SCHEDULER
-
     return {
         "schema": SCHEMA,
         "host": {
@@ -360,13 +189,9 @@ def run_wallclock(verbose: bool = False, shards: int = 2) -> Dict[str, Any]:
         "measured_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "fig3_messages": FIG3_MESSAGES,
         "fig4_messages": FIG4_MESSAGES,
-        "scheduler_rounds": SCHEDULER_ROUNDS,
-        "default_scheduler": DEFAULT_SCHEDULER,
-        "fig3": dict(matrix[DEFAULT_SCHEDULER]["fig3"]),
-        "fig4": dict(matrix[DEFAULT_SCHEDULER]["fig4"]),
-        "schedulers": matrix,
-        "ratios": ratios,
-        "parallel": parallel,
+        "rounds": ROUNDS,
+        "fig3": fig3,
+        "fig4": fig4,
         "copies": copies,
     }
 
@@ -445,10 +270,15 @@ def load_wallclock_baseline(path: str) -> Dict[str, Any]:
     """Read and structurally validate a wallclock baseline."""
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
-    if document.get("schema") != SCHEMA:
+    schema = document.get("schema")
+    if schema == "wallclock-v2":
+        raise ReproError(
+            f"{path}: {schema} baseline predates {SCHEMA}; "
+            "re-record with --update-baseline"
+        )
+    if schema != SCHEMA:
         raise ReproError(f"{path}: not a {SCHEMA} baseline document")
-    for key in ("host", "fig3", "fig4", "schedulers", "ratios", "parallel",
-                "copies"):
+    for key in ("host", "fig3", "fig4", "copies"):
         if key not in document:
             raise ReproError(f"{path}: baseline missing {key!r}")
     return document

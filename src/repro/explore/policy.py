@@ -30,15 +30,6 @@ def owner_key(event) -> str:
     different hosts are heuristically independent — swapping them cannot
     change either host's local history — which is what the explorer's
     DPOR-style pruning keys on.
-
-    Cross-shard deliveries injected by :mod:`repro.sim.parallel` are
-    bound to an ingress port named after the directed link
-    (``"client->server"``); their owner is the *destination* host — the
-    delivery mutates the receiver's state, the sender already finished
-    with the frame at serialization time — so the arrow's right-hand
-    side is taken before the dot-token split.  (The explorer itself
-    only drives sequential runs; this keeps attribution meaningful when
-    a single-shard debug run reuses the sharded builder.)
     """
     callbacks = event.callbacks
     if callbacks:
@@ -47,10 +38,6 @@ def owner_key(event) -> str:
         if bound is not None:
             name = getattr(bound, "name", None)
             if isinstance(name, str) and name:
-                # "a->b" (directed ingress) but not "a<->b.fwd" (duplex
-                # cable halves keep their historical whole-name owner).
-                if "->" in name and "<->" not in name:
-                    name = name.split("->", 1)[1]
                 return name.split(".", 1)[0]
             return type(bound).__name__
         return getattr(callback, "__name__", type(event).__name__)

@@ -109,20 +109,6 @@ class Fabric:
                         drop_fn=drop_fn,
                     )
 
-    def min_propagation_delay(self) -> float:
-        """Smallest propagation delay across all cables.
-
-        This is the conservative-sync lookahead bound
-        :mod:`repro.sim.parallel` derives its barrier window from: a
-        frame finishing serialization at ``t`` cannot arrive anywhere
-        before ``t + min_propagation_delay()``.
-        """
-        if not self._cables:
-            raise NetworkError("fabric has no cables")
-        return min(
-            cable.forward.propagation_delay for cable in self._cables.values()
-        )
-
     def cable(self, a: str, b: str) -> DuplexLink:
         """The cable between ``a`` and ``b``."""
         key = (min(a, b), max(a, b))

@@ -36,9 +36,6 @@ class Host:
             raise NetworkError("host needs a non-empty name")
         self.env = env
         self.name = name
-        #: Shard this host lives on under :mod:`repro.sim.parallel`
-        #: (assigned by the shard fabric; ``None`` for sequential runs).
-        self.shard: Optional[int] = None
         self.cpu = Cpu(env, cores=cores, costs=cpu_costs, name=f"{name}.cpu")
         self.nic = Nic(
             env,

@@ -25,7 +25,7 @@ from repro.sim.copystats import COPYSTATS
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Environment
 
-__all__ = ["Link", "DuplexLink", "EgressLink", "GIGABIT", "TEN_GIGABIT"]
+__all__ = ["Link", "DuplexLink", "GIGABIT", "TEN_GIGABIT"]
 
 #: Bits per second in 1 Gb/s.
 GIGABIT = 1_000_000_000
@@ -175,17 +175,6 @@ class Link:
                 )
             self._tx_next()
             return
-        self._schedule_arrival(frame, traced)
-        self._tx_next()
-
-    def _schedule_arrival(self, frame: Frame, traced: bool) -> None:
-        """Serialization finished: put the frame in flight.
-
-        Factored out so :class:`EgressLink` can replace local delivery
-        with a cross-shard descriptor while inheriting the serialization
-        and drop machinery unchanged.
-        """
-        env = self.env
         arrival = Timeout(env, self.propagation_delay, value=frame)
         if traced:
             prop_span = env.tracer.start_span(
@@ -197,6 +186,7 @@ class Link:
             )
             arrival.subscribe(lambda event, s=prop_span: s.end())
         arrival.callbacks.append(self._deliver)
+        self._tx_next()
 
     def _deliver(self, event) -> None:
         assert self._receiver is not None
@@ -211,44 +201,6 @@ class Link:
     def __repr__(self) -> str:
         gbps = self.bandwidth_bps / GIGABIT
         return f"<Link {self.name!r} {gbps:g}Gbps prop={self.propagation_delay}>"
-
-
-class EgressLink(Link):
-    """The shard-local half of a cross-shard link direction.
-
-    Used by :mod:`repro.sim.parallel`: the sending shard simulates the
-    transmit queue, serialization and drop hook exactly as a local
-    :class:`Link` would (same events, same modeled timestamps), but
-    instead of scheduling a local arrival it records a *frame
-    descriptor* ``(arrival_time, frame)`` on :attr:`departures`.  The
-    shard runner drains the list at every conservative-sync barrier and
-    ships the descriptors to the shard owning the receiving host, which
-    re-schedules delivery at exactly ``arrival_time`` — the same float
-    the sequential kernel would have computed (``serialize_end +
-    propagation_delay``, evaluated here on the sender).
-
-    ``attach_receiver`` is never required: delivery happens on the peer
-    shard.  Trace contexts do not cross shard boundaries (cross-shard
-    spans would need a distributed tracer), so frames depart with
-    ``trace_ctx`` stripped by the descriptor codec.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Drained by the shard runner at every sync barrier.
-        self.departures: list = []
-        # The egress half never delivers locally; satisfy the
-        # attached-receiver invariant send() checks.
-        self._receiver = self._no_local_delivery
-
-    @staticmethod
-    def _no_local_delivery(frame: Frame) -> None:  # pragma: no cover
-        raise NetworkError("egress link delivers on the peer shard")
-
-    def _schedule_arrival(self, frame: Frame, traced: bool) -> None:
-        self.departures.append(
-            (self.env._now + self.propagation_delay, frame)
-        )
 
 
 class DuplexLink:

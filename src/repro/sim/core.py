@@ -29,14 +29,14 @@ Physically the agenda is split into three lanes:
   event triggers, store grants, process completions.  The clock never moves
   backwards and sequence numbers only grow, so entries are appended in
   exactly the order they would leave a heap: FIFO *is* sorted order.
-* a **far lane** for everything with a delay, implemented either as a
-  binary heap or as a :class:`~repro.sim.calqueue.CalendarQueue`, selected
-  by ``Environment(scheduler=...)``.
+* a **far lane** for everything with a delay: a plain list used only
+  through :mod:`heapq`.
 
 The zero-delay and far lanes are merged by comparing full ``(time,
 priority, sequence)`` keys, so the dispatch order is identical no matter
-which lane an entry landed in — the split is purely a performance device,
-and both schedulers reproduce the pinned schedule fingerprints bit-for-bit.
+which lane an entry landed in — the split is purely a performance device.
+A lane holds what is pending and nothing else: a served entry is gone
+from it.
 
 Adjacency
 ---------
@@ -53,32 +53,19 @@ completion.
 from __future__ import annotations
 
 import gc as _gc
-import heapq
-import os as _os
 from collections import deque
 from functools import partial
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
-__all__ = ["Environment", "Infinity", "TieBreakPolicy", "DEFAULT_SCHEDULER", "SCHEDULERS"]
+__all__ = ["Environment", "Infinity", "TieBreakPolicy"]
 
 #: Convenience alias used for "run forever" bounds.
 Infinity = float("inf")
-
-#: Recognized values for ``Environment(scheduler=...)``.
-SCHEDULERS = ("heap", "calendar")
-
-#: Scheduler used when neither the constructor argument nor the
-#: ``REPRO_SCHEDULER`` environment variable says otherwise.  ``calendar``
-#: is the default: it reproduces every pinned schedule fingerprint
-#: bit-for-bit; on the Fig-3/4 sweeps the two are within noise of each
-#: other, on unbatched PBFT the heap is 6-16 % slower (DESIGN §16).
-DEFAULT_SCHEDULER = "calendar"
 
 
 class TieBreakPolicy:
@@ -109,48 +96,25 @@ class TieBreakPolicy:
         return 0
 
 
-class _HeapLanes:
-    """Lane stand-in that routes every push into one binary heap.
+class _HeapZeroDelay:
+    """Zero-delay-lane stand-in while a :class:`TieBreakPolicy` is installed.
 
-    Used in two situations: as both lane slots of a
-    ``scheduler="heap"`` environment (the legacy single-heap agenda the
-    calendar scheduler replaces), and while a :class:`TieBreakPolicy` is
-    installed — the policy slow path needs every pending entry in one
-    structure so it can materialize equal-``(time, priority)`` ready
-    sets.  Either way, the inlined push sites (which call ``_dq.append``
-    / ``_far.push``) land straight in the heap that the legacy run loop
-    and :meth:`Environment._pop_choice` consume.
+    The policy needs every pending entry in one structure to materialize
+    equal-``(time, priority)`` ready sets, so the inlined
+    ``env._dq.append(entry)`` sites land in the far heap.  Always empty:
+    what it was given is in the heap.
     """
 
-    __slots__ = ("_queue",)
+    __slots__ = ("_far",)
 
-    #: CalendarQueue interface stub: ``Timeout.__init__`` inlines the
-    #: calendar's current-run fast path behind a ``when < _bucket_top``
-    #: test; -inf makes that test always false here, so every timeout
-    #: falls through to the generic :meth:`push` (the heap).
-    _bucket_top = float("-inf")
-
-    def __init__(self, queue: list):
-        self._queue = queue
+    def __init__(self, far: list):
+        self._far = far
 
     def append(self, entry) -> None:
-        _heappush(self._queue, entry)
+        _heappush(self._far, entry)
 
-    push = append
-
-    # The read side, for ``peek``/``step`` and adjacency tests (see the
-    # module docstring).  As the zero-delay lane the shim holds nothing
-    # ``head`` does not cover; as the far lane its head is the heap's.
     def __len__(self) -> int:
         return 0
-
-    @property
-    def head(self):
-        queue = self._queue
-        return queue[0] if queue else None
-
-    def pop(self):
-        return _heappop(self._queue)
 
 
 class _HeapStarts:
@@ -159,8 +123,7 @@ class _HeapStarts:
     Same-instant starts are ties the policy may permute, so each one
     becomes the ``(now, URGENT, sequence)`` heap entry it used to be: an
     event whose single callback is the start (every start accepts and
-    ignores that event).  Always empty as far as an adjacency test is
-    concerned — what it was given is in the heap, under ``head``.
+    ignores that event).  Always empty, like :class:`_HeapZeroDelay`.
     """
 
     __slots__ = ("_env",)
@@ -174,7 +137,7 @@ class _HeapStarts:
         event.callbacks.append(start)
         event._value = None
         env._eid += 1
-        _heappush(env._queue, (env._now, 0, env._eid, event))
+        _heappush(env._far, (env._now, 0, env._eid, event))
 
     def __len__(self) -> int:
         return 0
@@ -189,11 +152,6 @@ class Environment:
         Starting value of the simulation clock.  The library uses seconds
         as the unit convention throughout (latencies are reported in
         microseconds by dividing at the edges).
-    scheduler:
-        ``"heap"`` or ``"calendar"`` — the far-lane structure.  ``None``
-        (the default) resolves the ``REPRO_SCHEDULER`` environment
-        variable, then :data:`DEFAULT_SCHEDULER`.  Both schedulers
-        dispatch the exact same ``(time, priority, sequence)`` order.
     """
 
     #: Priority for ordinary events.
@@ -207,13 +165,10 @@ class Environment:
     # sweep scale.  ``tracer`` and ``audit`` are the two attributes
     # external modules attach (install_tracer / install_audit).
     __slots__ = (
-        "_scheduler",
-        "_lanes",
         "_now",
         "_urgent",
         "_dq",
         "_far",
-        "_queue",
         "_eid",
         "_active_process",
         "_tiebreak",
@@ -221,31 +176,18 @@ class Environment:
         "audit",
     )
 
-    def __init__(self, initial_time: float = 0.0, scheduler: Optional[str] = None):
-        if scheduler is None:
-            scheduler = _os.environ.get("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (choose from {SCHEDULERS})"
-            )
-        self._scheduler = scheduler
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         # The urgent lane: starts, called as ``start()`` in push order
         # before anything else due now.  ``env._urgent.append(start)`` is
         # the one way to schedule one.
         self._urgent: Any = deque()
-        # Single-heap agenda: the whole agenda under ``scheduler="heap"``
-        # and whenever a TieBreakPolicy is installed; empty otherwise.
-        self._queue: list[tuple[float, int, int, Event]] = []
-        # The two lanes.  Under "calendar" they are a real deque plus a
-        # CalendarQueue; under "heap" both slots are one _HeapLanes shim
-        # so every push lands in the legacy heap.
-        self._lanes = scheduler == "calendar"
-        if self._lanes:
-            self._dq: Any = deque()
-            self._far: Any = CalendarQueue(self._now)
-        else:
-            self._dq = self._far = _HeapLanes(self._queue)
+        # The zero-delay lane: ``(now, NORMAL, sequence, event)`` entries.
+        self._dq: Any = deque()
+        # The far lane: a heap of keyed entries, touched only through
+        # heapq.  The list object lives as long as the environment — the
+        # run loops and the policy stand-ins hold references to it.
+        self._far: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         # Optional TieBreakPolicy consulted on equal-(time, priority)
@@ -266,11 +208,6 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Which far-lane structure this environment runs on."""
-        return self._scheduler
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
@@ -288,64 +225,54 @@ class Environment:
         if delay == 0.0 and priority == 1:
             self._dq.append((self._now, 1, self._eid, event))
         else:
-            self._far.push((self._now + delay, priority, self._eid, event))
+            _heappush(self._far, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``Infinity`` if none."""
         if self._urgent:
             return self._now
-        head = self._far.head
+        far = self._far
         dq = self._dq
         if dq:
             when = dq[0][0]
-            return when if head is None or when < head[0] else head[0]
-        return head[0] if head is not None else Infinity
+            return when if not far or when < far[0][0] else far[0][0]
+        return far[0][0] if far else Infinity
 
     def _pending(self) -> int:
         """Number of agenda entries across all lanes."""
-        if self._tiebreak is not None or not self._lanes:
-            return len(self._urgent) + len(self._queue)
         return len(self._urgent) + len(self._dq) + len(self._far)
 
     def set_tiebreak(self, policy: Optional[TieBreakPolicy]) -> None:
         """Install (or clear) the equal-timestamp tie-break policy.
 
-        Installing a policy migrates every lane into the legacy single
-        heap the policy loop consumes.  Keyed entries keep their
-        ``(time, priority, sequence)``; pending starts take fresh
+        The policy loop consumes the far heap, so installing a policy
+        moves the zero-delay lane's entries into it and swaps both
+        keyless lanes for stand-ins that push there.  Keyed entries keep
+        their ``(time, priority, sequence)``; pending starts take fresh
         sequence numbers in lane order, which puts them exactly where
         the lane had them — after any delayed URGENT entry due now,
         before everything NORMAL.  A policy that always answers 0
-        therefore reproduces the native order bit-for-bit.  Clearing the
-        policy migrates the pending entries back into the lanes; starts
-        still pending then stay keyed URGENT entries, which the loops
-        serve ahead of the (empty) urgent lane.
+        therefore reproduces the native order bit-for-bit.
 
-        Under ``scheduler="heap"`` only the urgent lane migrates: the
-        rest of the agenda already is the heap the policy loop consumes.
+        Clearing the policy swaps plain deques back and moves nothing:
+        whatever is pending stays in the far heap, which the fast loops
+        merge by full key — zero-delay entries and keyed starts included
+        (a due URGENT far head is served ahead of the urgent lane).
+        Call it between drives, not from inside a callback.
         """
         if policy is not None:
             if self._tiebreak is None:
-                if self._lanes:
-                    entries = list(self._dq)
-                    entries.extend(self._far._entries())
-                    heapq.heapify(entries)
-                    self._queue = entries
-                    self._dq = self._far = _HeapLanes(entries)
+                far = self._far
+                far.extend(self._dq)
+                _heapify(far)
+                self._dq = _HeapZeroDelay(far)
                 starts = self._urgent
                 self._urgent = _HeapStarts(self)
                 for start in starts:
                     self._urgent.append(start)
         elif self._tiebreak is not None:
             self._urgent = deque()
-            if self._lanes:
-                entries = sorted(self._queue)
-                self._queue = []
-                self._dq = deque()
-                far = CalendarQueue(self._now)
-                for entry in entries:
-                    far.push(entry)
-                self._far = far
+            self._dq = deque()
         self._tiebreak = policy
 
     def _pop_choice(self) -> tuple[float, int, int, Event]:
@@ -356,19 +283,19 @@ class Environment:
         the heap with their original sequence numbers so a policy that
         always answers 0 is indistinguishable from no policy at all.
         """
-        queue = self._queue
-        entry = heapq.heappop(queue)
-        if queue and queue[0][0] == entry[0] and queue[0][1] == entry[1]:
+        far = self._far
+        entry = _heappop(far)
+        if far and far[0][0] == entry[0] and far[0][1] == entry[1]:
             when, prio = entry[0], entry[1]
             tied = [entry]
-            while queue and queue[0][0] == when and queue[0][1] == prio:
-                tied.append(heapq.heappop(queue))
+            while far and far[0][0] == when and far[0][1] == prio:
+                tied.append(_heappop(far))
             index = self._tiebreak.choose(when, tied)
             if not 0 <= index < len(tied):
                 index = 0
             entry = tied.pop(index)
             for other in tied:
-                heapq.heappush(queue, other)
+                _heappush(far, other)
         return entry
 
     def _fire(self, event: Event, _entry: Optional[Event] = None) -> None:
@@ -387,33 +314,23 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next entry on the agenda."""
-        if self._tiebreak is not None:
-            if not self._queue:
-                raise SimulationError("agenda is empty")
+        # One path with or without a policy: the policy's lane stand-ins
+        # are always empty, which leaves the far heap.
+        far = self._far
+        # Starts first, unless a delayed URGENT entry fell due this
+        # instant (see _run_loop).
+        if self._urgent and (not far or far[0][1] or far[0][0] > self._now):
+            self._urgent.popleft()()
+            return
+        dq = self._dq
+        if dq and not (far and far[0] < dq[0]):
+            entry = dq.popleft()
+        elif not far:
+            raise SimulationError("agenda is empty")
+        elif self._tiebreak is not None:
             entry = self._pop_choice()
         else:
-            # One path for both schedulers: under "heap" the lane shim
-            # is an empty ``dq`` whose ``head``/``pop`` are the heap's.
-            dq = self._dq
-            far = self._far
-            head = far.head
-            # Starts first, unless a delayed URGENT entry fell due this
-            # instant (see _run_loop).
-            if self._urgent and (
-                head is None or head[1] or head[0] > self._now
-            ):
-                self._urgent.popleft()()
-                return
-            if dq:
-                entry = dq[0]
-                if head is not None and head < entry:
-                    entry = far.pop()
-                else:
-                    dq.popleft()
-            elif head is not None:
-                entry = far.pop()
-            else:
-                raise SimulationError("agenda is empty")
+            entry = _heappop(far)
         self._now = entry[0]
         self._fire(entry[3])
 
@@ -445,14 +362,6 @@ class Environment:
                 )
             stop_event = None
 
-        # Merged run loop: the step() body is inlined with the lanes held
-        # in locals.  The loop retires hundreds of thousands of events per
-        # sweep, so attribute lookups and the extra frame per step dominate
-        # host time; semantics are identical to
-        # ``while pending: ... self.step() ...``.  Two copies of the loop
-        # so the common cases pay neither the stop_event nor the stop_at
-        # comparison per event.
-        #
         # The loop allocates a handful of small objects per event and
         # frees nearly all of them by reference counting — the event
         # graph is deliberately acyclic (holds point at requests and
@@ -469,154 +378,45 @@ class Environment:
         try:
             if self._tiebreak is not None:
                 return self._run_loop_policy(stop_event, stop_at)
-            if not self._lanes:
-                return self._run_loop_heap(stop_event, stop_at)
             return self._run_loop(stop_event, stop_at)
         finally:
             if gc_was_enabled:
                 _gc.enable()
 
-    def _run_loop_heap(
-        self,
-        stop_event: Optional[Event],
-        stop_at: float,
-    ) -> Any:
-        """Run loop for the legacy single-heap scheduler."""
-        queue = self._queue
-        pop = _heappop
-        urgent = self._urgent
-        next_start = urgent.popleft
-        if stop_event is not None:
-            while True:
-                # Starts first — unless a delayed URGENT entry fell due
-                # this instant: it was keyed before the instant began, so
-                # it precedes every start pushed during it.
-                if urgent and not (
-                    queue and queue[0][1] == 0 and queue[0][0] <= self._now
-                ):
-                    next_start()()
-                elif queue:
-                    entry = pop(queue)
-                    self._now = entry[0]
-                    event = entry[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        # A failed event nobody waited on: surface it loudly.
-                        exc = event._value
-                        raise exc if isinstance(
-                            exc, BaseException
-                        ) else SimulationError(repr(exc))
-                else:
-                    break
-                if stop_event.callbacks is None:
-                    if stop_event._ok:
-                        return stop_event._value
-                    stop_event._defused = True
-                    raise stop_event._value
-        else:
-            while True:
-                if urgent and not (
-                    queue and queue[0][1] == 0 and queue[0][0] <= self._now
-                ):
-                    next_start()()
-                    continue
-                if not queue:
-                    break
-                if queue[0][0] > stop_at:
-                    self._now = stop_at
-                    return None
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event nobody waited on: surface it loudly.
-                    exc = event._value
-                    raise exc if isinstance(
-                        exc, BaseException
-                    ) else SimulationError(repr(exc))
-
-        if stop_event is not None:
-            raise SimulationError(
-                "simulation ran out of events before the awaited event "
-                f"{stop_event!r} triggered"
-            )
-        if stop_at is not Infinity:
-            self._now = stop_at
-        return None
-
-    def _run_loop(
-        self,
-        stop_event: Optional[Event],
-        stop_at: float,
-    ) -> Any:
+    def _run_loop(self, stop_event: Optional[Event], stop_at: float) -> Any:
+        # The step() body, inlined with the lanes held in locals.  The
+        # loop retires hundreds of thousands of events per sweep, so
+        # attribute lookups and the extra frame per step dominate host
+        # time; semantics are identical to ``while pending: self.step()``.
+        # Two copies of the loop so the common cases pay neither the
+        # stop_event nor the stop_at comparison per event.
         urgent = self._urgent
         next_start = urgent.popleft
         dq = self._dq
         dq_popleft = dq.popleft
         far = self._far
-        far_advance = far._advance
+        pop = _heappop
         if stop_event is not None:
             while True:
                 # Starts first — unless a delayed URGENT entry fell due
                 # this instant: it was keyed before the instant began, so
                 # it precedes every start pushed during it (the merge
                 # below then serves it, URGENT sorting ahead of NORMAL).
-                if urgent and (
-                    (head := far.head) is None
-                    or head[1]
-                    or head[0] > self._now
-                ):
+                if urgent and (not far or far[0][1] or far[0][0] > self._now):
                     next_start()()
                 else:
                     # Merge the lanes: full-key tuple comparison, so
                     # dispatch order is independent of which lane an
-                    # entry landed in.  Far pops are inlined (``head``
-                    # *is* ``_cur[_idx]``, so clearing the served slot,
-                    # advancing the serve index and rebinding head
-                    # replaces a method call on the per-timeout hot
-                    # path).
+                    # entry landed in.
                     if dq:
-                        entry = dq[0]
-                        head = far.head
-                        if head is not None and head < entry:
-                            entry = head
-                            cur = far._cur
-                            idx = far._idx
-                            cur[idx] = None
-                            idx += 1
-                            far._idx = idx
-                            try:
-                                far.head = cur[idx]
-                            except IndexError:
-                                far_advance()
+                        if far and far[0] < dq[0]:
+                            entry = pop(far)
                         else:
-                            dq_popleft()
+                            entry = dq_popleft()
+                    elif far:
+                        entry = pop(far)
                     else:
-                        entry = far.head
-                        if entry is None:
-                            break
-                        cur = far._cur
-                        idx = far._idx
-                        cur[idx] = None
-                        idx += 1
-                        far._idx = idx
-                        try:
-                            far.head = cur[idx]
-                        except IndexError:
-                            far_advance()
+                        break
                     self._now = entry[0]
                     event = entry[3]
                     callbacks = event.callbacks
@@ -643,11 +443,7 @@ class Environment:
                     raise stop_event._value
         else:
             while True:
-                if urgent and (
-                    (head := far.head) is None
-                    or head[1]
-                    or head[0] > self._now
-                ):
+                if urgent and (not far or far[0][1] or far[0][0] > self._now):
                     # Starts are due now, and now never outruns stop_at.
                     next_start()()
                     continue
@@ -655,37 +451,17 @@ class Environment:
                     # Zero-delay entries never outrun the clock, so only a
                     # far head can cross stop_at; the dq branch needs no
                     # bounds check.
-                    entry = dq[0]
-                    head = far.head
-                    if head is not None and head < entry:
-                        entry = head
-                        cur = far._cur
-                        idx = far._idx
-                        cur[idx] = None
-                        idx += 1
-                        far._idx = idx
-                        try:
-                            far.head = cur[idx]
-                        except IndexError:
-                            far_advance()
+                    if far and far[0] < dq[0]:
+                        entry = pop(far)
                     else:
-                        dq_popleft()
-                else:
-                    entry = far.head
-                    if entry is None:
-                        break
-                    if entry[0] > stop_at:
+                        entry = dq_popleft()
+                elif far:
+                    if far[0][0] > stop_at:
                         self._now = stop_at
                         return None
-                    cur = far._cur
-                    idx = far._idx
-                    cur[idx] = None
-                    idx += 1
-                    far._idx = idx
-                    try:
-                        far.head = cur[idx]
-                    except IndexError:
-                        far_advance()
+                    entry = pop(far)
+                else:
+                    break
                 self._now = entry[0]
                 event = entry[3]
                 callbacks = event.callbacks
@@ -716,12 +492,12 @@ class Environment:
     ) -> Any:
         """Run loop variant used when a tie-break policy is installed.
 
-        Every pop goes through :meth:`_pop_choice` on the migrated legacy
-        heap, which holds the whole agenda — starts included.
+        Every pop goes through :meth:`_pop_choice` on the far heap, which
+        holds the whole agenda — zero-delay entries and starts included.
         """
-        queue = self._queue
-        while queue:
-            if stop_event is None and queue[0][0] > stop_at:
+        far = self._far
+        while far:
+            if stop_event is None and far[0][0] > stop_at:
                 self._now = stop_at
                 return None
             entry = self._pop_choice()

@@ -23,7 +23,7 @@ ok
 
 from __future__ import annotations
 
-from bisect import insort as _insort
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -154,7 +154,7 @@ class Event:
         self._ok = True
         self._value = value
         env._eid += 1
-        env._far.push((when, 1, env._eid, self))
+        _heappush(env._far, (when, 1, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -248,21 +248,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._eid += 1
-        far = env._far
-        when = env._now + delay
-        # Inlined CalendarQueue.push fast path: ~93% of timeouts on the
-        # calibrated testbed land inside the bucket being served (widths
-        # are sized to the NIC/CPU-cost scale), where the insert is one C
-        # bisect into the current run.  The heap scheduler's lane shim
-        # advertises ``_bucket_top = -inf`` so it always takes the
-        # generic ``push`` branch.
-        if when < far._bucket_top:
-            entry = (when, 1, env._eid, self)
-            cur = far._cur
-            _insort(cur, entry, far._idx)
-            far.head = cur[far._idx]
-        else:
-            far.push((when, 1, env._eid, self))
+        _heappush(env._far, (env._now + delay, 1, env._eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"

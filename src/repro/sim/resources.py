@@ -356,8 +356,8 @@ class TimedHold(Event):
         env = self.env
         free = len(users) < resource.capacity
         if free and not env._urgent and not env._dq:
-            head = env._far.head
-            if head is None or head[0] > env._now:
+            far = env._far
+            if not far or far[0][0] > env._now:
                 # Adjacent: the grant would be served next, so it is
                 # taken now, and needs no request to carry it.
                 users.append(self)
@@ -411,8 +411,8 @@ class TimedHold(Event):
         self._value = None
         env = self.env
         if not env._urgent and not env._dq:
-            head = env._far.head
-            if head is None or head[0] > env._now:
+            far = env._far
+            if not far or far[0][0] > env._now:
                 # Adjacent (and no waiter was granted above, or the
                 # zero-delay lane would hold its grant): the completion
                 # would be served next, so the waiters run now.

@@ -334,7 +334,7 @@ def test_no_wake_up_lands_on_an_instant_something_else_holds(
 
     def looking(self, when, value=None):
         env = self.env
-        pending = env._far._entries() if env._lanes else env._queue
+        pending = (*env._dq, *env._far)
         shared.extend(entry for entry in pending if entry[0] == when)
         return succeed_at(self, when, value)
 

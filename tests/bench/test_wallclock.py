@@ -30,9 +30,6 @@ def _synthetic_document(value: float = 100.0) -> dict:
         "host": {"fingerprint": host_fingerprint()},
         "fig3": {},
         "fig4": {},
-        "schedulers": {},
-        "ratios": {},
-        "parallel": {},
         "copies": {},
     }
     for metric in WALLCLOCK_TOLERANCES:
@@ -107,13 +104,18 @@ class TestBaselineIO:
         document = _synthetic_document()
         document["schema"] = "wallclock-v1"
         write_wallclock_baseline(document, path)
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match=f"not a {SCHEMA}"):
+            load_wallclock_baseline(path)
+        # The previous schema is a baseline to refresh, and says so.
+        document["schema"] = "wallclock-v2"
+        write_wallclock_baseline(document, path)
+        with pytest.raises(ReproError, match="re-record with --update-baseline"):
             load_wallclock_baseline(path)
 
     def test_missing_section_rejected(self, tmp_path):
         path = str(tmp_path / "BENCH_wallclock.json")
         document = _synthetic_document()
-        del document["schedulers"]
+        del document["copies"]
         write_wallclock_baseline(document, path)
         with pytest.raises(ReproError):
             load_wallclock_baseline(path)

@@ -8,7 +8,11 @@ seeded RNG.  This AST lint enforces it:
   benchmark modules, which measure the *host*, never the model;
 * ``random`` may only be used to construct seeded ``random.Random``
   instances — the module-level functions share hidden global state;
-* no ``from random import ...`` anywhere (it hides which RNG is used).
+* no ``from random import ...`` anywhere (it hides which RNG is used);
+* no ``multiprocessing`` / ``subprocess`` / ``threading`` / ``os.fork``:
+  one process, one thread, no concurrency behind the kernel's back;
+* no read of the process environment, so a run's schedule is a function
+  of its arguments alone (the one exception is an *output path*).
 
 One more rule is about cost, not determinism: a ``while`` loop that wakes
 on a fixed period pays an agenda entry per period, busy or not, so every
@@ -30,10 +34,12 @@ TIME_ALLOWED = {
     "bench/regression.py",
 }
 
-#: Modules allowed to spawn processes: only the sharded parallel kernel.
-MULTIPROCESSING_ALLOWED = {
-    "sim/parallel.py",
-}
+#: Modules that bring their own concurrency.  Nothing may import them.
+CONCURRENCY_MODULES = {"multiprocessing", "subprocess", "threading"}
+
+#: The one environment variable read under ``src/repro``: where CI wants
+#: the gate's markdown summary written.  An output path, not behaviour.
+ENV_ALLOWED = {"bench/__main__.py": "GITHUB_STEP_SUMMARY"}
 
 
 #: Every ``while`` loop whose body yields ``env.timeout(<constant or
@@ -132,6 +138,53 @@ def _source_files():
 
 def _relative(path: Path) -> str:
     return path.relative_to(SRC_ROOT).as_posix()
+
+
+def _concurrency_uses(tree: ast.AST) -> list:
+    """Lines importing a :data:`CONCURRENCY_MODULES` member or forking."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "fork":
+            names = ["os.fork"]
+        else:
+            continue
+        if any(
+            name == "os.fork" or name.split(".")[0] in CONCURRENCY_MODULES
+            for name in names
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _environment_reads(tree: ast.AST, allowed_name=None) -> list:
+    """Lines touching ``os.environ`` / ``os.getenv``, except
+    ``<os>.environ.get("<allowed_name>")``."""
+    allowed = {
+        id(node.func.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == allowed_name
+    }
+    lines = []
+    for node in ast.walk(tree):
+        reads = (
+            isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names)
+        )
+        if reads and id(node) not in allowed:
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 class TestDeterminismLint:
@@ -247,93 +300,29 @@ def poll(env, ready, config):
 """
         assert _ticking_loops(ast.parse(source), "x.py") == {"x.py::poll": 2}
 
-    def test_multiprocessing_only_in_parallel_kernel(self):
-        """Worker processes exist only in ``sim/parallel.py`` — model
-        code must never fork its own concurrency behind the kernel's
-        back."""
+    def test_no_concurrency_behind_the_kernels_back(self):
         offenders = []
         for path in _source_files():
             tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                imports_mp = (
-                    isinstance(node, ast.Import)
-                    and any(
-                        a.name.split(".")[0] == "multiprocessing"
-                        for a in node.names
-                    )
-                ) or (
-                    isinstance(node, ast.ImportFrom)
-                    and (node.module or "").split(".")[0] == "multiprocessing"
-                )
-                if imports_mp and _relative(path) not in MULTIPROCESSING_ALLOWED:
-                    offenders.append(f"{_relative(path)}:{node.lineno}")
-        assert not offenders, (
-            f"multiprocessing outside sim/parallel.py: {offenders}"
-        )
+            offenders += [
+                f"{_relative(path)}:{line}" for line in _concurrency_uses(tree)
+            ]
+        assert not offenders, f"process or thread machinery: {offenders}"
+        sample = "import os, threading\nfrom subprocess import run\nos.fork()"
+        assert _concurrency_uses(ast.parse(sample)) == [1, 2, 3]
 
-    def test_parallel_kernel_is_spawn_only_and_clock_free(self):
-        """The sharded kernel's extra rules.
-
-        * no host clock (``time``) — windows are driven by modeled time;
-        * every process must come from ``get_context("spawn")``: the
-          default start method is ``fork`` on Linux, which duplicates
-          parent state (open pipes, the imported module graph, any
-          lazily-initialized cache) into the worker and makes run
-          results depend on what the parent happened to have touched —
-          so bare ``multiprocessing.Process`` and ``set_start_method``
-          are both rejected.
-        """
-        path = SRC_ROOT / "sim" / "parallel.py"
-        tree = ast.parse(path.read_text(), filename=str(path))
-        mp_aliases = set()
+    def test_no_environment_reads(self):
         offenders = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root == "time":
-                        offenders.append(f"time import:{node.lineno}")
-                    if root == "multiprocessing":
-                        mp_aliases.add(alias.asname or root)
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root == "time":
-                    offenders.append(f"time import:{node.lineno}")
-                if root == "multiprocessing":
-                    # from-imports hide whether Process came from a
-                    # spawn context; require attribute access instead.
-                    offenders.append(f"from multiprocessing:{node.lineno}")
-        assert mp_aliases, "sim/parallel.py no longer imports multiprocessing?"
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in mp_aliases
-                and node.attr != "get_context"
-            ):
-                offenders.append(
-                    f"multiprocessing.{node.attr}:{node.lineno} "
-                    "(only get_context is allowed)"
-                )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get_context"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in mp_aliases
-            ):
-                spawn_literal = (
-                    len(node.args) == 1
-                    and not node.keywords
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value == "spawn"
-                )
-                if not spawn_literal:
-                    offenders.append(
-                        f"get_context without literal 'spawn':{node.lineno}"
-                    )
-            if isinstance(node, ast.Attribute) and node.attr == "set_start_method":
-                offenders.append(f"set_start_method:{node.lineno}")
-        assert not offenders, (
-            f"sim/parallel.py determinism violations: {offenders}"
+        for path in _source_files():
+            tree = ast.parse(path.read_text(), filename=str(path))
+            allowed = ENV_ALLOWED.get(_relative(path))
+            offenders += [
+                f"{_relative(path)}:{line}"
+                for line in _environment_reads(tree, allowed)
+            ]
+        assert not offenders, f"environment read: {offenders}"
+        sample = (
+            "import os\nfrom os import getenv\nos.environ.get('OUT')\n"
+            "os.environ['OUT']\nos.getenv('OUT')\nos.environ.get('KNOB')"
         )
+        assert _environment_reads(ast.parse(sample), "OUT") == [2, 4, 5, 6]

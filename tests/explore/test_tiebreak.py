@@ -127,23 +127,9 @@ class TestRecordingPolicy:
 
 
 class TestOwnerKey:
-    def test_ingress_delivery_owner_is_destination_host(self):
-        """Cross-shard deliveries (ingress ports named "src->dst") are
-        owned by the destination host — they mutate the receiver."""
-        from repro.explore.policy import owner_key
-        from repro.sim.events import Event
-        from repro.sim.parallel import IngressLink
-
-        env = Environment()
-        port = IngressLink("client->server")
-        port.attach_receiver(lambda frame: None)
-        event = Event(env)
-        event.callbacks.append(port.deliver)
-        assert owner_key(event) == "server"
-
     def test_duplex_cable_halves_keep_their_whole_name_owner(self):
-        """"a<->b.fwd" link names keep the historical whole-cable owner
-        (the arrow rule must not fire on the "<->" of a duplex name)."""
+        """"a<->b.fwd" link names are owned by the whole cable: the
+        owner is the name up to its first dot."""
         from repro.explore.policy import owner_key
         from repro.sim.events import Event
 

@@ -75,23 +75,6 @@ def test_sampled_fig3_run_keeps_pinned_fingerprint():
     assert sampler.ticks > 0
 
 
-def test_sampler_identical_across_schedulers(monkeypatch):
-    """Calendar vs heap: the sampler's ticks are ordinary agenda entries,
-    so switching the far-lane structure must change neither the sampled
-    series nor the tick/event accounting."""
-    series = {}
-    accounting = {}
-    for mode in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_SCHEDULER", mode)
-        sampler = MetricsSampler(period=0.5e-3)
-        result = reptor_echo("rubin", 20 * 1024, 30, sampler=sampler)
-        series[mode] = _series_fingerprint(sampler)
-        accounting[mode] = (result.sim_events, sampler.ticks)
-    assert series["heap"] == series["calendar"] == FIG4_SAMPLED_SERIES_DIGEST
-    assert accounting["heap"] == accounting["calendar"]
-    assert accounting["heap"][1] > 0
-
-
 def test_traced_fig4_run_keeps_pinned_fingerprint():
     """The tracer is pure observation: zero agenda entries, same digest."""
     from repro.trace import Tracer

@@ -1,10 +1,10 @@
-"""The calendar lane holds pending entries only.
+"""The agenda holds what is pending and nothing else.
 
-Once a far-out timer is the only thing in the ring, the serve pointer
-jumps to its bucket and every later push lands in that bucket's sorted
-run.  The run then lives until the timer fires — so a served slot that
-kept its entry would pin the event, its value and whatever the value
-holds for the rest of the run (a 100 MiB sawtooth on ``pbft_rubin``).
+A lane that kept a served entry would pin the event, its value and
+whatever the value holds until the lane itself went away — with a
+far-out watchdog timer pending that is the rest of the run (a 100 MiB
+sawtooth on ``pbft_rubin`` before served slots were cleared, and a slot
+per served entry left behind even after).
 """
 
 import weakref
@@ -13,9 +13,9 @@ import pytest
 
 from repro.sim import Environment
 
-FAR = 10e-3
+FAR = 1.0
 TICK = 1e-6
-TICKS = 200
+TICKS = 100_000  # per ticker; the drives stop halfway
 
 
 class Payload:
@@ -41,9 +41,9 @@ def drive_by_step(env):
 @pytest.mark.parametrize(
     "drive", [drive_until_time, drive_until_event, drive_by_step]
 )
-def test_served_entries_are_released_inside_the_bucket(drive):
-    env = Environment(scheduler="calendar")
-    far = env.timeout(FAR)
+def test_a_served_entry_is_gone_from_the_agenda(drive):
+    env = Environment()
+    watchdog = env.timeout(FAR)
     carried = []
 
     def ticker(env):
@@ -60,9 +60,9 @@ def test_served_entries_are_released_inside_the_bucket(drive):
     env.process(ticker(env))
     drive(env)
 
-    # Still inside the far timer's bucket: the run that served the ticks
-    # is the run being served now.
-    assert not far.processed and env._far._bucket_top > FAR
-    served = carried[: TICKS - 2]  # each ticker still holds its latest
-    assert len(carried) > len(served) > 0
+    assert not watchdog.processed and len(carried) >= TICKS
+    # Pending: the watchdog and each ticker's current timeout.
+    assert not env._urgent
+    assert len(env._far) + len(env._dq) == 3
+    served = carried[:-2]  # each ticker still holds its latest
     assert [ref() for ref in served] == [None] * len(served)

@@ -3,10 +3,10 @@
 Host speed moves with the machine; the number of agenda entries a fixed
 workload takes does not.  ``env._eid`` grows by one per keyed entry
 (starts on the urgent lane, eventless puts and fused hold ends take
-none), it is the same on every host and under either scheduler, and it
-is what perfbench reports as ``sim.events_per_op``.  These pins are the
-host-independent gate on it: a change that adds entries to the request
-path fails here and has to move the number on purpose.  (Before the
+none), it is the same on every host, and it is what perfbench reports
+as ``sim.events_per_op``.  These pins are the host-independent gate on
+it: a change that adds entries to the request path fails here and has
+to move the number on purpose.  (Before the
 agenda diet the three figures were 80 258, 90 032 and 24 534; the echo
 was 22 048 while its readers still ticked through their waits.)
 """
@@ -39,16 +39,12 @@ def _pbft_events(transport):
     return cluster.env._eid - before
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("transport", ["rubin", "nio"])
-def test_pbft_puts_take_exactly_this_many_entries(monkeypatch, scheduler, transport):
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+def test_pbft_puts_take_exactly_this_many_entries(transport):
     assert _pbft_events(transport) == PBFT_EVENTS[transport]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_channel_echo_takes_exactly_this_many_entries(monkeypatch, scheduler):
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+def test_channel_echo_takes_exactly_this_many_entries():
     ties = GridWait.ties
     result = run_echo("rdma_channel", ECHO_BYTES, ECHO_MESSAGES)
     assert result.sim_events == ECHO_EVENTS

@@ -163,8 +163,8 @@ def test_filtered_gets_return_only_matching_items(payloads):
 # for — a request / timeout / release generator under a ``Process`` (which
 # never fuses) and a ``put`` whose event is dropped — so a random program
 # must dispatch the identical (time, label) trace whether each charge and
-# each put takes the short form or the reference, on either scheduler, and
-# under a policy that always answers 0.  Times are small integers so that
+# each put takes the short form or the reference, and under a policy that
+# always answers 0.  Times are small integers so that
 # ties are exact.
 
 _TIMES = st.integers(min_value=0, max_value=3).map(float)
@@ -211,15 +211,13 @@ def _reference_hold(env, resource, duration, marks):
     request.release()
 
 
-def _run_program(
-    actors, scheduler="calendar", policy=None, long_charges=False, long_puts=False
-):
+def _run_program(actors, policy=None, long_charges=False, long_puts=False):
     """Dispatch ``actors``; return ((time, label, what) trace, event ids).
 
     ``long_charges`` / ``long_puts`` replace every short form with its
     reference; ``policy`` is installed once the processes exist.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     resources = [Resource(env, capacity=1), Resource(env, capacity=4)]
     store = Store(env, capacity=2)
     trace = []
@@ -280,13 +278,11 @@ def test_short_forms_dispatch_the_reference_trace(actors):
     expected, reference_events = _run_program(
         actors, long_charges=True, long_puts=True
     )
-    calendar, calendar_events = _run_program(actors)
-    heap, heap_events = _run_program(actors, scheduler="heap")
+    short, short_events = _run_program(actors)
     chosen, _ = _run_program(actors, policy=TieBreakPolicy())
-    assert calendar == expected
-    assert heap == expected
+    assert short == expected
     assert chosen == expected
-    assert heap_events == calendar_events <= reference_events
+    assert short_events <= reference_events
 
 
 class TestAdjacency:
@@ -484,13 +480,12 @@ class TestPost:
 # waiters on different grids, flags set, closed, consumed and poked for
 # nothing, unrelated timers and holds, a clock that starts below zero —
 # must dispatch the identical (time, label) trace whichever way its
-# waiters wait, on either scheduler and under a policy that always
-# answers 0.  The one thing the two may disagree on is the order *within*
-# an instant that a tick shares bit-exactly with something else (the tick's
-# entry is keyed at the wake-up, not one period before its instant), so
-# times here are fractions that no grid sum lands on; a program that
-# manages a tie anyway is discarded, and the directed cases below pin what
-# happens in one.
+# waiters wait, also under a policy that always answers 0.  The one thing
+# the two may disagree on is the order *within* an instant that a tick
+# shares bit-exactly with something else (the tick's entry is keyed at the
+# wake-up, not one period before its instant), so times here are fractions
+# that no grid sum lands on; a program that manages a tie anyway is
+# discarded, and the directed cases below pin what happens in one.
 
 
 class _Flag:
@@ -552,11 +547,9 @@ _GRID_CLOSES = st.tuples(_OFF_GRID, _OFF_GRID).map(
 )
 
 
-def _run_grid_program(
-    waiters, steps, closes, start, wait, scheduler="calendar", policy=None
-):
+def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
     """Dispatch the program; return (trace, tick instants, flip instants, ids)."""
-    env = Environment(initial_time=start, scheduler=scheduler)
+    env = Environment(initial_time=start)
     flags = [_Flag(), _Flag()]
     cpu = Resource(env, capacity=1)
     trace, looked, flipped = [], [], []
@@ -640,17 +633,13 @@ def test_grid_wait_dispatches_the_ticking_loops_trace(waiters, steps, closes, st
         )
     )
     ties = GridWait.ties
-    calendar, _, _, calendar_events = _run_grid_program(*program, grid_wait)
-    heap, _, _, heap_events = _run_grid_program(
-        *program, grid_wait, scheduler="heap"
-    )
+    tickless, _, _, tickless_events = _run_grid_program(*program, grid_wait)
     chosen, _, _, _ = _run_grid_program(
         *program, grid_wait, policy=TieBreakPolicy()
     )
-    assert calendar == expected
-    assert heap == expected
+    assert tickless == expected
     assert chosen == expected
-    assert heap_events == calendar_events <= reference_events
+    assert tickless_events <= reference_events
     assert GridWait.ties == ties
 
 
@@ -818,9 +807,8 @@ class TestTimeoutAt:
         env.run()
         assert seen == [(when, "v")]
 
-    @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-    def test_now_is_allowed_and_queues_behind_what_is_due(self, scheduler):
-        env = Environment(initial_time=3.0, scheduler=scheduler)
+    def test_now_is_allowed_and_queues_behind_what_is_due(self):
+        env = Environment(initial_time=3.0)
         order = []
         env.event().succeed().callbacks.append(lambda _e: order.append("first"))
         env.timeout_at(3.0).callbacks.append(lambda _e: order.append("second"))

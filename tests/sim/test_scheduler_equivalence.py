@@ -1,15 +1,13 @@
-"""Heap and calendar schedulers must dispatch identical schedules.
+"""The kernel dispatches in ``(time, priority, sequence)`` order.
 
-The calendar queue replaces the kernel's binary heap as a *pure*
-performance substitution: the agenda's total order ``(when, priority,
-event id)`` is part of the reproduction's determinism contract (every
-pinned schedule fingerprint depends on it), so the two schedulers must
-pop exactly the same sequence for any workload.  These property tests
-drive both modes with randomized ``(delay, priority)`` mixes — including
-zero-delay NORMAL pushes (the deque fast lane), URGENT entries, and
-events scheduled from inside callbacks (which land below the calendar's
-current bucket boundary and take the insort slow path) — and require
-bit-identical dispatch traces.
+That total order is the reproduction's determinism contract — every
+pinned schedule fingerprint depends on it — while the kernel serves it
+from three lanes (a keyless urgent FIFO, a zero-delay FIFO, a far heap)
+and, under a :class:`TieBreakPolicy`, from the far heap alone.  These
+property tests run randomized programs on the kernel and on the
+definition itself — one heap keyed ``(time, priority, sequence)``, a
+dozen lines — and require identical dispatch traces under every drive:
+``run()``, run-until-event, ``step()`` and a policy that always answers 0.
 """
 
 import heapq
@@ -22,96 +20,20 @@ from hypothesis import strategies as st
 from repro.sim import Environment, TieBreakPolicy
 from repro.sim.events import Event
 
-_DELAYS = st.floats(min_value=0.0, max_value=2e-3, allow_nan=False)
+_DRIVES = ["run", "until", "step", "policy"]
+
+# Float delays: distinct instants, entries landing anywhere in the heap.
 _OPS = st.lists(
-    st.tuples(_DELAYS, st.integers(min_value=0, max_value=1)),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=2e-3, allow_nan=False),
+        st.integers(min_value=0, max_value=1),
+    ),
     min_size=1,
     max_size=80,
 )
 
-
-def _run_schedule(mode, ops, cascade):
-    """Dispatch ``ops`` under ``mode``; return the (time, id) trace."""
-    env = Environment(scheduler=mode)
-    trace = []
-
-    def fire(event, index):
-        trace.append((env.now, index))
-        if cascade and index % 3 == 0:
-            # Schedule children from inside a callback: a short-delay
-            # child lands in the calendar's *current* bucket (insort
-            # path), a zero-delay NORMAL child rides the deque lane.
-            child = Event(env)
-            child._ok = True
-            child._value = None
-            child.subscribe(
-                lambda e, i=index: trace.append((env.now, ("child", i)))
-            )
-            env.schedule(child, delay=(index % 5) * 1e-7, priority=1)
-    for index, (delay, priority) in enumerate(ops):
-        event = Event(env)
-        event._ok = True
-        event._value = None
-        event.subscribe(lambda e, i=index: fire(e, i))
-        env.schedule(event, delay=delay, priority=priority)
-    env.run()
-    return trace
-
-
-@given(ops=_OPS)
-@settings(max_examples=60, deadline=None)
-def test_heap_and_calendar_pop_identical_order(ops):
-    assert _run_schedule("heap", ops, False) == _run_schedule(
-        "calendar", ops, False
-    )
-
-
-@given(ops=_OPS)
-@settings(max_examples=60, deadline=None)
-def test_schedulers_agree_with_callback_scheduled_children(ops):
-    assert _run_schedule("heap", ops, True) == _run_schedule(
-        "calendar", ops, True
-    )
-
-
-@given(
-    delays=st.lists(
-        st.floats(min_value=0.0, max_value=5e-4), min_size=1, max_size=40
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_timeout_fast_path_matches_heap(delays):
-    """Timeout's inlined calendar push must agree with the heap path."""
-
-    def run(mode):
-        env = Environment(scheduler=mode)
-        fired = []
-
-        def proc(env):
-            for i, delay in enumerate(delays):
-                t = env.timeout(delay, value=i)
-                t.subscribe(lambda e: fired.append((env.now, e.value)))
-                if i % 4 == 0:
-                    yield env.timeout(delay / 2)
-        env.process(proc(env))
-        env.run()
-        return fired
-
-    assert run("heap") == run("calendar")
-
-
-# ---------------------------------------------------------------------------
-# The urgent lane against the definition of the order
-# ---------------------------------------------------------------------------
-#
-# Zero-delay URGENT entries (process starts, ``schedule(.., 0, URGENT)``)
-# sit in a keyless FIFO that the loops drain first; delayed URGENT entries
-# keep their key in the far lane.  Whatever the mix, dispatch must follow
-# the definition — a single heap keyed ``(time, priority, sequence)`` —
-# under either scheduler, by either pair of run loops or by ``step()``,
-# and under a policy that always answers 0.  Delays are small integers so that ties,
-# including several delayed URGENT entries at one instant, are common.
-
+# Small integer delays: ties, including several delayed URGENT entries
+# at one instant, are common.
 _TIED_OPS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3).map(float),
@@ -122,48 +44,118 @@ _TIED_OPS = st.lists(
 )
 
 
-def _order_by_definition(ops):
+# What entry ``index`` (scheduled ``delay`` after 0) pushes when it fires,
+# as ``(kind, delay)`` in push order.  Kinds: "proc" starts a process
+# (zero-delay URGENT) that naps ``delay`` on a Timeout unless it is None;
+# "urgent" and "normal" go through ``schedule``; "timeout" is a Timeout
+# made inside the callback; "at" is ``timeout_at(now + delay)``.
+
+
+def _no_children(index, delay):
+    return ()
+
+
+def _callback_children(index, delay):
+    if index % 3 == 0:
+        # Zero rides the zero-delay lane; a short delay lands among the
+        # entries already pending.
+        yield "normal", (index % 5) * 1e-7
+        yield "timeout", (index % 4) * 1e-7
+        yield "at", delay / 3
+
+
+def _process_children(index, delay):
+    if index % 4 == 0:
+        yield "proc", delay / 2
+
+
+def _urgent_children(index, delay):
+    if index % 2 == 0:
+        yield "proc", None
+        yield "urgent", 0.0
+        yield "normal", 0.0
+
+
+def _all_children(index, delay):
+    yield from _callback_children(index, delay)
+    yield from _process_children(index, delay)
+    yield from _urgent_children(index, delay)
+
+
+def _order_by_definition(ops, children):
     heap, sequence, trace = [], itertools.count(), []
+
+    def push(when, priority, what):
+        heapq.heappush(heap, (when, priority, next(sequence), what))
+
     for index, (delay, priority) in enumerate(ops):
-        heapq.heappush(heap, (delay, priority, next(sequence), index))
+        push(delay, priority, index)
     while heap:
         now, _priority, _sequence, what = heapq.heappop(heap)
-        trace.append((now, what))
-        if isinstance(what, int) and what % 2 == 0:
+        if isinstance(what, int):
+            trace.append((now, what))
             # What ``fire`` below does, in the same order.
-            heapq.heappush(heap, (now, 0, next(sequence), ("start", what)))
-            heapq.heappush(heap, (now, 0, next(sequence), ("urgent", what)))
-            heapq.heappush(heap, (now, 1, next(sequence), ("normal", what)))
+            for kind, delay in children(what, ops[what][0]):
+                if kind == "proc":
+                    push(now, 0, ("proc", what, delay))
+                elif kind == "urgent":
+                    push(now, 0, ("urgent", what))
+                else:
+                    push(now + delay, 1, (kind, what))
+        elif what[0] == "proc":
+            trace.append((now, ("start", what[1])))
+            if what[2] is not None:
+                push(now + what[2], 1, ("woke", what[1]))
+        else:
+            trace.append((now, what))
     return trace
 
 
-def _order_by_kernel(ops, scheduler, drive):
-    env = Environment(scheduler=scheduler)
+def _program(ops, children):
+    """``ops`` scheduled on a fresh kernel; returns ``(env, trace)``."""
+    env = Environment()
     trace = []
+
+    def note(what):
+        return lambda _event: trace.append((env.now, what))
 
     def ready(what):
         event = Event(env)
         event._value = None
-        event.callbacks.append(lambda _e: trace.append((env.now, what)))
+        event.callbacks.append(note(what))
         return event
 
-    def starter(what):
-        trace.append((env.now, what))
-        return
-        yield
+    def proc(index, nap):
+        trace.append((env.now, ("start", index)))
+        if nap is not None:
+            yield env.timeout(nap)
+            trace.append((env.now, ("woke", index)))
 
     def fire(index):
         trace.append((env.now, index))
-        if index % 2 == 0:
-            env.process(starter(("start", index)))
-            env.schedule(ready(("urgent", index)), priority=Environment.URGENT)
-            env.schedule(ready(("normal", index)))
+        for kind, delay in children(index, ops[index][0]):
+            what = (kind, index)
+            if kind == "proc":
+                env.process(proc(index, delay))
+            elif kind == "urgent":
+                env.schedule(ready(what), priority=Environment.URGENT)
+            elif kind == "normal":
+                env.schedule(ready(what), delay=delay)
+            elif kind == "timeout":
+                env.timeout(delay).callbacks.append(note(what))
+            else:
+                env.timeout_at(env.now + delay).callbacks.append(note(what))
 
     for index, (delay, priority) in enumerate(ops):
         event = Event(env)
         event._value = None
         event.callbacks.append(lambda _e, i=index: fire(i))
         env.schedule(event, delay=delay, priority=priority)
+    return env, trace
+
+
+def _order_by_kernel(ops, children, drive):
+    env, trace = _program(ops, children)
     if drive == "policy":
         env.set_tiebreak(TieBreakPolicy())
     if drive == "step":
@@ -176,9 +168,69 @@ def _order_by_kernel(ops, scheduler, drive):
     return trace
 
 
-@pytest.mark.parametrize("drive", ["run", "until", "step", "policy"])
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+def _check(ops, children, drive):
+    assert _order_by_kernel(ops, children, drive) == _order_by_definition(
+        ops, children
+    )
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@given(ops=_OPS)
+@settings(max_examples=60, deadline=None)
+def test_kernel_pops_in_key_order(drive, ops):
+    _check(ops, _no_children, drive)
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@given(ops=_OPS)
+@settings(max_examples=60, deadline=None)
+def test_callback_scheduled_children_follow_the_key_order(drive, ops):
+    _check(ops, _callback_children, drive)
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@given(ops=_OPS)
+@settings(max_examples=60, deadline=None)
+def test_timeouts_inside_a_process_follow_the_key_order(drive, ops):
+    _check(ops, _process_children, drive)
+
+
+# Zero-delay URGENT entries (process starts, ``schedule(.., 0, URGENT)``)
+# sit in a keyless FIFO that the loops drain first; delayed URGENT entries
+# keep their key in the far lane.  Whatever the mix, dispatch must follow
+# the definition.
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
 @given(ops=_TIED_OPS)
 @settings(max_examples=60, deadline=None)
-def test_urgent_lane_follows_the_key_order(scheduler, drive, ops):
-    assert _order_by_kernel(ops, scheduler, drive) == _order_by_definition(ops)
+def test_urgent_lane_follows_the_key_order(drive, ops):
+    _check(ops, _urgent_children, drive)
+
+
+def test_policy_hand_over_mid_run_keeps_the_key_order():
+    """Installing a policy moves the keyless lanes' entries into the far
+    heap; clearing it moves nothing: whatever is pending then —
+    zero-delay entries and keyed starts included — stays in the heap and
+    is merged by full key.  Cleared after every possible number of
+    steps, the trace equals the reference."""
+    ops = [
+        (0.0, 0), (0.0, 1), (1.0, 1), (1.0, 0), (0.0, 0),
+        (1.0, 1), (2.0, 1), (0.0, 1), (2.0, 0), (1.0, 0),
+    ]  # fmt: skip
+    expected = _order_by_definition(ops, _all_children)
+    handed_over_mid_instant = False
+    for steps in range(len(expected) + 1):
+        env, trace = _program(ops, _all_children)
+        assert env._urgent and env._dq and env._far  # all three lanes
+        env.set_tiebreak(TieBreakPolicy())
+        assert not env._urgent and not env._dq
+        for _ in range(steps):
+            env.step()
+        due_now = [entry for entry in env._far if entry[0] == env.now]
+        env.set_tiebreak(None)
+        if {0, 1} <= {entry[1] for entry in due_now}:
+            handed_over_mid_instant = True  # keyed starts and zero-delay
+        env.run()
+        assert trace == expected, steps
+    assert handed_over_mid_instant
