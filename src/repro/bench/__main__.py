@@ -42,6 +42,10 @@ from repro.bench.figures import (
 from repro.bench.plotting import ascii_chart
 from repro.errors import ReproError
 
+#: Where ``--check`` appends its trajectory line: the untracked artifact
+#: directory, not the committed baselines.
+DEFAULT_HISTORY = os.path.join("artifacts", "BENCH_history.jsonl")
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -82,10 +86,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--history",
-        default=None,
+        default=DEFAULT_HISTORY,
         metavar="FILE",
         help="history JSONL appended by --check "
-        "(default: <baseline-dir>/BENCH_history.jsonl)",
+        f"(default: {DEFAULT_HISTORY}, beside the other run artifacts: "
+        "a clean check leaves the tree clean)",
     )
     parser.add_argument(
         "--tolerance",
@@ -302,9 +307,6 @@ def run_wallclock_cli(args) -> int:
     )
 
     baseline_path = os.path.join(args.baseline_dir, "BENCH_wallclock.json")
-    history = args.history or os.path.join(
-        args.baseline_dir, "BENCH_history.jsonl"
-    )
     print("== Simulator wall-clock throughput ==")
     document = run_wallclock(verbose=True)
     if args.json_dir is not None:
@@ -350,8 +352,8 @@ def run_wallclock_cli(args) -> int:
             f"fresh={check['fresh']:,.1f} "
             f"(±{check['tolerance'] * 100:.0f}%)"
         )
-    append_wallclock_history(history, document, checks)
-    print(f"history appended to {history}")
+    append_wallclock_history(args.history, document, checks)
+    print(f"history appended to {args.history}")
     print("  wallclock gate: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -391,14 +393,11 @@ def run_gate(args) -> int:
     from repro.obs.sampler import write_json_atomic
 
     figures = GATE_FIGURES[args.fig]
-    history = args.history or os.path.join(
-        args.baseline_dir, "BENCH_history.jsonl"
-    )
     try:
         ok, reports = run_check(
             args.baseline_dir,
             figures=figures,
-            history_path=history,
+            history_path=args.history,
             tolerance_scale=args.tolerance,
         )
     except ReproError as error:
@@ -460,7 +459,7 @@ def run_gate(args) -> int:
                 + suspect_lines
                 + ["```"]
             )
-    print(f"history appended to {history}")
+    print(f"history appended to {args.history}")
     return 0 if ok else 1
 
 

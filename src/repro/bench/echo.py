@@ -47,7 +47,7 @@ from repro.rdma import (
     alloc_registered,
 )
 from repro.rubin import RubinChannel, RubinConfig, RubinServerChannel
-from repro.sim import grid_wait
+from repro.sim import grid_wait, inline
 
 __all__ = [
     "tcp_echo",
@@ -355,7 +355,7 @@ def _read_exactly(channel, host, buffer, nbytes):
     got = 0
     blocked = False
     while got < nbytes:
-        n = yield channel.read(buffer)
+        n = yield from inline(env, channel.read_gen(buffer), "rubin.read")
         if n is None:
             raise ReproError("channel closed mid-message")
         if n == 0:
@@ -385,10 +385,13 @@ def _write_all(channel, buffer, trace_ctx=None):
     registered on first use and every later write gathers from it
     directly (paper, Section IV).
     """
+    env = channel.env
     while buffer.has_remaining():
-        n = yield channel.write(buffer, trace_ctx=trace_ctx)
+        n = yield from inline(
+            env, channel.write_gen(buffer, trace_ctx=trace_ctx), "rubin.write"
+        )
         if n == 0:
-            yield channel.env.timeout(0.2e-6)
+            yield env.timeout(0.2e-6)
 
 
 def rubin_channel_echo(

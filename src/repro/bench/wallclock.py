@@ -294,8 +294,8 @@ def append_wallclock_history(
 
     The file is capped at ``max_lines``: when an append would exceed the
     cap the oldest lines are dropped and the file rewritten via temp +
-    rename, so the committed history stays bounded no matter how many
-    CI runs touch it.
+    rename, so the history stays bounded no matter how many runs
+    touch it.
     """
     entry = {
         "checked_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -16,6 +16,7 @@ from repro.bft.messages import Busy, Reply, Request, decode, encode
 from repro.errors import BftError
 from repro.reptor import ReptorConnection, ReptorEndpoint
 from repro.rubin import SupervisorPolicy
+from repro.sim import Drive, inline
 from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,7 +83,8 @@ class BftClient:
                     replica_id, port, peer_name=replica_id
                 )
                 self._connections[replica_id] = connection
-                self.env.process(
+                Drive(
+                    self.env,
                     self._receive_loop(connection),
                     name=f"{self.client_id}<-{replica_id}.rx",
                 )
@@ -155,7 +157,11 @@ class BftClient:
         leader = self._leader_hint(timestamp)
         connection = self._connections.get(leader)
         if connection is not None and not connection.closed:
-            yield connection.send(raw, trace_ctx=ctx)
+            yield from inline(
+                self.env,
+                connection.send_gen(raw, trace_ctx=ctx),
+                "reptor.send",
+            )
 
         backoff_attempt = 0
         while not accepted.triggered:
@@ -188,13 +194,21 @@ class BftClient:
                 leader = self._leader_hint(timestamp)
                 connection = self._connections.get(leader)
                 if connection is not None and not connection.closed:
-                    yield connection.send(raw, trace_ctx=ctx)
+                    yield from inline(
+                        self.env,
+                        connection.send_gen(raw, trace_ctx=ctx),
+                        "reptor.send",
+                    )
                 continue
             # Timeout: broadcast to all replicas (PBFT client fallback).
             self.retransmissions += 1
             for connection in self._connections.values():
                 if not connection.closed:
-                    yield connection.send(raw, trace_ctx=ctx)
+                    yield from inline(
+                        self.env,
+                        connection.send_gen(raw, trace_ctx=ctx),
+                        "reptor.send",
+                    )
         result = accepted.value
         del self._accepted[timestamp]
         del self._reply_votes[timestamp]

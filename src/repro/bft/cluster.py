@@ -404,6 +404,7 @@ class BftCluster:
                 )
             endpoint_metrics = {
                 "watermark_crossings": replica.endpoint.watermark_crossings,
+                "sends_dropped": replica.endpoint.sends_dropped,
                 "backpressure_time": replica.endpoint.backpressure_time,
             }
             if self.transport == "rubin":

@@ -39,6 +39,7 @@ from repro.bft.replica import Replica, batch_digest
 from repro.errors import BftError
 from repro.reptor import ReptorConnection, ReptorEndpoint
 from repro.bft.statemachine import StateMachine
+from repro.sim import Drive
 from repro.trace import get_tracer
 
 __all__ = [
@@ -86,6 +87,9 @@ class GroupConnection:
 
     def send(self, payload: bytes, trace_ctx=None):
         return self._inner.send(self._tag + payload, trace_ctx=trace_ctx)
+
+    def post(self, payload: bytes, trace_ctx=None) -> None:
+        self._inner.post(self._tag + payload, trace_ctx=trace_ctx)
 
     def close(self) -> None:
         self._inner.close()
@@ -231,7 +235,8 @@ class CopReplica(Replica):
             self._bind_peer(peer, connection)
         else:
             self._client_conns[peer] = connection
-            self.env.process(
+            Drive(
+                self.env,
                 self._cop_client_receive_loop(connection),
                 name=f"{self.replica_id}<-client.rx",
             )
@@ -243,7 +248,8 @@ class CopReplica(Replica):
             pipeline._replica_conns[peer_id] = GroupConnection(
                 connection, pipeline.group
             )
-        self.env.process(
+        Drive(
+            self.env,
             self._mux_receive_loop(connection, peer_id),
             name=f"{self.replica_id}<-{peer_id}.rx",
         )

@@ -569,7 +569,7 @@ class OneSidedReplica(Replica):
                 continue
             connection = self._replica_conns.get(peer_id)
             if connection is not None and not connection.closed:
-                connection.send(tampered, trace_ctx=trace_ctx)
+                connection.post(tampered, trace_ctx=trace_ctx)
 
     def _os_send(self, peer_id: str, message, raw: bytes) -> bool:
         if not self._os_outbound:

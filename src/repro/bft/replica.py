@@ -45,7 +45,7 @@ from repro.crypto import digest as sha256
 from repro.errors import BftError
 from repro.reptor import ReptorConnection, ReptorEndpoint
 from repro.audit import get_audit
-from repro.sim import Store
+from repro.sim import Drive, Store, detach
 from repro.sim.monitor import Counter, TimeSeries
 from repro.trace import get_tracer
 
@@ -173,8 +173,10 @@ class Replica:
 
         self._wire_endpoint()
         for index, queue in enumerate(self._pipelines):
-            self.env.process(
-                self._pipeline_loop(queue), name=f"{replica_id}.pipe{index}"
+            Drive(
+                self.env,
+                self._pipeline_loop(queue),
+                name=f"{replica_id}.pipe{index}",
             )
         self.env.process(self._batch_loop(), name=f"{replica_id}.batcher")
         self.env.process(self._timer_loop(), name=f"{replica_id}.timer")
@@ -259,7 +261,8 @@ class Replica:
     def attach_peer(self, peer_id: str, connection: ReptorConnection) -> None:
         """Bind an outbound connection to a peer replica."""
         self._replica_conns[peer_id] = connection
-        self.env.process(
+        Drive(
+            self.env,
             self._receive_loop(connection, peer_id),
             name=f"{self.replica_id}<-{peer_id}.rx",
         )
@@ -268,7 +271,8 @@ class Replica:
         peer = connection.peer_name
         if peer in self.all_ids:
             self._replica_conns[peer] = connection
-            self.env.process(
+            Drive(
+                self.env,
                 self._receive_loop(connection, peer),
                 name=f"{self.replica_id}<-{peer}.rx",
             )
@@ -277,7 +281,8 @@ class Replica:
             # able to send replies even if the client only addresses its
             # requests to the leader (PBFT replies come from all replicas).
             self._client_conns[peer] = connection
-            self.env.process(
+            Drive(
+                self.env,
                 self._client_receive_loop(connection),
                 name=f"{self.replica_id}<-client.rx",
             )
@@ -366,7 +371,7 @@ class Replica:
                 continue
             connection = self._replica_conns.get(peer_id)
             if connection is not None and not connection.closed:
-                connection.send(tampered, trace_ctx=trace_ctx)
+                connection.post(tampered, trace_ctx=trace_ctx)
 
     def _send_to(self, peer_id: str, message, trace_ctx=None) -> None:
         raw = self._outbound_filter(message, encode(message), peer_id)
@@ -374,7 +379,7 @@ class Replica:
             return
         connection = self._replica_conns.get(peer_id)
         if connection is not None and not connection.closed:
-            connection.send(raw, trace_ctx=trace_ctx)
+            connection.post(raw, trace_ctx=trace_ctx)
 
     def _outbound_filter(self, message, raw: bytes, peer_id: str):
         """Hook for Byzantine subclasses: return bytes to send, or None
@@ -560,7 +565,7 @@ class Replica:
             busy = Busy(
                 self.replica_id, request.client_id, request.timestamp, self.view
             )
-            connection.send(encode(busy))
+            connection.post(encode(busy))
 
     def _kick_batcher(self) -> None:
         if self._batch_kick is not None and not self._batch_kick.triggered:
@@ -806,9 +811,10 @@ class Replica:
                     self.replica_id, next_seq, batch_digest(batch),
                     group=self.group,
                 )
-            self.env.process(
+            detach(
+                self.env,
                 self._execute_batch(slot, batch),
-                name=f"{self.replica_id}.exec{next_seq}",
+                f"{self.replica_id}.exec{next_seq}",
             )
             slot.executed = True
             self.executed_seq = next_seq
@@ -885,7 +891,7 @@ class Replica:
     def _reply_to_client(self, reply: Reply, trace_ctx=None) -> None:
         connection = self._client_conns.get(reply.client_id)
         if connection is not None and not connection.closed:
-            connection.send(encode(reply), trace_ctx=trace_ctx)
+            connection.post(encode(reply), trace_ctx=trace_ctx)
 
     def _on_checkpoint(self, message: Checkpoint, sender: str) -> None:
         if message.replica_id != sender:
@@ -974,7 +980,7 @@ class Replica:
         if connection is not None and not connection.closed:
             self.state_transfers_served.increment()
             self.state_transfer_bytes.increment(len(raw))
-            connection.send(raw)
+            connection.post(raw)
 
     def _on_state_transfer_reply(
         self, message: StateTransferReply, sender: str

@@ -58,7 +58,9 @@ class HmacAuthenticator:
     def __init__(self, key: bytes, costs: CryptoCosts | None = None):
         if not key:
             raise BftError("authenticator key must be non-empty")
-        self._key = key
+        # Keyed once: deriving the key pads is half the cost of a short
+        # MAC, and every sign starts from a copy of this state.
+        self._keyed = _hmac.new(key, digestmod=hashlib.sha256)
         self.costs = costs if costs is not None else CryptoCosts()
         # Bounded FIFO memo (insertion-ordered dict).  Keyed on the message
         # alone: the key is fixed per authenticator instance.
@@ -71,7 +73,9 @@ class HmacAuthenticator:
         memo = self._sign_memo
         mac = memo.get(message)
         if mac is None:
-            mac = _hmac.new(self._key, message, hashlib.sha256).digest()[:MAC_BYTES]
+            keyed = self._keyed.copy()
+            keyed.update(message)
+            mac = keyed.digest()[:MAC_BYTES]
             if len(memo) >= _SIGN_MEMO_MAX:
                 del memo[next(iter(memo))]
             memo[message] = mac
@@ -84,7 +88,7 @@ class HmacAuthenticator:
         ``sign(b"".join(parts))`` but feeds the HMAC incrementally so the
         zero-copy framing path never builds the joined message.
         """
-        mac = _hmac.new(self._key, digestmod=hashlib.sha256)
+        mac = self._keyed.copy()
         for part in parts:
             mac.update(part)
         return mac.digest()[:MAC_BYTES]

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import TcpError
 from repro.nio.buffer import ByteBuffer
+from repro.sim import inline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.host import Host
@@ -106,16 +107,20 @@ class SocketChannel:
 
         Non-blocking: 0 means no data available right now.
         """
-        self._check_io_ready()
-        return self.env.process(self._read_proc(buffer), name="nio.read")
+        return self.env.process(self.read_gen(buffer), name="nio.read")
 
-    def _read_proc(self, buffer: ByteBuffer):
+    def read_gen(self, buffer: ByteBuffer):
+        """The body of :meth:`read`, for ``yield from inline(...)``."""
+        self._check_io_ready()
+        return self._read(buffer)
+
+    def _read(self, buffer: ByteBuffer):
         conn = self.connection
         assert conn is not None
         want = buffer.remaining()
         if want == 0:
             return 0
-        data = yield conn.read_some(want)
+        data = yield from inline(self.env, conn.read_some_gen(want), "tcp.read")
         if data is None:
             return -1
         if not data:
@@ -125,10 +130,14 @@ class SocketChannel:
 
     def write(self, buffer: ByteBuffer) -> "Event":
         """Write from ``buffer``; event value is bytes written (may be 0)."""
-        self._check_io_ready()
-        return self.env.process(self._write_proc(buffer), name="nio.write")
+        return self.env.process(self.write_gen(buffer), name="nio.write")
 
-    def _write_proc(self, buffer: ByteBuffer):
+    def write_gen(self, buffer: ByteBuffer):
+        """The body of :meth:`write`, for ``yield from inline(...)``."""
+        self._check_io_ready()
+        return self._write(buffer)
+
+    def _write(self, buffer: ByteBuffer):
         conn = self.connection
         assert conn is not None
         # Hand the stack a window over the buffer instead of a copy; the
@@ -139,7 +148,9 @@ class SocketChannel:
             pending.release()
             return 0
         try:
-            written = yield conn.write_some(pending)
+            written = yield from inline(
+                self.env, conn.write_some_gen(pending), "tcp.write"
+            )
         finally:
             pending.release()
         if written:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.errors import TcpError
 from repro.nio.channel import ServerSocketChannel, SocketChannel
+from repro.sim import inline
 from repro.tcpstack.epoll import EPOLLIN, EPOLLOUT, Epoll
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,25 +191,29 @@ class Selector:
         clears the selected set — mirroring the Java usage pattern of
         iterating and removing keys.
         """
-        self._check_open()
-        return self.env.process(self._select_proc(timeout), name="nio.select")
+        return self.env.process(self.select_gen(timeout), name="nio.select")
 
     def select_now(self) -> "Event":
         """Non-blocking variant of :meth:`select`."""
-        self._check_open()
-        return self.env.process(self._select_proc(0.0), name="nio.selectNow")
+        return self.env.process(self.select_gen(0.0), name="nio.selectNow")
 
-    def _select_proc(self, timeout: Optional[float]):
+    def select_gen(self, timeout: Optional[float] = None):
+        """The body of :meth:`select`, for ``yield from inline(...)``."""
+        self._check_open()
+        return self._select(timeout)
+
+    def _select(self, timeout: Optional[float]):
         self._selected = []
         ready = self._compute_ready()
         if ready or timeout == 0.0:
             self._selected = ready
             return len(ready)
-        waited = yield self._epoll.wait(timeout=timeout)
+        yield from inline(
+            self.env, self._epoll.wait_gen(timeout=timeout), "epoll.wait"
+        )
         # Translate kernel-level readiness back into ops at key level; the
         # epoll result tells us *something* changed, the ops are recomputed
         # so OP_CONNECT vs OP_WRITE resolve correctly.
-        del waited
         ready = self._compute_ready()
         self._selected = ready
         return len(ready)

@@ -42,7 +42,7 @@ from repro.rubin import (
     RubinServerChannel,
     SupervisorPolicy,
 )
-from repro.sim import Counter, Store, TimeSeries
+from repro.sim import Counter, Drive, Store, TimeSeries, detach, inline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.host import Host
@@ -151,11 +151,29 @@ class ReptorConnection:
         the whole downstream transport path to a trace.
         """
         return self.env.process(
-            self._send_proc(payload, trace_ctx), name="reptor.send"
+            self.send_gen(payload, trace_ctx), name="reptor.send"
         )
 
-    def _send_proc(self, payload: bytes, trace_ctx=None):
+    def post(self, payload: bytes, trace_ctx=None) -> None:
+        """:meth:`send` for callers that would discard its event.
+
+        Nobody is there to catch what an abandoned send raises, so a
+        message whose connection is closed when the send starts, or
+        closes while it waits for the window, is dropped and counted in
+        the endpoint's ``sends_dropped`` instead.
+        """
+        detach(
+            self.env,
+            self.send_gen(payload, trace_ctx, droppable=True),
+            "reptor.send",
+        )
+
+    def send_gen(self, payload: bytes, trace_ctx=None, droppable: bool = False):
+        """The body of :meth:`send`, for ``yield from inline(...)``."""
         if self.closed:
+            if droppable:
+                self.endpoint.sends_dropped.increment()
+                return None
             raise BftError(f"{self}: connection is closed")
         if not isinstance(payload, bytes):
             # The frame segments outlive this call (outbox, in-flight
@@ -178,6 +196,9 @@ class ReptorConnection:
                 self._credit_waiters.append(waiter)
                 yield waiter
                 if self.closed:
+                    if droppable:
+                        self.endpoint.sends_dropped.increment()
+                        return None
                     raise BftError(f"{self}: connection closed while blocked")
             if self.framer.auth is not None:
                 # Signing happens on the sender's CPU before the stack copies.
@@ -297,6 +318,9 @@ class ReptorEndpoint:
         #: this endpoint's connections (fed by the per-connection
         #: watermark tracking; see ReptorConnection._check_watermarks).
         self.watermark_crossings = Counter(f"{self.name}.watermark_crossings")
+        #: Messages handed to :meth:`ReptorConnection.post` that a closed
+        #: connection swallowed.
+        self.sends_dropped = Counter(f"{self.name}.sends_dropped")
         self.backpressure_time = TimeSeries(
             self.env, f"{self.name}.backpressure_time"
         )
@@ -378,7 +402,7 @@ class ReptorEndpoint:
     def _ensure_loop(self) -> None:
         if not self._running:
             self._running = True
-            self.env.process(self._loop(), name=f"reptor[{self.name}].loop")
+            Drive(self.env, self._loop(), name=f"reptor[{self.name}].loop")
 
     def _output_pending(self, connection: ReptorConnection) -> None:
         """A connection queued output: enable write interest and wake."""
@@ -413,8 +437,9 @@ class ReptorEndpoint:
         return None
 
     def _loop(self):
+        select_name = f"{self.transport}.select"  # what a spawned one is called
         while self._running:
-            yield self.selector.select()
+            yield from inline(self.env, self.selector.select_gen(), select_name)
             for key in self.selector.selected_keys():
                 attachment = key.attachment
                 if attachment is None:
@@ -606,7 +631,9 @@ class ReptorEndpoint:
     def _read_nio(self, connection: ReptorConnection):
         buffer = connection._read_buffer.clear()
         try:
-            n = yield connection.channel.read(buffer)
+            n = yield from inline(
+                self.env, connection.channel.read_gen(buffer), "nio.read"
+            )
         except Exception as exc:  # reset / hard close
             connection._fail(BftError(f"read failed: {exc}"))
             self._drop(connection)
@@ -631,8 +658,10 @@ class ReptorEndpoint:
         # this process yields past _deliver's synchronous feed, as
         # read_view's contract requires.
         try:
-            result = yield connection.channel.read_view(
-                connection._read_buffer.capacity
+            result = yield from inline(
+                self.env,
+                connection.channel.read_view_gen(connection._read_buffer.capacity),
+                "rubin.read",
             )
         except Exception as exc:
             if connection._supervised and not connection.closed:
@@ -714,7 +743,11 @@ class ReptorEndpoint:
                     staging.put(segment)
                 connection._partial = staging.flip()
             try:
-                n = yield connection.channel.write(connection._partial)
+                n = yield from inline(
+                    self.env,
+                    connection.channel.write_gen(connection._partial),
+                    "nio.write",
+                )
             except Exception as exc:
                 connection._fail(BftError(f"write failed: {exc}"))
                 self._drop(connection)
@@ -751,7 +784,11 @@ class ReptorEndpoint:
             staging.flip()
             batch = tuple(segments)
             try:
-                n = yield connection.channel.write(staging, trace_ctx=trace_ctx)
+                n = yield from inline(
+                    self.env,
+                    connection.channel.write_gen(staging, trace_ctx=trace_ctx),
+                    "rubin.write",
+                )
             except Exception as exc:
                 if connection._supervised and not connection.closed:
                     # Channel died between readiness and write: hold the

@@ -135,7 +135,7 @@ class RubinChannel:
         self._stall_since: Optional[float] = None
         self._stall_span = None
         self._unblock_watchers: List[Callable[[], None]] = []
-        #: Credits claimed by in-flight _write_proc instances that passed
+        #: Credits claimed by in-flight writes that passed
         #: the gate but have not reached post_send yet (the QP only
         #: debits at post time, and the posting path yields in between —
         #: without the reservation, concurrent writers would overcommit).
@@ -463,7 +463,7 @@ class RubinChannel:
     # ------------------------------------------------------------------
 
     def on_cq_event(self, cq: CompletionQueue):
-        """Drain ``cq`` after a notification; generator (selector yields).
+        """Drain ``cq``; generator (the selector and read/write yield from it).
 
         Charges the per-CQE reap cost and re-arms the notification."""
         cpu = self.host.cpu
@@ -477,10 +477,6 @@ class RubinChannel:
         if cq.channel is not None:
             cq.request_notify()
         self._notify()
-
-    def _drain_cq_direct(self, cq: CompletionQueue):
-        """Drain without a selector (used by read/write paths)."""
-        yield from self.on_cq_event(cq)
 
     def _handle_completion(self, wc) -> None:
         if not wc.ok:
@@ -519,8 +515,7 @@ class RubinChannel:
         buffer, the very copy the paper blames for large-message
         degradation.
         """
-        self.progress_marker += 1
-        return self.env.process(self._read_proc(buffer), name="rubin.read")
+        return self.env.process(self.read_gen(buffer), name="rubin.read")
 
     def read_view(self, max_bytes: int) -> "Event":
         """Zero-copy read: event value is a memoryview over the pool buffer.
@@ -533,14 +528,17 @@ class RubinChannel:
         may already be reposted to the RNIC, and a later arrival's DMA —
         always strictly later in simulated time — will overwrite it.
         """
+        return self.env.process(self.read_view_gen(max_bytes), name="rubin.read")
+
+    def read_gen(self, buffer: ByteBuffer):
+        """The body of :meth:`read`, for ``yield from inline(...)``."""
         self.progress_marker += 1
-        return self.env.process(self._read_view_proc(max_bytes), name="rubin.read")
+        return self._read_message(buffer, 0)
 
-    def _read_view_proc(self, max_bytes: int):
-        return (yield from self._read_message(None, max_bytes))
-
-    def _read_proc(self, buffer: ByteBuffer):
-        return (yield from self._read_message(buffer, 0))
+    def read_view_gen(self, max_bytes: int):
+        """The body of :meth:`read_view`, for ``yield from inline(...)``."""
+        self.progress_marker += 1
+        return self._read_message(None, max_bytes)
 
     def _read_message(self, buffer: Optional[ByteBuffer], max_bytes: int):
         """Shared body of :meth:`read` and :meth:`read_view`.
@@ -553,7 +551,7 @@ class RubinChannel:
         """
         if self.closed and not self._ready_messages and len(self.recv_cq) == 0:
             return None
-        yield from self._drain_cq_direct(self.recv_cq)
+        yield from self.on_cq_event(self.recv_cq)
         if not self._ready_messages:
             return None if self.closed else 0
         message = self._ready_messages[0]
@@ -624,12 +622,16 @@ class RubinChannel:
         ``trace_ctx`` optionally attributes the post path to a trace and
         rides on the work request through the transport.
         """
-        self.progress_marker += 1
         return self.env.process(
-            self._write_proc(buffer, trace_ctx), name="rubin.write"
+            self.write_gen(buffer, trace_ctx), name="rubin.write"
         )
 
-    def _write_proc(self, buffer: ByteBuffer, trace_ctx=None):
+    def write_gen(self, buffer: ByteBuffer, trace_ctx=None):
+        """The body of :meth:`write`, for ``yield from inline(...)``."""
+        self.progress_marker += 1
+        return self._write(buffer, trace_ctx)
+
+    def _write(self, buffer: ByteBuffer, trace_ctx):
         if self.closed:
             raise RubinError(f"{self}: channel is closed")
         if not self.established:
@@ -655,7 +657,7 @@ class RubinChannel:
         reserved = False
         try:
             # Reap finished sends first so slots/pool buffers recycle.
-            yield from self._drain_cq_direct(self.send_cq)
+            yield from self.on_cq_event(self.send_cq)
             if self.qp.send_queue_free < 1:
                 return 0
             if self.config.flow_control:

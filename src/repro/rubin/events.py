@@ -20,6 +20,7 @@ from collections import deque
 
 from repro.rdma.cm import CmEvent, ConnectionManager
 from repro.rdma.cq import CompletionChannel, CompletionQueue
+from repro.sim import Drive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Environment, Event
@@ -89,7 +90,7 @@ class EventManager:
         self.comp_channel = CompletionChannel(env)
         self._cq_owner: dict[int, Any] = {}
         self._running = True
-        env.process(self._completion_loop(), name="rubin.event_manager")
+        Drive(env, self._completion_loop(), name="rubin.event_manager")
 
     def watch_cm(self, cm: ConnectionManager, owner_id: Any) -> None:
         """Copy ``cm``'s events onto the hybrid queue, tagged ``owner_id``."""

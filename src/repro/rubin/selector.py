@@ -120,15 +120,18 @@ class RubinSelector:
 
     def select(self, timeout: Optional[float] = None) -> "Event":
         """Block until ≥1 registered channel is ready; value = ready count."""
-        self._check_open()
-        return self.env.process(self._select_proc(timeout), name="rubin.select")
+        return self.env.process(self.select_gen(timeout), name="rubin.select")
 
     def select_now(self) -> "Event":
         """Non-blocking readiness check."""
-        self._check_open()
-        return self.env.process(self._select_proc(0.0), name="rubin.selectNow")
+        return self.env.process(self.select_gen(0.0), name="rubin.selectNow")
 
-    def _select_proc(self, timeout: Optional[float]):
+    def select_gen(self, timeout: Optional[float] = None):
+        """The body of :meth:`select`, for ``yield from inline(...)``."""
+        self._check_open()
+        return self._select(timeout)
+
+    def _select(self, timeout: Optional[float]):
         cpu = self.host.cpu
         self._selected = []
         yield cpu.execute(self._select_overhead())

@@ -37,7 +37,7 @@ from repro.sim.monitor import (
     TimeSeries,
     UtilizationTracker,
 )
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import Drive, Process, ProcessGenerator, detach, inline
 from repro.sim.resources import Resource, ResourceRequest, Store, StoreGet, StorePut
 
 __all__ = [
@@ -56,7 +56,10 @@ __all__ = [
     "GridWait",
     "grid_wait",
     "Process",
+    "Drive",
     "ProcessGenerator",
+    "inline",
+    "detach",
     "Store",
     "StorePut",
     "StoreGet",

@@ -47,7 +47,8 @@ is empty, the zero-delay lane is empty and the far head is strictly later
 than ``now``.  Nothing can run, or take a sequence number, in between, so
 every other entry keeps its time and its rank.
 :class:`~repro.sim.resources.TimedHold` does this for its grant and its
-completion.
+completion, :func:`~repro.sim.process.inline` for the return of a callee
+that runs inside its caller.
 """
 
 from __future__ import annotations

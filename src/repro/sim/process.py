@@ -6,10 +6,17 @@ generator, sending in the event's value (or throwing its exception).  A
 process is itself an event that triggers when the generator finishes, so
 processes can wait for each other, be composed with ``AllOf``/``AnyOf`` and
 be interrupted.
+
+Not every generator needs one.  :class:`Drive` runs a loop nobody
+interrupts; :func:`inline` runs a callee inside the process that would
+have waited for it; :func:`detach` starts one whose process would have
+been thrown away.  Each dispatches what the :class:`Process` it stands
+for would have, at the same times in the same order.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -19,7 +26,7 @@ from repro.sim.events import PENDING, Event, Interrupt
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["Process", "Drive", "ProcessGenerator"]
+__all__ = ["Process", "Drive", "ProcessGenerator", "inline", "detach"]
 
 #: Type alias for the generators that implement process bodies.
 ProcessGenerator = Generator[Event, Any, Any]
@@ -198,17 +205,26 @@ class Drive(Event):
     * only yield fresh (pending, same-environment) events, and
     * let exceptions propagate (a raising generator surfaces through the
       kernel immediately instead of failing the process event).
+
+    ``name`` is what a Process's is: a label that leads with the owning
+    host, by which ``repro.explore`` groups the entries a drive waits on.
     """
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_generator", "name")
 
-    def __init__(self, env: "Environment", generator: ProcessGenerator):
+    def __init__(
+        self,
+        env: "Environment",
+        generator: ProcessGenerator,
+        name: Optional[str] = None,
+    ):
         self.env = env
         self.callbacks = []
         self._value = PENDING
         self._ok = True
         self._defused = False
         self._generator = generator
+        self.name = name
         env._urgent.append(self._advance)
 
     def _advance(self, event: Event = _START) -> None:
@@ -227,3 +243,99 @@ class Drive(Event):
             env._dq.append((env._now, 1, env._eid, self))
             return
         target.callbacks.append(self._advance)
+
+
+def inline(
+    env: "Environment", generator: ProcessGenerator, name: Optional[str] = None
+) -> ProcessGenerator:
+    """Run ``generator`` inside the calling process, on its schedule.
+
+    ``result = yield from inline(env, gen)`` stands for ``result = yield
+    env.process(gen)`` and dispatches every surviving agenda entry at the
+    same time and in the same order; what goes is the callee's
+    :class:`Process`, its start and — usually — its completion entry:
+
+    * *Start.*  A spawned callee starts after the starts queued ahead of
+      it.  With none queued its start is the next thing served, so its
+      first step runs here, at the call.  With one queued — or under a
+      :class:`~repro.sim.core.TieBreakPolicy`, where every start and
+      completion is a choice point the policy enumerates — the callee is
+      spawned as before (under ``name``).
+    * *Completion.*  A spawned callee's return (or exception) reaches the
+      caller through a zero-delay entry.  When that entry would be the
+      next one served (the adjacency rule in :mod:`repro.sim.core`) the
+      caller simply carries on; otherwise one bare entry takes its place
+      and the caller waits on it.
+
+    Exact only where both resumes are the private tail of their step:
+    every event the caller and the callee wait on has no other
+    subscriber (DESIGN §11, rule 5).  The caller must not be interrupted
+    while inside the call.
+    """
+    far = env._far
+    if (
+        env._urgent
+        or env._tiebreak is not None
+        # A delayed URGENT entry that fell due now is served ahead of
+        # the urgent lane, so ahead of the start as well.
+        or (far and far[0][1] == 0 and far[0][0] <= env._now)
+    ):
+        return (yield Process(env, generator, name))
+    failure = None
+    value = None
+    try:
+        value = yield from generator
+    except GeneratorExit:
+        # The caller is being closed while parked in the callee: there is
+        # no completion to deliver, and yielding here would be an error.
+        raise
+    except BaseException as exc:
+        failure = exc
+    if env._urgent or env._dq or (far and far[0][0] <= env._now):
+        # Not adjacent: the completion keeps its place on the agenda.
+        yield Event(env).succeed()
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            # The traceback holds this frame: do not hold it back.
+            failure = None
+    return value
+
+
+def _advance_detached(generator: ProcessGenerator, event: Event = _START) -> None:
+    """One step of a detached generator: ``Drive._advance`` with no event
+    to complete.  (A start, then each yielded event's callback — bound
+    with ``partial``, which unlike a closure over itself is no cycle.)"""
+    try:
+        if event._ok:
+            target = generator.send(event._value)
+        else:
+            event._defused = True
+            target = generator.throw(event._value)
+    except StopIteration:
+        return
+    target.callbacks.append(partial(_advance_detached, generator))
+
+
+def detach(
+    env: "Environment", generator: ProcessGenerator, name: Optional[str] = None
+) -> None:
+    """Start ``generator`` for a caller that would discard the process.
+
+    Stands for ``env.process(gen)`` with the result thrown away: the same
+    start in the same place on the urgent lane, the same resumes — and no
+    completion entry, which with no one able to subscribe ran no callback
+    (the second clause of DESIGN §11's invariant, exactly as
+    :meth:`Store.post <repro.sim.resources.Store.post>` stands for a
+    discarded ``put``).  The generator must meet :class:`Drive`'s
+    conditions; an exception it lets escape surfaces through the kernel.
+
+    Under a :class:`~repro.sim.core.TieBreakPolicy` that completion is a
+    tie the policy enumerates, so the generator is spawned as before
+    (under ``name``).
+    """
+    if env._tiebreak is not None:
+        Process(env, generator, name)
+    else:
+        env._urgent.append(partial(_advance_detached, generator))

@@ -309,9 +309,10 @@ class TcpConnection:
         admitted prefix is copied (into the kernel send queue), and the
         caller must keep the buffer unchanged until the event fires.
         """
-        return self.env.process(self._write_some_proc(data), name="tcp.write")
+        return self.env.process(self.write_some_gen(data), name="tcp.write")
 
-    def _write_some_proc(self, data):
+    def write_some_gen(self, data):
+        """The body of :meth:`write_some`, for ``yield from inline(...)``."""
         self._check_sendable()
         yield self.host.cpu.execute(self.host.cpu.costs.syscall)
         admitted = min(self.send_space, len(data))
@@ -369,11 +370,15 @@ class TcpConnection:
 
     def read_some(self, max_bytes: int) -> "Event":
         """Non-blocking read: value is bytes (``b""`` if none, ``None`` EOF)."""
+        return self.env.process(self.read_some_gen(max_bytes), name="tcp.read")
+
+    def read_some_gen(self, max_bytes: int):
+        """The body of :meth:`read_some`, for ``yield from inline(...)``."""
         if max_bytes < 1:
             raise TcpError(f"max_bytes must be >= 1 ({max_bytes})")
-        return self.env.process(self._read_some_proc(max_bytes), name="tcp.read")
+        return self._read_some(max_bytes)
 
-    def _read_some_proc(self, max_bytes: int):
+    def _read_some(self, max_bytes: int):
         if self._reset_error is not None:
             raise self._reset_error
         yield self.host.cpu.execute(self.host.cpu.costs.syscall)

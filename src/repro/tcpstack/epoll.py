@@ -117,10 +117,14 @@ class Epoll:
         seconds of nothing becoming ready.  Charges the epoll_wait syscall
         plus a wake-up context switch when it actually blocked.
         """
-        self._check_open()
-        return self.env.process(self._wait_proc(timeout), name="epoll.wait")
+        return self.env.process(self.wait_gen(timeout), name="epoll.wait")
 
-    def _wait_proc(self, timeout: float | None):
+    def wait_gen(self, timeout: float | None = None):
+        """The body of :meth:`wait`, for ``yield from inline(...)``."""
+        self._check_open()
+        return self._wait(timeout)
+
+    def _wait(self, timeout: float | None):
         cpu = self.host.cpu
         yield cpu.execute(cpu.costs.syscall)
         ready = self.poll()

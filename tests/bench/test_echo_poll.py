@@ -23,7 +23,7 @@ from repro.errors import ReproError
 from repro.nio import ByteBuffer
 from repro.rdma import ConnectionManager
 from repro.rubin import RubinChannel, RubinConfig, RubinServerChannel
-from repro.sim import GridWait
+from repro.sim import GridWait, inline
 from repro.sim.resources import TimedHold
 
 MESSAGES = 12
@@ -77,7 +77,7 @@ def _ticking_reader(channel, host, buffer, nbytes):
     got = 0
     blocked = False
     while got < nbytes:
-        n = yield channel.read(buffer)
+        n = yield from inline(env, channel.read_gen(buffer), "rubin.read")
         if n is None:
             raise ReproError("channel closed mid-message")
         if n == 0:
@@ -189,6 +189,19 @@ def _count_unfused_holds(monkeypatch):
     return tally
 
 
+def _count_reads(monkeypatch):
+    """Tally the reads started on any channel (spawned and inline alike)."""
+    tally = [0]
+    read_gen = RubinChannel.read_gen
+
+    def counting_read_gen(self, buffer):
+        tally[0] += 1
+        return read_gen(self, buffer)
+
+    monkeypatch.setattr(RubinChannel, "read_gen", counting_read_gen)
+    return tally
+
+
 @pytest.mark.parametrize(
     "payload_bytes", [64, 1024, 10 * 1024, 32 * 1024, 100 * 1024]
 )
@@ -196,11 +209,13 @@ def test_latencies_match_the_loop_that_reads_on_every_poll(
     monkeypatch, payload_bytes
 ):
     unfused = _count_unfused_holds(monkeypatch)
+    echo_reads = _count_reads(monkeypatch)
     counts = _Counts()
     expected, reference_events = _echo(
         payload_bytes, MESSAGES, _reading_reader(counts)
     )
     defeated_fusions, unfused[0] = unfused[0], 0
+    echo_reads[0] = 0
     ties = GridWait.ties
     result = rubin_channel_echo(payload_bytes, MESSAGES)
     defeated_fusions -= unfused[0]
@@ -216,14 +231,20 @@ def test_latencies_match_the_loop_that_reads_on_every_poll(
     # bit-exactly on the end of the other host's 2.5 us wake-up charge
     # (costs are round numbers: such ties do happen), and the idle read
     # behind it is still on the agenda when the next charge starts, so
-    # the reference is denied two fusions the echo gets.
+    # the reference is denied two fusions the echo gets.  And the echo's
+    # own reads run inline (``repro.sim.inline``): each returns with
+    # nothing else due, so the completion entry the reference's spawned
+    # read pushes goes too.  (A write's stays on both sides: its
+    # ``post_send`` wakes the SQ getter first.)
     assert counts.wake_entries > 0
     assert defeated_fusions == (2 if payload_bytes == 64 else 0)
+    assert echo_reads[0] == 4 * MESSAGES  # one that finds nothing, one that reads
     assert reference_events - result.sim_events == (
         counts.repeat_idle_reads
         + counts.skipped_ticks
         - counts.wake_entries
         + defeated_fusions
+        + echo_reads[0]
     )
 
 

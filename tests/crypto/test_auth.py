@@ -89,3 +89,24 @@ def test_verify_accepts_only_the_signed_message(message, key):
     mac = auth.sign(message)
     assert auth.verify(message, mac)
     assert not auth.verify(message + b"x", mac)
+
+
+@given(
+    key=st.binary(min_size=1, max_size=200),  # beyond sha256's 64-byte block too
+    parts=st.lists(st.binary(max_size=300), max_size=6),
+)
+def test_macs_are_plain_hmac_sha256_of_the_concatenation(key, parts):
+    """The authenticator keys its HMAC once and signs from copies of that
+    state; byte for byte that is ``hmac.new(key, message, sha256)``."""
+    import hashlib
+    import hmac
+
+    message = b"".join(parts)
+    expected = hmac.new(key, message, hashlib.sha256).digest()[:MAC_BYTES]
+    auth = HmacAuthenticator(key)
+    assert auth.sign_parts(parts) == expected
+    assert auth.sign(message) == expected
+    # The keyed state is never consumed: sign again, both ways round.
+    assert auth.sign_parts([message]) == expected
+    assert auth.sign(message + b"x") != expected
+    assert auth.verify_parts(parts, expected)

@@ -238,3 +238,45 @@ class TestFusionAndPolicies:
             assert (short.times, short.sizes) == (long.times, long.sizes)
             assert short.choices == long.choices
             assert trace == expected
+
+    def test_always_zero_policy_reproduces_a_policy_free_pbft_run(self):
+        """Under a policy every inlined or detached call on the request
+        path is the process it stands for (its start and completion are
+        ties the policy enumerates), without one none is: the same
+        requests commit at the same instants with the same replies
+        either way — the whole stack as the differential test of
+        ``repro.sim.inline`` / ``detach`` against the spawns."""
+        from repro.bft import BftCluster, BftConfig
+
+        def run(policy):
+            cluster = BftCluster(
+                transport="rubin",
+                config=BftConfig(batch_size=1, batch_delay=0.0),
+                num_clients=2,
+            )
+            env = cluster.env
+            if policy is not None:
+                env.set_tiebreak(policy)
+            cluster.start()
+            before = env._eid
+            done = []
+
+            def client_loop(env, client, tag):
+                for i in range(6):
+                    reply = yield client.invoke(b"PUT %s%d=v" % (tag, i))
+                    done.append((env.now, tag, i, reply))
+
+            loops = [
+                env.process(client_loop(env, client, tag))
+                for tag, client in zip((b"a", b"b"), cluster.clients.values())
+            ]
+            env.run(until=env.all_of(loops))
+            return done, cluster.state_digests(), env._eid - before
+
+        free, free_digests, free_events = run(None)
+        chosen, chosen_digests, chosen_events = run(TieBreakPolicy())
+        assert len(free) == 12
+        assert chosen == free
+        assert chosen_digests == free_digests
+        # Keyed starts, and the calls' own entries, are back.
+        assert chosen_events > free_events

@@ -9,39 +9,74 @@ it: a change that adds entries to the request path fails here and has
 to move the number on purpose.  (Before the
 agenda diet the three figures were 80 258, 90 032 and 24 534; the echo
 was 22 048 while its readers still ticked through their waits.)
+
+``Process`` objects are pinned beside them.  Every channel, selector and
+connection operation on the request path runs inside its caller
+(``repro.sim.inline``) or detached (``repro.sim.detach``), so a new
+spawn per request is a decision too.
 """
 
 import pytest
 
 from repro.bench.echo import run_echo
 from repro.bft import BftCluster, BftConfig
-from repro.sim import GridWait
+from repro.sim import GridWait, Process
 
 PUTS = 40
 #: Entries for 40 sequential unbatched PUTs on a wired 4-replica cluster.
-PBFT_EVENTS = {"rubin": 38_113, "nio": 41_883}
-#: Entries for the whole Fig-3 channel echo run: 26 to connect, then 148
-#: per echo — two messages of 18 + 7 per MTU frame, 8 frames here (the
+#: From the spawning tree's 38 113 / 41 883, site by site:
+#:
+#: * detached, -1 280 on both: 1 120 replica sends and 160 batch
+#:   executions no longer push a completion nobody could wait on;
+#: * inlined calls whose completion would have been served next: RUBIN
+#:   -2 806 (all 1 609 selects, all 1 158 reads, 39 of the client's 40
+#:   sends; each of the 1 160 writes keeps its entry, because its
+#:   ``post_send`` wakes the SQ getter first); NIO -3 923 (920 of 1 676
+#:   selects, 803 of 881 ``epoll.wait``, 1 080 of 1 158 channel reads and
+#:   as many ``tcp.read``, the 40 sends; no write, channel or TCP: its
+#:   ``_kick_tx`` wakes the transmit loop first);
+#: * hold grants that fuse now that no detached send's completion is
+#:   pending when the next charge starts: -200 / -160.
+PBFT_EVENTS = {"rubin": 33_827, "nio": 36_520}
+#: ``Process`` objects over the same run: the client's ``invoke`` per PUT,
+#: and on NIO one select that found a start queued ahead of it and was
+#: spawned after all.  (The spawning tree made 5 291 / 8 558.)
+PBFT_SPAWNS = {"rubin": 40, "nio": 41}
+#: Entries for the whole Fig-3 channel echo run: 26 to connect, then 144
+#: per echo — two messages of 16 + 7 per MTU frame, 8 frames here (the
 #: per-primitive table in DESIGN §11) — and a dozen amortized ones (a
 #: send CQE reaped every 8 sends, receive buffers re-posted every 16
 #: reads, each application buffer's first use, the QPs' retry timers).
-ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 3_000
+#: It was 3 000 while the echo's four reads per message were processes;
+#: its two writes keep their completion entry.
+ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 2_920
 
 
-def _pbft_events(transport):
+def _pbft_run(transport, monkeypatch):
+    """(agenda entries, ``Process`` objects) of the 40 PUTs."""
     cluster = BftCluster(
         transport=transport, config=BftConfig(batch_size=1, batch_delay=0.0)
     )
     cluster.start()
+    spawned = []
+    init = Process.__init__
+
+    def counting_init(self, env, generator, name=None):
+        init(self, env, generator, name)
+        spawned.append(self.name)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
     before = cluster.env._eid
     for i in range(PUTS):
         assert cluster.invoke_and_wait(b"PUT k%d=v%d" % (i, i)) == b"OK"
-    return cluster.env._eid - before
+    return cluster.env._eid - before, len(spawned)
 
 
 @pytest.mark.parametrize("transport", ["rubin", "nio"])
-def test_pbft_puts_take_exactly_this_many_entries(transport):
-    assert _pbft_events(transport) == PBFT_EVENTS[transport]
+def test_pbft_puts_take_exactly_this_many_entries(transport, monkeypatch):
+    events, spawns = _pbft_run(transport, monkeypatch)
+    assert events == PBFT_EVENTS[transport]
+    assert spawns == PBFT_SPAWNS[transport]
 
 
 def test_channel_echo_takes_exactly_this_many_entries():

@@ -11,7 +11,9 @@ from repro.sim import (
     Resource,
     Store,
     TieBreakPolicy,
+    detach,
     grid_wait,
+    inline,
 )
 from repro.sim.resources import TimedHold
 
@@ -836,3 +838,509 @@ class TestTimeoutAt:
         env.timeout(1.0).callbacks.append(lambda _e: seen.append(env.now))
         env.run()
         assert seen == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Calls that are not processes: inline() and detach()
+# ---------------------------------------------------------------------------
+#
+# ``yield from inline(env, gen)`` stands for ``yield env.process(gen)`` and
+# ``detach(env, gen)`` for an ``env.process(gen)`` whose event is dropped.
+# A random program — callers that mix both forms, callees that hold, sleep,
+# post, start things, call further callees, return or raise (also without
+# ever yielding), unwaited charges queued ahead of a call, small-integer
+# times so that ties are exact — must dispatch the identical (time, label)
+# trace whichever form each call takes, however the kernel is driven, and
+# under a policy that always answers 0.  Every event in these programs has
+# one subscriber: that is the condition the short forms are exact under
+# (DESIGN §11, rule 5).
+
+_CALLEE_STEP = st.one_of(
+    st.tuples(st.just("hold"), st.integers(0, 1), st.integers(1, 2).map(float)),
+    st.tuples(st.just("sleep"), st.integers(0, 2).map(float)),
+    st.tuples(st.just("post")),  # wakes a getter first, if one is blocked
+    st.tuples(st.just("charge")),  # an unwaited hold: a start left behind
+    st.tuples(st.just("spawn")),  # a start that leaves a mark
+    st.tuples(st.just("timer")),  # a zero-delay timer: a far entry due now
+)
+_CALLEE = st.recursive(
+    st.tuples(st.lists(_CALLEE_STEP, max_size=3), st.booleans()),
+    lambda inner: st.tuples(
+        st.lists(
+            st.one_of(
+                _CALLEE_STEP,
+                # A nested call: (callee, short form?).
+                st.tuples(st.just("call"), inner, st.booleans()),
+            ),
+            max_size=3,
+        ),
+        st.booleans(),  # raise at the end instead of returning
+    ),
+    max_leaves=4,
+)
+_CALLER_STEP = st.one_of(
+    st.tuples(st.just("call"), _CALLEE, st.booleans()),
+    st.tuples(st.just("fire"), _CALLEE, st.booleans()),
+    st.tuples(st.just("charge")),
+    st.tuples(st.just("spawn")),
+    st.tuples(st.just("get")),
+    st.tuples(st.just("sleep"), _TIMES),
+)
+_CALLERS = st.lists(
+    st.tuples(_TIMES, st.lists(_CALLER_STEP, min_size=1, max_size=4)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class _Oops(Exception):
+    pass
+
+
+def _run_calls(callers, short=True, drive="run", policy=None):
+    """Dispatch ``callers``; return ((time, label, what) trace, event ids).
+
+    ``short=False`` spells every call as the process it stands for.
+    """
+    env = Environment()
+    resources = [Resource(env, capacity=1), Resource(env, capacity=4)]
+    store = Store(env)
+    trace = []
+
+    def mark(label, what):
+        trace.append((env.now, label, what))
+
+    def spawned(label):
+        mark(label, "spawned")
+        return
+        yield
+
+    def callee(label, spec, may_raise=True):
+        steps, raises = spec
+        mark(label, "in")
+        for index, step in enumerate(steps):
+            at = f"{label}/{index}"
+            if step[0] == "hold":
+                yield TimedHold(resources[step[1]], step[2])
+            elif step[0] == "sleep":
+                yield env.timeout(step[1])
+            elif step[0] == "post":
+                store.post(at)
+            elif step[0] == "charge":
+                TimedHold(resources[1], 1.0, tracker=_Marks(env, trace, at))
+            elif step[0] == "spawn":
+                env.process(spawned(at))
+            elif step[0] == "timer":
+                env.timeout(0.0).callbacks.append(lambda _e, at=at: mark(at, "timer"))
+            else:
+                yield from call(at, step[1], step[2])
+            mark(at, "done")
+        if raises and may_raise:
+            raise _Oops(label)
+        return label
+
+    def call(label, spec, inlined):
+        try:
+            if inlined and short:
+                result = yield from inline(env, callee(label, spec))
+            else:
+                result = yield env.process(callee(label, spec))
+        except _Oops as exc:
+            result = f"raised {exc}"
+        mark(label, result)
+
+    def caller(env, name, delay, steps):
+        yield env.timeout(delay)
+        for index, step in enumerate(steps):
+            label = f"{name}.{index}"
+            if step[0] == "call":
+                yield from call(label, step[1], step[2])
+            elif step[0] == "fire":
+                # Nobody could catch what a forgotten callee raises.
+                body = callee(label, step[1], may_raise=False)
+                if step[2] and short:
+                    detach(env, body)
+                else:
+                    env.process(body)
+            elif step[0] == "charge":
+                TimedHold(resources[0], 1.0, tracker=_Marks(env, trace, label))
+            elif step[0] == "spawn":
+                env.process(spawned(label))
+            elif step[0] == "get":
+                got = store.get()
+                got.callbacks.append(lambda e, label=label: mark(label, e.value))
+            else:
+                yield env.timeout(step[1])
+            mark(label, "next")
+
+    for number, (delay, steps) in enumerate(callers):
+        env.process(caller(env, f"c{number}", delay, steps))
+    if policy is not None:
+        env.set_tiebreak(policy)
+    if drive == "step":
+        while env.peek() != float("inf"):
+            env.step()
+    else:
+        if drive == "until":
+            env.run(until=2.5)
+        env.run()
+    return trace, env._eid
+
+
+@settings(max_examples=200, deadline=None)
+@given(callers=_CALLERS)
+# A start queued ahead of an inlined call that returns at once.
+@example(callers=[(0.0, [("spawn",), ("call", ([], False), True)])])
+# A callee that raises without yielding, inside one that posts last.
+@example(
+    callers=[
+        (
+            1.0,
+            [
+                ("get",),
+                ("call", ([("call", ([], True), True), ("post",)], False), True),
+            ],
+        ),
+    ]
+)
+def test_inlined_and_detached_calls_dispatch_the_spawned_trace(callers):
+    expected, reference_events = _run_calls(callers, short=False)
+    for drive in ("run", "until", "step"):
+        trace, events = _run_calls(callers, drive=drive)
+        assert trace == expected
+        assert events <= reference_events
+    chosen, _ = _run_calls(callers, policy=TieBreakPolicy())
+    assert chosen == expected
+
+
+class TestInline:
+    """Directed cases: what a call costs alone, and what forces the long way.
+
+    Each negative is one clause of a test in ``inline`` — delete the
+    clause and the trace below changes.
+    """
+
+    @staticmethod
+    def _run(body, before_call=None, short=True, setup=None):
+        """One caller at t=1 calling ``body(env, trace)``; (trace, ids)."""
+        env = Environment()
+        trace = []
+
+        def caller(env):
+            yield env.timeout(1.0)
+            if before_call is not None:
+                before_call(env, trace)
+            if short:
+                result = yield from inline(env, body(env, trace))
+            else:
+                result = yield env.process(body(env, trace))
+            trace.append((env.now, "caller", result))
+
+        if setup is not None:
+            setup(env, trace)
+        env.process(caller(env))
+        env.run()
+        return trace, env._eid
+
+    def _both(self, body, **kwargs):
+        short, short_events = self._run(body, **kwargs)
+        spawned, spawned_events = self._run(body, short=False, **kwargs)
+        assert short == spawned
+        return short, spawned_events - short_events
+
+    def test_a_call_alone_costs_what_its_callee_waits_on(self):
+        def body(env, trace):
+            trace.append((env.now, "callee", "in"))
+            yield TimedHold(Resource(env), 1.0)
+            return "out"
+
+        trace, events = self._run(body)
+        # The caller's timer, the hold's timeout, the caller's own end.
+        assert events == 3
+        assert trace == [(1.0, "callee", "in"), (2.0, "caller", "out")]
+        assert self._both(body)[1] == 1  # the spawned callee's completion
+
+    def test_a_callee_that_never_yields_costs_nothing(self):
+        def body(env, trace):
+            return "out"
+            yield
+
+        assert self._both(body) == ([(1.0, "caller", "out")], 1)
+
+    def test_a_start_left_behind_goes_before_the_caller_carries_on(self):
+        def started(env, trace):
+            trace.append((env.now, "process", "started"))
+            return
+            yield
+
+        def body(env, trace):
+            yield env.timeout(1.0)
+            env.process(started(env, trace))
+            return "out"
+
+        trace, saved = self._both(body)
+        assert trace == [(2.0, "process", "started"), (2.0, "caller", "out")]
+        assert saved == 0  # the completion kept its entry
+
+    def test_a_zero_delay_entry_left_behind_goes_first(self):
+        def body(env, trace):
+            yield env.timeout(1.0)
+            env.event().succeed().callbacks.append(
+                lambda _e: trace.append((env.now, "event", "done"))
+            )
+            return "out"
+
+        trace, saved = self._both(body)
+        assert trace == [(2.0, "event", "done"), (2.0, "caller", "out")]
+        assert saved == 0
+
+    def test_a_far_entry_due_now_goes_first(self):
+        def body(env, trace):
+            yield env.timeout(1.0)
+            env.timeout(0.0).callbacks.append(
+                lambda _e: trace.append((env.now, "timer", "done"))
+            )
+            return "out"
+
+        trace, saved = self._both(body)
+        assert trace == [(2.0, "timer", "done"), (2.0, "caller", "out")]
+        assert saved == 0
+
+    def test_an_exception_waits_for_its_place_too(self):
+        def body(env, trace):
+            yield env.timeout(1.0)
+            env.event().succeed().callbacks.append(
+                lambda _e: trace.append((env.now, "event", "done"))
+            )
+            raise _Oops("late")
+
+        def run(short):
+            env = Environment()
+            trace = []
+
+            def caller(env):
+                try:
+                    if short:
+                        yield from inline(env, body(env, trace))
+                    else:
+                        yield env.process(body(env, trace))
+                except _Oops as exc:
+                    trace.append((env.now, "caught", str(exc)))
+
+            env.process(caller(env))
+            env.run()
+            return trace
+
+        assert run(True) == run(False) == [
+            (1.0, "event", "done"),
+            (1.0, "caught", "late"),
+        ]
+
+    def test_a_start_queued_ahead_of_the_call_goes_first(self):
+        def started(env, trace):
+            trace.append((env.now, "process", "started"))
+            return
+            yield
+
+        def spawn_first(env, trace):
+            env.process(started(env, trace))
+
+        def body(env, trace):
+            trace.append((env.now, "callee", "in"))
+            return "out"
+            yield
+
+        trace, saved = self._both(body, before_call=spawn_first)
+        assert trace[:2] == [(1.0, "process", "started"), (1.0, "callee", "in")]
+        assert saved == 0  # spawned after all
+
+    def test_a_delayed_urgent_entry_due_now_goes_first(self):
+        """The one keyed URGENT entry: ``schedule(delay > 0, URGENT)``.  Two
+        fall due together; the caller wakes on the first and calls while
+        the second is still the far head, ahead of any start."""
+
+        def run(short):
+            env = Environment()
+            trace = []
+            first, second = env.event(), env.event()
+            for event in (first, second):
+                event._value = None
+                env.schedule(event, delay=1.0, priority=env.URGENT)
+            second.callbacks.append(
+                lambda _e: trace.append((env.now, "urgent", "done"))
+            )
+
+            def body():
+                trace.append((env.now, "callee", "in"))
+                return "out"
+                yield
+
+            def caller(env):
+                yield first
+                if short:
+                    yield from inline(env, body())
+                else:
+                    yield env.process(body())
+
+            env.process(caller(env))
+            env.run()
+            return trace
+
+        assert run(True) == run(False) == [
+            (1.0, "urgent", "done"),
+            (1.0, "callee", "in"),
+        ]
+
+    def test_under_a_policy_it_is_the_spawn_it_stands_for(self):
+        """Starts and completions are ties a policy enumerates: the
+        explorer's event budgets and recorded choices count them."""
+        counts = []
+        for short in (True, False):
+            env = Environment()
+            env.set_tiebreak(TieBreakPolicy())
+
+            def body():
+                yield env.timeout(1.0)
+                return "out"
+
+            def caller(env):
+                if short:
+                    return (yield from inline(env, body(), "callee"))
+                return (yield env.process(body(), name="callee"))
+
+            assert env.run(until=env.process(caller(env))) == "out"
+            counts.append(env._eid)
+        # Two starts, the timeout, two completions.
+        assert counts == [5, 5]
+
+    def test_closing_a_caller_parked_in_its_callee_does_not_yield(self):
+        """``generator.close()`` — what garbage collection does to a
+        process that never finished — throws GeneratorExit through the
+        callee; answering it with the completion's ``yield`` would be
+        "generator ignored GeneratorExit"."""
+        env = Environment()
+        closed = []
+
+        def body():
+            try:
+                yield env.timeout(1.0)
+            finally:
+                # Not adjacent, so a return would wait on an entry.
+                env.event().succeed()
+                closed.append("callee")
+
+        def caller():
+            yield from inline(env, body())
+
+        parked = caller()
+        assert isinstance(parked.send(None), type(env.timeout(0)))
+        parked.close()
+        assert closed == ["callee"]
+
+    def test_nested_calls_unwind_one_entry_at_a_time(self):
+        def body(env, trace):
+            def inner():
+                yield env.timeout(1.0)
+                # Wakes nobody, but is pending when inner returns.
+                env.event().succeed()
+                return "deep"
+
+            result = yield from inline(env, inner())
+            trace.append((env.now, "middle", result))
+            return "out"
+
+        trace, saved = self._both(body)
+        assert trace == [(2.0, "middle", "deep"), (2.0, "caller", "out")]
+        # Inner's completion kept its entry (the event was pending); by
+        # the time the middle one returns, nothing is.
+        assert saved == 1
+
+
+class TestDetach:
+    def test_a_detached_generator_takes_no_entry_of_its_own(self):
+        for start, expected in ((detach, 1), (Environment.process, 2)):
+            env = Environment()
+            done = []
+
+            def body():
+                yield TimedHold(Resource(env), 1.0)
+                done.append(env.now)
+
+            start(env, body())
+            env.run()
+            # The hold's timeout — and the process's completion.
+            assert (done, env._eid) == ([1.0], expected)
+
+    def test_it_starts_where_the_process_would_have(self):
+        for start in (detach, Environment.process):
+            env = Environment()
+            order = []
+
+            def body(tag):
+                order.append(tag)
+                return
+                yield
+
+            env.process(body("before"))
+            start(env, body("detached"))
+            env.process(body("after"))
+            order.append("caller")
+            env.run()
+            assert order == ["caller", "before", "detached", "after"]
+
+    def test_a_failed_event_is_thrown_in(self):
+        env = Environment()
+        seen = []
+
+        def body():
+            try:
+                yield env.event().fail(_Oops("inside"))
+            except _Oops as exc:
+                seen.append(str(exc))
+
+        detach(env, body())
+        env.run()
+        assert seen == ["inside"]
+
+    def test_what_it_lets_escape_surfaces_through_the_kernel(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            raise _Oops("nobody is waiting")
+
+        detach(env, body())
+        with pytest.raises(_Oops):
+            env.run()
+
+    def test_its_start_takes_the_entry_a_policy_hands_it(self):
+        """Installing a policy turns pending starts into keyed entries,
+        and an entry's callback is called with its event."""
+        env = Environment()
+        done = []
+
+        def body():
+            done.append("started")
+            yield env.timeout(1.0)
+            done.append("finished")
+
+        detach(env, body())
+        env.set_tiebreak(TieBreakPolicy())
+        assert env._eid == 1  # the migrated start
+        env.run()
+        assert done == ["started", "finished"]
+
+    def test_under_a_policy_it_is_the_process_it_stands_for(self):
+        counts = []
+        for start in (detach, Environment.process):
+            env = Environment()
+            env.set_tiebreak(TieBreakPolicy())
+
+            def body():
+                yield env.timeout(1.0)
+
+            start(env, body())
+            env.run()
+            counts.append(env._eid)
+        # Start, timeout, completion: every one a tie the policy may see.
+        assert counts == [3, 3]
