@@ -23,7 +23,7 @@ import json
 import sys
 
 from repro.audit import AuditConfig, validate_postmortem
-from repro.bft import BftCluster, BftConfig, EquivocatingLeader
+from repro.bft import BftCluster, BftConfig, faults
 
 
 def run_honest():
@@ -47,14 +47,14 @@ def run_honest():
 def run_byzantine(dump_dir):
     print("== 2. equivocating leader ==")
     cluster = BftCluster(
-        replica_classes={"r0": EquivocatingLeader},
         config=BftConfig(
             view_change_timeout=60e-3, batch_delay=0.0, batch_size=1
         ),
         audit=AuditConfig(dump_dir=dump_dir),
     )
     cluster.start()
-    cluster.replica("r0").start_equivocating()
+    # Arming a Byzantine behaviour also tells the auditor to expect it.
+    faults.equivocate(cluster.replica("r0"))
     print("  r0 now sends forged pre-prepares to half the backups...")
     cluster.client(0).invoke(b"PUT a=1")
     cluster.run_for(0.3)

@@ -13,7 +13,7 @@ Run:  python examples/bft_cluster.py [--transport rubin|nio]
 
 import argparse
 
-from repro.bft import BftCluster, BftConfig, SilentReplica
+from repro.bft import BftCluster, BftConfig, faults
 
 
 def main() -> None:
@@ -24,7 +24,6 @@ def main() -> None:
     cluster = BftCluster(
         transport=args.transport,
         config=BftConfig(view_change_timeout=30e-3, batch_delay=50e-6),
-        replica_classes={"r0": SilentReplica},  # r0 will crash later
     )
     cluster.start()
     env = cluster.env
@@ -44,7 +43,7 @@ def main() -> None:
 
     # -- leader failure -------------------------------------------------------
     print("\ncrashing the leader (r0 goes silent)...")
-    cluster.replica("r0").go_silent()
+    faults.go_silent(cluster.replica("r0"))
     t0 = env.now
     result = cluster.invoke_and_wait(b"PUT dave=999")
     print(

@@ -24,7 +24,7 @@ gated benchmark points; DESIGN.md section 17 has the design details.
 
 import sys
 
-from repro.bft import BftCluster, BftConfig, CompromisedRkeyReplica
+from repro.bft import BftCluster, BftConfig, faults
 
 
 def make_cluster(guard=True, **kwargs):
@@ -51,10 +51,10 @@ def run_fast_path():
         assert cluster.invoke_and_wait(b"PUT k%d=v%d" % (i, i)) == b"OK"
     cluster.run_for(10e-3)
     writes = sum(
-        r.onesided_writes.value for r in cluster.replicas.values()
+        r.onesided.writes.value for r in cluster.replicas.values()
     )
     records = sum(
-        r.onesided_records.value for r in cluster.replicas.values()
+        r.onesided.records.value for r in cluster.replicas.values()
     )
     digests = set(cluster.state_digests().values())
     print(f"  one-sided WRITEs issued: {writes}")
@@ -62,7 +62,7 @@ def run_fast_path():
     print(f"  distinct state digests: {len(digests)} (must be 1)")
     assert len(digests) == 1 and writes > 0 and records > 0
     assert not cluster.audit.violations
-    grants = cluster.replicas["r1"].onesided_grants()
+    grants = cluster.replicas["r1"].onesided.grants()
     print(f"  r1's proposal ring admits exactly: {sorted(grants)}\n")
 
 
@@ -79,7 +79,7 @@ def run_view_change():
     views = {r.view for r in survivors.values()}
     print(f"  surviving views: {sorted(views)} (all moved to view 1)")
     for rid, replica in sorted(survivors.items()):
-        grants = sorted(replica.onesided_grants())
+        grants = sorted(replica.onesided.grants())
         print(f"  {rid}'s proposal ring now admits: {grants}")
         assert grants == ["r1"], "old leader's grant must be revoked"
     print()
@@ -98,13 +98,11 @@ def run_attack(guard):
     armed = "armed" if guard else "OFF"
     act = 3 if guard else 4
     print(f"== {act}. compromised rkey, guard {armed} ==")
-    cluster = make_cluster(
-        guard=guard, replica_classes={"r3": CompromisedRkeyReplica}
-    )
+    cluster = make_cluster(guard=guard)
     cluster.invoke_and_wait(b"PUT seed=1")
     print("  r3 replays captured rkeys to forge leader-attributed "
           "records...")
-    cluster.replica("r3").arm_compromise(0.0)
+    attack = faults.compromise_rkey(cluster.replica("r3"), 0.0)
     cluster.run_for(5e-3)
     assert cluster.invoke_and_wait(b"PUT still=committing") == b"OK"
 
@@ -118,6 +116,7 @@ def run_attack(guard):
     blast = {
         (dict(v.detail)["host"], dict(v.detail)["offset"]) for v in landed
     }
+    print(f"  forged records attempted: {attack.forged_attempts}")
     print(f"  forgeries denied at the NIC: {len(denials)}")
     print(f"  forgeries landed in victim memory: {len(landed)}")
     print(f"  blast radius (unique host/offset pairs): {len(blast)}")

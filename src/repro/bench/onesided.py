@@ -8,8 +8,8 @@ Two questions, one figure (the paper's Section III trade-off):
    (``mode="twosided"``); the delta is the fast path's win.
 
 2. **What does it cost in safety, and does the guard pay for itself?**
-   A :class:`~repro.bft.byzantine.CompromisedRkeyReplica` forges leader
-   proposals into its peers' rings mid-workload, once with the dynamic
+   A replica armed with :func:`~repro.bft.faults.compromise_rkey` forges
+   leader proposals into its peers' rings mid-workload, once with the dynamic
    permission guard armed (``mode="attack-guarded"``) and once with it
    off (``mode="attack-unguarded"``).  The *blast radius* — distinct
    (host, offset) pairs a forged write actually landed on — must be
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bft import BftCluster, BftConfig
-from repro.bft.byzantine import CompromisedRkeyReplica
+from repro.bft import BftCluster, BftConfig, faults
 from repro.errors import ReproError
 from repro.rubin import RubinConfig
 from repro.sim import SummaryStats
@@ -81,16 +80,14 @@ def run_onesided_point(
     """One mode of the one-sided figure; returns a JSON-ready point.
 
     A single client issues ``messages`` requests closed-loop with
-    ``request_gap`` between them; in the attack modes ``r3`` is a
-    :class:`CompromisedRkeyReplica` armed at ``attack_at`` so the
-    forgeries overlap the workload.
+    ``request_gap`` between them; in the attack modes ``r3`` forges
+    proposals with stolen rkeys from ``attack_at`` on, so the forgeries
+    overlap the workload.
     """
     if mode not in ONESIDED_MODES:
         raise ReproError(
             f"unknown onesided mode {mode!r} (have {ONESIDED_MODES})"
         )
-    attack = mode.startswith("attack-")
-    replica_classes = {"r3": CompromisedRkeyReplica} if attack else None
     cluster = BftCluster(
         transport="rubin",
         config=_config(mode),
@@ -102,7 +99,6 @@ def run_onesided_point(
             num_send_buffers=8,
             post_batch=4,
         ),
-        replica_classes=replica_classes,
         tracer=tracer,
     )
     cluster.start()
@@ -110,8 +106,9 @@ def run_onesided_point(
     if sampler is not None:
         sampler.bind(env, cluster.metrics_registry())
         sampler.start()
-    if attack:
-        cluster.replica("r3").arm_compromise(attack_at)
+    attack = None
+    if mode.startswith("attack-"):
+        attack = faults.compromise_rkey(cluster.replica("r3"), attack_at)
 
     payload = b"\x5a" * payload_bytes
     latencies_us: List[float] = []
@@ -156,15 +153,10 @@ def run_onesided_point(
             safety_rules.append(violation.rule)
 
     counters = {"writes": 0, "corrupted_slots": 0, "fallbacks": 0}
-    forged_attempts = 0
     for replica in cluster.replicas.values():
-        if hasattr(replica, "onesided_writes"):
-            counters["writes"] += replica.onesided_writes.value
-            counters["corrupted_slots"] += (
-                replica.onesided_corrupted_slots.value
-            )
-            counters["fallbacks"] += replica.onesided_fallbacks.value
-        forged_attempts += getattr(replica, "forged_attempts", 0)
+        if replica.onesided is not None:
+            for name in counters:
+                counters[name] += getattr(replica.onesided, name).value
 
     return {
         "mode": mode,
@@ -177,7 +169,7 @@ def run_onesided_point(
         "completed": len(latencies_us),
         "blast_radius": len(landed),
         "detections": detections,
-        "forged_attempts": forged_attempts,
+        "forged_attempts": 0 if attack is None else attack.forged_attempts,
         "safety_violations": sorted(set(safety_rules)),
         "onesided_writes": counters["writes"],
         "corrupted_slots": counters["corrupted_slots"],

@@ -45,8 +45,6 @@ def run_overload(
     admission_budget: int = 8,
     view_change_timeout: float = 200e-3,
     rubin_config: Optional[RubinConfig] = None,
-    default_replica_class: Optional[type] = None,
-    client_class: Optional[type] = None,
     tracer=None,
     sampler=None,
 ) -> Dict[str, Any]:
@@ -73,8 +71,6 @@ def run_overload(
         config=config,
         num_clients=num_clients,
         rubin_config=rubin_config,
-        default_replica_class=default_replica_class,
-        client_class=client_class,
         tracer=tracer,
     )
     cluster.start()

@@ -2,36 +2,19 @@
 
 Agreement (pre-prepare / prepare / commit with batching, checkpoints and
 view changes), execution of a pluggable deterministic state machine, a
-quorum-checking client, Byzantine/crash fault behaviours for testing, and
-a one-call cluster builder.  Runs over either the NIO/TCP or the
-RUBIN/RDMA transport — the comparison at the heart of the paper.
+quorum-checking client, Byzantine/crash fault behaviours for testing
+(:mod:`repro.bft.faults`), and a one-call cluster builder.  Runs over
+either the NIO/TCP or the RUBIN/RDMA transport — the comparison at the
+heart of the paper.
 """
 
-from repro.bft.byzantine import (
-    CompromisedRkeyReplica,
-    CorruptingReplica,
-    EquivocatingLeader,
-    EquivocatingNewViewLeader,
-    EquivocatingViewChangeReplica,
-    PermissionRaceReplica,
-    RogueOverwriteReplica,
-    SilentReplica,
-    StallingViewChangeLeader,
-)
+from repro.bft import faults
 from repro.bft.client import BftClient
 from repro.bft.cluster import REPLICA_PORT, BftCluster
 from repro.bft.config import BftConfig
-from repro.bft.cop import (
-    AdaptiveBatcher,
-    CopClient,
-    CopGroupEquivocator,
-    CopReplica,
-    GroupPipeline,
-    MergeStage,
-    make_partitioner,
-)
+from repro.bft.cop import AdaptiveBatcher, MergeStage, make_partitioner
 from repro.bft.log import MessageLog, Slot
-from repro.bft.onesided import OneSidedLink, OneSidedReplica, wire_onesided
+from repro.bft.onesided import OneSidedLink, OneSidedPath, wire_onesided
 from repro.bft.messages import (
     Checkpoint,
     Commit,
@@ -54,31 +37,19 @@ __all__ = [
     "BftCluster",
     "BftClient",
     "BftConfig",
-    "CopClient",
-    "CopGroupEquivocator",
-    "CopReplica",
-    "GroupPipeline",
     "MergeStage",
     "make_partitioner",
     "Replica",
-    "OneSidedReplica",
+    "OneSidedPath",
     "OneSidedLink",
     "wire_onesided",
     "batch_digest",
+    "faults",
     "MessageLog",
     "Slot",
     "StateMachine",
     "KeyValueStore",
     "CounterMachine",
-    "SilentReplica",
-    "EquivocatingLeader",
-    "CorruptingReplica",
-    "StallingViewChangeLeader",
-    "EquivocatingViewChangeReplica",
-    "EquivocatingNewViewLeader",
-    "CompromisedRkeyReplica",
-    "RogueOverwriteReplica",
-    "PermissionRaceReplica",
     "Request",
     "Reply",
     "PrePrepare",

@@ -5,6 +5,10 @@ replicas sent matching replies (at least one of them is honest).  Follows
 PBFT's client protocol: send to the suspected leader first; on timeout,
 retransmit to *all* replicas, which forward to the leader and — if the
 leader is faulty — eventually trigger a view change.
+
+Under COP (``group_count > 1``) the client derives each request's group
+with the partitioner the replicas use and addresses that *group's*
+suspected leader first; replies teach it per-group views.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.bft.cop.partition import make_partitioner
 from repro.bft.messages import Busy, Reply, Request, decode, encode
 from repro.errors import BftError
 from repro.reptor import ReptorConnection, ReptorEndpoint
@@ -36,6 +41,8 @@ class BftClient:
         f: int,
         retry_timeout: float = 20e-3,
         backoff_policy: Optional[SupervisorPolicy] = None,
+        group_count: int = 1,
+        partitioner: str = "hash",
     ):
         if f < 0:
             raise BftError("f must be >= 0")
@@ -50,6 +57,11 @@ class BftClient:
         self._reply_votes: Dict[int, Dict[bytes, set]] = {}
         self._accepted: Dict[int, "Event"] = {}
         self._view_hint = 0
+        # COP: the replicas' partitioner and per-group views (G > 1 only).
+        self._partitioner = None
+        self._group_views: Dict[int, int] = {}
+        if group_count > 1:
+            self._partitioner = make_partitioner(partitioner, group_count)
         # Overload handling: the supervisor's backoff policy doubles as
         # the client retry policy (same jittered exponential shape, same
         # seeded determinism).  The per-client seed string desynchronises
@@ -111,12 +123,14 @@ class BftClient:
     # -- invocation ---------------------------------------------------------
 
     def _leader_hint(self, timestamp: int) -> str:
-        """Replica addressed first for a request stamped ``timestamp``.
-
-        The suspected leader of the view we last heard about; the COP
-        client overrides this with the partition-aware per-group hint.
-        """
-        return self.replica_ids[self._view_hint % len(self.replica_ids)]
+        """Replica addressed first for a request stamped ``timestamp``:
+        the suspected leader of the view we last heard about (under COP,
+        of the request's group)."""
+        if self._partitioner is None:
+            return self.replica_ids[self._view_hint % len(self.replica_ids)]
+        group = self._partitioner.group_of(self.client_id, timestamp)
+        view = self._group_views.get(group, 0)
+        return self.replica_ids[(view + group) % len(self.replica_ids)]
 
     def invoke(self, operation: bytes) -> "Event":
         """Submit ``operation``; event value is the accepted result."""
@@ -222,6 +236,11 @@ class BftClient:
     def _on_reply(self, reply: Reply) -> None:
         if reply.client_id != self.client_id:
             return
+        if self._partitioner is not None:
+            group = self._partitioner.group_of(self.client_id, reply.timestamp)
+            self._group_views[group] = max(
+                self._group_views.get(group, 0), reply.view
+            )
         votes = self._reply_votes.get(reply.timestamp)
         accepted = self._accepted.get(reply.timestamp)
         if votes is None or accepted is None or accepted.triggered:

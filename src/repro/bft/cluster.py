@@ -8,7 +8,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.audit import (
     NULL_AUDIT,
@@ -19,7 +19,7 @@ from repro.audit import (
 )
 from repro.bft.client import BftClient
 from repro.bft.config import BftConfig
-from repro.bft.cop import CopClient, CopReplica
+from repro.bft.onesided import wire_onesided
 from repro.bft.replica import Replica
 from repro.bft.statemachine import KeyValueStore, StateMachine
 from repro.crypto import KeyStore
@@ -37,6 +37,9 @@ __all__ = ["BftCluster"]
 #: Port replicas listen on for peers and clients.
 REPLICA_PORT = 6000
 
+#: Counters of :class:`~repro.bft.onesided.OneSidedPath` in the registry.
+ONESIDED_COUNTERS = ("writes", "records", "corrupted_slots", "fallbacks")
+
 
 class BftCluster:
     """A complete simulated BFT deployment."""
@@ -48,9 +51,6 @@ class BftCluster:
         reptor_config: Optional[ReptorConfig] = None,
         rubin_config: Optional[RubinConfig] = None,
         app_factory: Callable[[], StateMachine] = KeyValueStore,
-        replica_classes: Optional[Dict[str, Type[Replica]]] = None,
-        default_replica_class: Optional[Type[Replica]] = None,
-        client_class: Optional[Type[BftClient]] = None,
         num_clients: int = 1,
         bandwidth_bps: float = TEN_GIGABIT,
         propagation_delay: float = 1.5e-6,
@@ -109,36 +109,10 @@ class BftCluster:
             TcpStack(host)
             RdmaDevice(host)
 
-        replica_classes = replica_classes or {}
-        # COP deployments default to the multi-group replica and the
-        # partition-aware client; at group_count == 1 the plain classes
-        # keep historical schedules bit-identical.
-        if default_replica_class is None:
-            if self.config.onesided:
-                from repro.bft.onesided import OneSidedReplica
-
-                default_replica_class = OneSidedReplica
-            else:
-                default_replica_class = (
-                    Replica if self.config.group_count == 1 else CopReplica
-                )
-        self.default_replica_class = default_replica_class
-        if client_class is None:
-            client_class = (
-                BftClient if self.config.group_count == 1 else CopClient
-            )
-        self.client_class = client_class
         if self.audit.enabled:
             self.audit.bft.configure(
                 self.config.f, group_count=self.config.group_count
             )
-            if getattr(default_replica_class, "BYZANTINE", False) or any(
-                getattr(cls, "BYZANTINE", False)
-                for cls in replica_classes.values()
-            ):
-                # Deliberately faulty members are *supposed* to trip the
-                # auditors; the conformance fixture must not fail the test.
-                self.audit.expect_violations = True
         self.replicas: Dict[str, Replica] = {}
         self.apps: Dict[str, StateMachine] = {}
         self._crashed: set = set()
@@ -154,8 +128,7 @@ class BftCluster:
             endpoint.listen(REPLICA_PORT)
             app = app_factory()
             self.apps[replica_id] = app
-            cls = replica_classes.get(replica_id, self.default_replica_class)
-            self.replicas[replica_id] = cls(
+            self.replicas[replica_id] = Replica(
                 replica_id,
                 endpoint,
                 list(self.replica_ids),
@@ -173,22 +146,14 @@ class BftCluster:
                 keystore=self.keystore,
                 rubin_config=self.rubin_config,
             )
-            if issubclass(self.client_class, CopClient):
-                self.clients[client_id] = self.client_class(
-                    client_id,
-                    endpoint,
-                    list(self.replica_ids),
-                    f=self.config.f,
-                    group_count=self.config.group_count,
-                    partitioner=self.config.partitioner,
-                )
-            else:
-                self.clients[client_id] = self.client_class(
-                    client_id,
-                    endpoint,
-                    list(self.replica_ids),
-                    f=self.config.f,
-                )
+            self.clients[client_id] = BftClient(
+                client_id,
+                endpoint,
+                list(self.replica_ids),
+                f=self.config.f,
+                group_count=self.config.group_count,
+                partitioner=self.config.partitioner,
+            )
         self._started = False
 
     # -- startup ---------------------------------------------------------
@@ -220,8 +185,6 @@ class BftCluster:
                 raise BftError("cluster wiring did not finish in time")
             self.env.step()
         if self.config.onesided:
-            from repro.bft.onesided import wire_onesided
-
             wire_onesided(self)
         if self.watchdog is not None:
             self.watchdog.start()
@@ -291,7 +254,7 @@ class BftCluster:
         endpoint.listen(REPLICA_PORT)
         app = self.app_factory()
         self.apps[replica_id] = app
-        replica = self.default_replica_class(
+        replica = Replica(
             replica_id,
             endpoint,
             list(self.replica_ids),
@@ -381,8 +344,13 @@ class BftCluster:
             registry.register_many(
                 f"replica.{replica_id}",
                 {
-                    "committed": lambda r=replica: r.committed_count,
-                    "view_changes": lambda r=replica: r.view_changes_completed,
+                    # Summed over the replica's consensus groups (COP).
+                    "committed": lambda r=replica: sum(
+                        p.committed_count for p in r.group_pipelines()
+                    ),
+                    "view_changes": lambda r=replica: sum(
+                        p.view_changes_completed for p in r.group_pipelines()
+                    ),
                     "state_transfers": (
                         lambda r=replica: r.state_transfers_completed
                     ),
@@ -392,14 +360,12 @@ class BftCluster:
                     "rejoin_latency": replica.rejoin_latency,
                 },
             )
-            if hasattr(replica, "onesided_writes"):
+            if replica.onesided is not None:
                 registry.register_many(
                     f"replica.{replica_id}.onesided",
                     {
-                        "writes": replica.onesided_writes,
-                        "records": replica.onesided_records,
-                        "corrupted_slots": replica.onesided_corrupted_slots,
-                        "fallbacks": replica.onesided_fallbacks,
+                        name: getattr(replica.onesided, name)
+                        for name in ONESIDED_COUNTERS
                     },
                 )
             endpoint_metrics = {
@@ -440,30 +406,23 @@ class BftCluster:
         # Per-consensus-group aggregates (COP): committed batches, view
         # changes and the per-group ordering frontier, summed/maxed over
         # the replicas currently hosting that group's pipeline.
+        def pipelines(group: int) -> List[Replica]:
+            return [
+                r.group_pipelines()[group] for r in self.replicas.values()
+            ]
+
         for group in range(self.config.group_count):
             registry.register_many(
                 f"bft.group.{group}",
                 {
                     "committed": lambda g=group: sum(
-                        p.committed_count
-                        for r in self.replicas.values()
-                        for p in r.group_pipelines()
-                        if p.group == g
+                        p.committed_count for p in pipelines(g)
                     ),
                     "view_changes": lambda g=group: sum(
-                        p.view_changes_completed
-                        for r in self.replicas.values()
-                        for p in r.group_pipelines()
-                        if p.group == g
+                        p.view_changes_completed for p in pipelines(g)
                     ),
                     "executed_seq": lambda g=group: max(
-                        (
-                            p.executed_seq
-                            for r in self.replicas.values()
-                            for p in r.group_pipelines()
-                            if p.group == g
-                        ),
-                        default=0,
+                        (p.executed_seq for p in pipelines(g)), default=0
                     ),
                 },
             )
@@ -473,26 +432,11 @@ class BftCluster:
             registry.register_many(
                 "bft.onesided",
                 {
-                    "writes": lambda: sum(
-                        r.onesided_writes.value
+                    name: lambda name=name: sum(
+                        getattr(r.onesided, name).value
                         for r in self.replicas.values()
-                        if hasattr(r, "onesided_writes")
-                    ),
-                    "records": lambda: sum(
-                        r.onesided_records.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_records")
-                    ),
-                    "corrupted_slots": lambda: sum(
-                        r.onesided_corrupted_slots.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_corrupted_slots")
-                    ),
-                    "fallbacks": lambda: sum(
-                        r.onesided_fallbacks.value
-                        for r in self.replicas.values()
-                        if hasattr(r, "onesided_fallbacks")
-                    ),
+                    )
+                    for name in ONESIDED_COUNTERS
                 },
             )
         for client_id, client in sorted(self.clients.items()):

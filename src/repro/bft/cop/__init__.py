@@ -2,34 +2,25 @@
 
 The source paper integrates RUBIN into Reptor, whose defining trait is
 COP: many consensus instances pipelined in parallel across *consensus
-groups* (PAPER.md §1.5).  This package shards the sequence space by
-group, runs one independent PBFT ordering pipeline per group, and
-deterministically merges the committed per-group entries back into a
-single total execution order:
+groups* (PAPER.md §1.5).  :class:`~repro.bft.replica.Replica` runs one
+independent PBFT ordering pipeline per group when
+``BftConfig.group_count > 1`` and merges the committed per-group entries
+back into a single total execution order; this package holds its pure
+building blocks:
 
 - :mod:`repro.bft.cop.merge` — the deterministic round-robin merge
   stage with gap-aware stalls;
 - :mod:`repro.bft.cop.partition` — pluggable client-request
   partitioners (deterministic hash on the request id by default);
 - :mod:`repro.bft.cop.batcher` — the adaptive per-group batcher fed by
-  the PR 5 admission/queue-depth and outbox-watermark signals;
-- :mod:`repro.bft.cop.group` — ``CopReplica`` / ``GroupPipeline`` /
-  ``CopClient``, multiplexing per-group protocol traffic over the
-  existing RUBIN channels.
+  the admission/queue-depth and outbox-watermark signals.
 
-``group_count=1`` is the exact degenerate case: a ``CopReplica`` with a
-single group schedules bit-identically to the sequential pipeline (the
-fingerprint tests pin this).
+``group_count=1`` is the exact degenerate case: the replica builds none
+of the multi-group machinery and schedules bit-identically to the
+sequential pipeline (the fingerprint tests pin this).
 """
 
 from repro.bft.cop.batcher import AdaptiveBatcher
-from repro.bft.cop.group import (
-    CopClient,
-    CopGroupEquivocator,
-    CopReplica,
-    GroupConnection,
-    GroupPipeline,
-)
 from repro.bft.cop.merge import MergeStage
 from repro.bft.cop.partition import (
     PARTITIONERS,
@@ -41,11 +32,6 @@ from repro.bft.cop.partition import (
 __all__ = [
     "AdaptiveBatcher",
     "ClientAffinityPartitioner",
-    "CopClient",
-    "CopGroupEquivocator",
-    "CopReplica",
-    "GroupConnection",
-    "GroupPipeline",
     "HashPartitioner",
     "MergeStage",
     "PARTITIONERS",

@@ -20,9 +20,15 @@ of that trade-off:
   epochs fencing the deposed leader's in-flight WRs — and each ack lane
   admits only its owner.  With the guard off, the region accepts any
   write that quotes the rkey: the paper's security concern, which the
-  memory-corruption fault family in :mod:`repro.bft.byzantine` exploits
-  and ``python -m repro.bench --fig onesided`` quantifies as blast
-  radius.
+  memory-corruption faults in :mod:`repro.bft.faults` exploit and
+  ``python -m repro.bench --fig onesided`` quantifies as blast radius.
+
+The fast path is a *transport* for the unchanged protocol, not a
+different replica: :class:`OneSidedPath` is a component the
+:class:`~repro.bft.replica.Replica` builds when ``BftConfig.onesided`` is
+set.  The replica's broadcast offers it every outgoing message (it takes
+the agreement messages), and its view-change steps call it to switch
+the ring grants.
 
 Record framing
 --------------
@@ -58,8 +64,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.audit import get_audit
 from repro.bft.config import BftConfig
-from repro.bft.messages import Commit, PrePrepare, Prepare, decode, encode
-from repro.bft.replica import Replica
+from repro.bft.messages import Commit, PrePrepare, Prepare, decode
 from repro.errors import BftError, RdmaError
 from repro.rdma import (
     Access,
@@ -75,10 +80,12 @@ from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bft.cluster import BftCluster
+    from repro.bft.replica import Replica
 
 __all__ = [
     "MAGIC",
-    "OneSidedReplica",
+    "OneSidedLink",
+    "OneSidedPath",
     "pack_record",
     "proposal_slot_count",
     "lane_slot_count",
@@ -184,7 +191,7 @@ class OneSidedLink:
 
     def __init__(
         self,
-        owner: "OneSidedReplica",
+        owner: "OneSidedPath",
         target: str,
         qp: QueuePair,
         staging: MemoryRegion,
@@ -213,7 +220,7 @@ class OneSidedLink:
     def _on_qp_error(self, _qp) -> None:
         if not self.dead:
             self.dead = True
-            self.owner._os_link_down(self.target)
+            self.owner.link_down(self.target)
 
     def drain(self) -> None:
         """Reap send completions; a failed WRITE kills the link."""
@@ -225,7 +232,7 @@ class OneSidedLink:
                 self._inflight -= 1
                 if not wc.ok and not self.dead:
                     self.dead = True
-                    self.owner._os_link_down(self.target)
+                    self.owner.link_down(self.target)
 
     def write_raw(self, rkey: int, offset: int, record: bytes) -> bool:
         """Post one record as a single RDMA WRITE (non-blocking)."""
@@ -251,10 +258,10 @@ class OneSidedLink:
         except RdmaError:
             if not self.dead:
                 self.dead = True
-                self.owner._os_link_down(self.target)
+                self.owner.link_down(self.target)
             return False
         self._inflight += 1
-        self.owner.onesided_writes.increment()
+        self.owner.writes.increment()
         return True
 
     def write_proposal(self, seq: int, record: bytes) -> bool:
@@ -294,11 +301,11 @@ class _ProposalReader:
 
     region = "proposal"
 
-    def __init__(self, replica: "OneSidedReplica", mr: MemoryRegion):
-        self.replica = replica
+    def __init__(self, path: "OneSidedPath", mr: MemoryRegion):
+        self.path = path
         self.mr = mr
-        self.slot_bytes = replica.config.onesided_slot_bytes
-        self.slots = proposal_slot_count(replica.config)
+        self.slot_bytes = path.replica.config.onesided_slot_bytes
+        self.slots = proposal_slot_count(path.replica.config)
         self.consumed = [0] * self.slots
         self.shadow: List[bytes] = [b""] * self.slots
         self.poisoned = [False] * self.slots
@@ -356,13 +363,11 @@ class _ProposalReader:
             return
         self.consumed[slot] = index
         self.shadow[slot] = bytes(view[: _record_len(view)])
-        self.replica._os_deliver(
-            message, self.replica.leader_of(message.view)
-        )
+        self.path.deliver(message, self.path.replica.leader_of(message.view))
 
     def _corrupt(self, slot: int, kind: str) -> None:
         self.poisoned[slot] = True
-        self.replica._os_corruption(self.region, slot, kind, writer=None)
+        self.path.corruption(self.region, slot, kind, writer=None)
 
 
 class _LaneReader:
@@ -375,14 +380,12 @@ class _LaneReader:
 
     region = "lane"
 
-    def __init__(
-        self, replica: "OneSidedReplica", owner_id: str, mr: MemoryRegion
-    ):
-        self.replica = replica
+    def __init__(self, path: "OneSidedPath", owner_id: str, mr: MemoryRegion):
+        self.path = path
         self.owner_id = owner_id
         self.mr = mr
-        self.slot_bytes = replica.config.onesided_slot_bytes
-        self.slots = lane_slot_count(replica.config)
+        self.slot_bytes = path.replica.config.onesided_slot_bytes
+        self.slots = lane_slot_count(path.replica.config)
         self.next_index = 1
         self.shadow: List[bytes] = [b""] * self.slots
         self.poisoned = [False] * self.slots
@@ -424,7 +427,7 @@ class _LaneReader:
                 # The writer lapped the poller: records were overwritten
                 # before consumption.  Not Byzantine — but this lane can
                 # no longer be trusted for gap-free delivery.
-                self.replica._os_fallback("lane-overrun")
+                self.path.fallback("lane-overrun")
                 self.next_index = index
                 continue
             record = unpack_record(view)
@@ -444,137 +447,121 @@ class _LaneReader:
                 return
             self.shadow[slot] = bytes(view[: _record_len(view)])
             self.next_index += 1
-            self.replica._os_deliver(message, self.owner_id)
+            self.path.deliver(message, self.owner_id)
 
     def _corrupt(self, slot: int, kind: str) -> None:
         self.poisoned[slot] = True
-        self.replica._os_corruption(
-            self.region, slot, kind, writer=self.owner_id
-        )
+        self.path.corruption(self.region, slot, kind, writer=self.owner_id)
 
 
 # ----------------------------------------------------------------------
-# the replica
+# the component
 # ----------------------------------------------------------------------
 
 
-class OneSidedReplica(Replica):
-    """PBFT replica whose agreement messages ride one-sided RDMA WRITEs.
+class OneSidedPath:
+    """A replica's one-sided proposal transport.
 
     Pre-prepare, prepare and commit divert to the peers' inbound regions
     while the fast path is up; view changes, checkpoints, state transfer
     and client traffic always use the message-passing stack (they are
     rare, large, or need connection semantics).  Any per-peer link death
     falls that peer back to messages; detected memory corruption turns
-    the whole outbound fast path off (``onesided_fallbacks`` counts
-    both).  The replica keeps committing either way — the fast path is
-    an optimization, never a safety dependency.
+    the whole outbound fast path off (``fallbacks`` counts both).  The
+    replica keeps committing either way — the fast path is an
+    optimization, never a safety dependency.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        rid = self.replica_id
-        self.onesided_writes = Counter(f"{rid}.onesided_writes")
-        self.onesided_records = Counter(f"{rid}.onesided_records")
-        self.onesided_corrupted_slots = Counter(f"{rid}.onesided_corrupted")
-        self.onesided_fallbacks = Counter(f"{rid}.onesided_fallbacks")
-        self._os_links: Dict[str, OneSidedLink] = {}
-        self._os_proposal_mr: Optional[MemoryRegion] = None
-        self._os_lane_mrs: Dict[str, MemoryRegion] = {}
-        self._os_proposal_reader: Optional[_ProposalReader] = None
-        self._os_lane_readers: Dict[str, _LaneReader] = {}
-        self._os_pd = None
-        self._os_outbound = False
+    def __init__(self, replica: "Replica"):
+        self.replica = replica
+        rid = replica.replica_id
+        self.writes = Counter(f"{rid}.onesided_writes")
+        self.records = Counter(f"{rid}.onesided_records")
+        self.corrupted_slots = Counter(f"{rid}.onesided_corrupted")
+        self.fallbacks = Counter(f"{rid}.onesided_fallbacks")
+        #: Outbound WRITE channel per peer (set by :func:`wire_onesided`).
+        self.links: Dict[str, OneSidedLink] = {}
+        self.pd = None
+        self.proposal_mr: Optional[MemoryRegion] = None
+        self.lane_mrs: Dict[str, MemoryRegion] = {}
+        self._proposal_reader: Optional[_ProposalReader] = None
+        self._lane_readers: Dict[str, _LaneReader] = {}
+        self._outbound = False
 
-    def onesided_grants(self) -> Tuple[str, ...]:
+    def grants(self) -> Tuple[str, ...]:
         """Peers currently granted write access to the proposal ring."""
-        if self._os_proposal_mr is None:
+        if self.proposal_mr is None:
             return ()
-        return tuple(sorted(self._os_proposal_mr.grants()))
+        return tuple(sorted(self.proposal_mr.grants()))
 
     # -- region setup (called by wire_onesided) -------------------------
 
-    def _os_setup_regions(self) -> None:
+    def setup_regions(self) -> None:
         """Register this replica's inbound proposal ring and ack lanes."""
-        device = self.endpoint.host.stack("rdma")
-        self._os_pd = device.alloc_pd()
-        slot_bytes = self.config.onesided_slot_bytes
+        replica = self.replica
+        config = replica.config
+        device = replica.endpoint.host.stack("rdma")
+        self.pd = device.alloc_pd()
+        slot_bytes = config.onesided_slot_bytes
         access = Access.LOCAL_WRITE | Access.REMOTE_WRITE
-        self._os_proposal_mr = device.reg_mr(
-            self._os_pd,
-            alloc_registered(proposal_slot_count(self.config) * slot_bytes),
+        self.proposal_mr = device.reg_mr(
+            self.pd,
+            alloc_registered(proposal_slot_count(config) * slot_bytes),
             access,
         )
-        self._os_proposal_reader = _ProposalReader(
-            self, self._os_proposal_mr
-        )
-        for peer_id in self.all_ids:
-            if peer_id == self.replica_id:
+        self._proposal_reader = _ProposalReader(self, self.proposal_mr)
+        for peer_id in replica.all_ids:
+            if peer_id == replica.replica_id:
                 continue
             mr = device.reg_mr(
-                self._os_pd,
-                alloc_registered(lane_slot_count(self.config) * slot_bytes),
+                self.pd,
+                alloc_registered(lane_slot_count(config) * slot_bytes),
                 access,
             )
-            self._os_lane_mrs[peer_id] = mr
-            self._os_lane_readers[peer_id] = _LaneReader(self, peer_id, mr)
-        if self.config.onesided_guard:
-            leader = self.leader_of(self.view)
-            self._os_proposal_mr.grant(leader, Access.REMOTE_WRITE)
-            for peer_id, mr in self._os_lane_mrs.items():
+            self.lane_mrs[peer_id] = mr
+            self._lane_readers[peer_id] = _LaneReader(self, peer_id, mr)
+        if config.onesided_guard:
+            leader = replica.leader_of(replica.view)
+            self.proposal_mr.grant(leader, Access.REMOTE_WRITE)
+            for peer_id, mr in self.lane_mrs.items():
                 mr.grant(peer_id, Access.REMOTE_WRITE)
-        self._os_declare_writers()
+        self._declare_writers()
 
-    def _os_declare_writers(self) -> None:
+    def _declare_writers(self) -> None:
         """Tell the audit layer who is *supposed* to write each region.
 
         Declared regardless of guard mode: with the guard off a forged
         write lands, and this table is what lets the auditor still call
         it out (rule ``rdma.unauthorized-write``)."""
-        audit = get_audit(self.env)
-        if not audit.enabled or self._os_proposal_mr is None:
+        replica = self.replica
+        audit = get_audit(replica.env)
+        if not audit.enabled or self.proposal_mr is None:
             return
         audit.declare_region_writer(
-            self.replica_id,
-            self._os_proposal_mr.rkey,
-            self.leader_of(self.view),
+            replica.replica_id,
+            self.proposal_mr.rkey,
+            replica.leader_of(replica.view),
         )
-        for peer_id, mr in self._os_lane_mrs.items():
-            audit.declare_region_writer(self.replica_id, mr.rkey, peer_id)
+        for peer_id, mr in self.lane_mrs.items():
+            audit.declare_region_writer(replica.replica_id, mr.rkey, peer_id)
 
-    def _os_activate(self) -> None:
+    def activate(self) -> None:
         """Start the poller once links and regions are wired."""
-        self._os_outbound = True
-        self.env.process(
-            self._os_poll_loop(), name=f"{self.replica_id}.onesided"
+        self._outbound = True
+        self.replica.env.process(
+            self._poll_loop(), name=f"{self.replica.replica_id}.onesided"
         )
 
     # -- outbound fast path ---------------------------------------------
 
-    def _broadcast(self, message, trace_ctx=None) -> None:
-        if not (
-            self._os_links
-            and isinstance(message, (PrePrepare, Prepare, Commit))
+    def send(self, peer_id: str, message, raw: bytes) -> bool:
+        """WRITE agreement message ``raw`` into ``peer_id``'s region;
+        False if it must go over the message path instead."""
+        if not self._outbound or not isinstance(
+            message, (PrePrepare, Prepare, Commit)
         ):
-            super()._broadcast(message, trace_ctx)
-            return
-        raw = encode(message)
-        for peer_id in self.all_ids:
-            if peer_id == self.replica_id:
-                continue
-            tampered = self._outbound_filter(message, raw, peer_id)
-            if tampered is None:
-                continue
-            if self._os_send(peer_id, message, tampered):
-                continue
-            connection = self._replica_conns.get(peer_id)
-            if connection is not None and not connection.closed:
-                connection.post(tampered, trace_ctx=trace_ctx)
-
-    def _os_send(self, peer_id: str, message, raw: bytes) -> bool:
-        if not self._os_outbound:
             return False
-        link = self._os_links.get(peer_id)
+        link = self.links.get(peer_id)
         if link is None or link.dead:
             return False
         if isinstance(message, PrePrepare):
@@ -586,76 +573,75 @@ class OneSidedReplica(Replica):
 
     # -- inbound delivery / poller --------------------------------------
 
-    def _os_poll_loop(self):
+    def _poll_loop(self):
         """Busy-poll the inbound regions (models a dedicated polling
         core: the poll itself charges no shared CPU; routed messages
         still pay ``handler_cost`` in the ordinary pipeline)."""
-        interval = self.config.onesided_poll_interval
-        while self.running:
-            yield self.env.timeout(interval)
-            for link in self._os_links.values():
+        replica = self.replica
+        interval = replica.config.onesided_poll_interval
+        while replica.running:
+            yield replica.env.timeout(interval)
+            for link in self.links.values():
                 if not link.dead:
                     link.drain()
-            if self._os_proposal_reader is not None:
-                self._os_proposal_reader.poll()
-            for reader in self._os_lane_readers.values():
+            if self._proposal_reader is not None:
+                self._proposal_reader.poll()
+            for reader in self._lane_readers.values():
                 reader.poll()
 
-    def _os_deliver(self, message, sender: str) -> None:
-        self.onesided_records.increment()
-        self._route(message, sender)
+    def deliver(self, message, sender: str) -> None:
+        self.records.increment()
+        self.replica._route(message, sender)
 
     # -- failure handling ------------------------------------------------
 
-    def _os_link_down(self, target: str) -> None:
+    def link_down(self, target: str) -> None:
         """A link died (permission denial, crashed peer, queue error):
         that peer falls back to the message-passing path."""
-        self.onesided_fallbacks.increment()
+        self.fallbacks.increment()
 
-    def _os_fallback(self, reason: str) -> None:
+    def fallback(self, reason: str) -> None:
         """Turn the whole outbound fast path off (corruption, overrun)."""
-        if self._os_outbound:
-            self._os_outbound = False
-            self.onesided_fallbacks.increment()
+        if self._outbound:
+            self._outbound = False
+            self.fallbacks.increment()
 
-    def _os_corruption(
+    def corruption(
         self, region: str, slot: int, kind: str, writer: Optional[str]
     ) -> None:
-        self.onesided_corrupted_slots.increment()
-        audit = get_audit(self.env)
+        self.corrupted_slots.increment()
+        audit = get_audit(self.replica.env)
         if audit.enabled:
             audit.on_onesided_corruption(
-                self.replica_id, region, slot, kind, writer
+                self.replica.replica_id, region, slot, kind, writer
             )
-        self._os_fallback("corruption")
+        self.fallback("corruption")
 
     # -- dynamic permission switching on view changes --------------------
 
-    def _start_view_change(self, new_view: int) -> None:
-        voted_before = self._voted_view
-        super()._start_view_change(new_view)
-        if self._voted_view == voted_before:
-            return
-        # Fence the (possibly faulty) leader the moment we vote against
-        # it: the epoch bump kills even its in-flight proposal WRs.
-        mr = self._os_proposal_mr
-        if mr is not None and self.config.onesided_guard:
-            mr.revoke(self.leader_of(self.view))
+    def fence_leader(self) -> None:
+        """The replica just voted against its leader: revoke the leader's
+        ring grant, whose epoch bump kills even in-flight proposal WRs."""
+        replica = self.replica
+        if self.proposal_mr is not None and replica.config.onesided_guard:
+            self.proposal_mr.revoke(replica.leader_of(replica.view))
 
-    def _adopt_new_view(self, message) -> None:
-        super()._adopt_new_view(message)
-        mr = self._os_proposal_mr
-        if mr is not None:
-            leader = self.leader_of(self.view)
-            if self.config.onesided_guard:
-                for peer in list(mr.grants()):
-                    if peer != leader:
-                        mr.revoke(peer)
-                # Granting the leader on its own ring is harmless (hosts
-                # cannot spoof src_host) and keeps the grant-table shape
-                # uniform across replicas.
-                mr.grant(leader, Access.REMOTE_WRITE)
-            self._os_declare_writers()
+    def follow_leader(self) -> None:
+        """The replica adopted a new view: only its leader may write."""
+        mr = self.proposal_mr
+        if mr is None:
+            return
+        replica = self.replica
+        if replica.config.onesided_guard:
+            leader = replica.leader_of(replica.view)
+            for peer in list(mr.grants()):
+                if peer != leader:
+                    mr.revoke(peer)
+            # Granting the leader on its own ring is harmless (hosts
+            # cannot spoof src_host) and keeps the grant-table shape
+            # uniform across replicas.
+            mr.grant(leader, Access.REMOTE_WRITE)
+        self._declare_writers()
 
 
 # ----------------------------------------------------------------------
@@ -672,16 +658,16 @@ def wire_onesided(cluster: "BftCluster") -> None:
     out-of-band rkey exchange a real deployment does during setup — and
     finally starts every replica's poller.
     """
-    onesided = {
-        rid: replica
+    paths = {
+        rid: replica.onesided
         for rid, replica in cluster.replicas.items()
-        if isinstance(replica, OneSidedReplica)
+        if replica.onesided is not None
     }
-    for replica in onesided.values():
-        replica._os_setup_regions()
-    for writer_id, writer in onesided.items():
+    for path in paths.values():
+        path.setup_regions()
+    for writer_id, writer in paths.items():
         writer_device = cluster.fabric.host(writer_id).stack("rdma")
-        for target_id, target in onesided.items():
+        for target_id, target in paths.items():
             if target_id == writer_id:
                 continue
             target_device = cluster.fabric.host(target_id).stack("rdma")
@@ -695,9 +681,7 @@ def wire_onesided(cluster: "BftCluster") -> None:
             target_cq = target_device.create_cq(
                 name=f"{target_id}<-{writer_id}.os"
             )
-            target_qp = target_device.create_qp(
-                target._os_pd, target_cq, target_cq
-            )
+            target_qp = target_device.create_qp(target.pd, target_cq, target_cq)
             writer_qp.connect(target_id, target_qp.qp_num)
             target_qp.connect(writer_id, writer_qp.qp_num)
             staging = writer_device.reg_mr(
@@ -705,14 +689,14 @@ def wire_onesided(cluster: "BftCluster") -> None:
                 alloc_registered(cluster.config.onesided_slot_bytes),
                 Access.LOCAL_WRITE,
             )
-            writer._os_links[target_id] = OneSidedLink(
+            writer.links[target_id] = OneSidedLink(
                 writer,
                 target_id,
                 writer_qp,
                 staging,
-                target._os_proposal_mr.rkey,
-                target._os_lane_mrs[writer_id].rkey,
+                target.proposal_mr.rkey,
+                target.lane_mrs[writer_id].rkey,
                 cluster.config,
             )
-    for replica in onesided.values():
-        replica._os_activate()
+    for path in paths.values():
+        path.activate()

@@ -9,13 +9,35 @@ the algorithm Reptor runs — on top of the Reptor communication stack:
   truncation at 2f+1 matching votes;
 * **view changes** on request timeout, carrying prepared certificates so
   ordered-but-unexecuted requests survive a leader failure;
-* **COP-style pipelines** (Section II-C): protocol messages are sharded by
+* **handler pipelines** (Section II-C): protocol messages are sharded by
   sequence number onto parallel handler processes that contend for the
   host's cores, while execution remains totally ordered.
 
-Byzantine behaviours for tests and demos live in
-:mod:`repro.bft.byzantine`, implemented as message-tampering hooks on this
-class.
+Two seams are chosen from :class:`~repro.bft.config.BftConfig` alone:
+
+* **Pipeline count** (COP, PAPER.md §1.5).  With ``group_count > 1`` the
+  replica hosts that many *consensus groups*, each an independent PBFT
+  ordering pipeline over its own shard of the sequence space, all
+  multiplexed over the replica's one set of Reptor connections.  The
+  replica itself is group 0's pipeline *and* the coordinator: it owns
+  the :class:`~repro.bft.cop.merge.MergeStage`, one process that executes
+  the merged total order strictly serially (so application state, reply
+  order and checkpoint digests are pure functions of the merged prefix),
+  the merge-stall fill loop, coordinated state transfer and the frame
+  mux.  Every replica-to-replica frame then carries one leading tag byte
+  ``0x80 | group`` (message type ids are small, never >= 0x80); client
+  traffic stays untagged, since the partitioner is a pure function of
+  the request id and each replica derives the target group locally.
+  Group ``g`` in view ``v`` is led by ``all_ids[(v + g) % n]``, so the
+  group leaders spread across hosts.  With ``group_count == 1`` none of
+  this exists: no coordinator, no tag, no partitioner, no extra process.
+* **Proposal transport.**  With ``onesided`` the replica builds a
+  :class:`~repro.bft.onesided.OneSidedPath` that carries pre-prepares,
+  prepares and commits as one-sided RDMA WRITEs into the peers' memory.
+
+Byzantine behaviours (:mod:`repro.bft.faults`) arm three hooks the
+honest code consults — ``outbound_tamper``, ``reply_mute`` and
+``new_view_intercept`` — all ``None`` on an honest pipeline.
 """
 
 from __future__ import annotations
@@ -24,6 +46,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.bft.config import BftConfig
+from repro.bft.cop.batcher import AdaptiveBatcher
+from repro.bft.cop.merge import MergeStage
+from repro.bft.cop.partition import make_partitioner
 from repro.bft.log import MessageLog
 from repro.bft.messages import (
     Busy,
@@ -40,6 +65,7 @@ from repro.bft.messages import (
     decode,
     encode,
 )
+from repro.bft.onesided import OneSidedPath
 from repro.bft.statemachine import StateMachine
 from repro.crypto import digest as sha256
 from repro.errors import BftError
@@ -54,6 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Replica", "batch_digest"]
 
+#: High bit of the first frame byte marks a group-tagged frame; the low
+#: seven bits carry the group id.
+GROUP_TAG = 0x80
+
 
 def batch_digest(batch: Tuple[Request, ...]) -> bytes:
     """Deterministic digest of an ordered request batch."""
@@ -63,17 +93,53 @@ def batch_digest(batch: Tuple[Request, ...]) -> bytes:
     return sha256(bytes(blob))
 
 
+class GroupConnection:
+    """A per-group view of one shared replica-to-replica connection.
+
+    Prepends the group tag byte on every send so the receiving replica
+    can demultiplex the frame to the right ordering pipeline.  Reads
+    never happen here — the owning replica runs one receive loop per
+    underlying connection.
+    """
+
+    __slots__ = ("_inner", "_tag")
+
+    def __init__(self, inner: ReptorConnection, group: int):
+        self._inner = inner
+        self._tag = bytes([GROUP_TAG | group])
+
+    @property
+    def closed(self) -> bool:
+        return self._inner.closed
+
+    @property
+    def peer_name(self):
+        return self._inner.peer_name
+
+    @property
+    def _above_high(self) -> bool:
+        # Outbox watermark pressure of the shared connection: feeds the
+        # adaptive batcher of every pipeline multiplexed over it.
+        return getattr(self._inner, "_above_high", False)
+
+    def send(self, payload: bytes, trace_ctx=None):
+        return self._inner.send(self._tag + payload, trace_ctx=trace_ctx)
+
+    def post(self, payload: bytes, trace_ctx=None) -> None:
+        self._inner.post(self._tag + payload, trace_ctx=trace_ctx)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<GroupConnection group={self._tag[0] & 0x7F} {self._inner!r}>"
+
+
 class Replica:
     """One PBFT replica bound to a Reptor endpoint."""
 
-    #: Subclasses that deliberately violate the protocol set this; the
-    #: cluster marks its audit manager ``expect_violations`` when any
-    #: member replica is Byzantine.
-    BYZANTINE = False
-
-    #: Consensus group this pipeline orders for (COP).  The sequential
-    #: replica is its own (only) group 0; ``repro.bft.cop`` overrides
-    #: this on per-group pipelines.
+    #: Consensus group this pipeline orders for (COP).  The replica is
+    #: group 0; the pipelines of its other groups override this.
     group = 0
 
     def __init__(
@@ -99,13 +165,41 @@ class Replica:
         self.all_ids = sorted(peer_ids)
         self.app = app
 
+        # Per-replica state, shared by every ordering pipeline: clients
+        # talk to the replica, not to a group.
+        self._client_conns: Dict[str, ReptorConnection] = {}
+        self.state_transfers_completed = 0
+        self.state_transfers_served = Counter(f"{replica_id}.st_served")
+        self.state_transfer_bytes = Counter(f"{replica_id}.st_bytes")
+        self.shed_requests = Counter(f"{replica_id}.shed_requests")
+        self.rejoin_latency = TimeSeries(self.env, f"{replica_id}.rejoin")
+
+        endpoint.on_connection(self._on_inbound_connection)
+        self._start_pipeline()
+
+        #: The one-sided proposal transport, or None (message passing).
+        self.onesided = OneSidedPath(self) if self.config.onesided else None
+        # COP: every pipeline's coordinator (None at group_count == 1)
+        # and, on the coordinator, all pipelines indexed by group.
+        self._coordinator: Optional[Replica] = None
+        self._groups: Optional[Tuple[Replica, ...]] = None
+        if self.config.group_count > 1:
+            self._start_coordinator()
+
+        if recover:
+            # A restarted replica starts from a blank state machine:
+            # fetch the group's stable checkpoint before doing anything
+            # else (the request loop retries until peers are reachable).
+            self.begin_state_transfer()
+
+    def _start_pipeline(self) -> None:
+        """Create one ordering pipeline's state and start its processes."""
         self.view = 0
         self.log = MessageLog(self.config.f, window=self.config.log_window)
         self.executed_seq = 0
         self.next_seq = 1  # leader's sequence allocator
 
         self._replica_conns: Dict[str, ReptorConnection] = {}
-        self._client_conns: Dict[str, ReptorConnection] = {}
         self._pending_requests: Deque[Request] = deque()
         self._batch_kick = None
         self._seen_requests: Set[Tuple[str, int]] = set()
@@ -140,9 +234,9 @@ class Replica:
         self._st_started = 0.0
         self._st_replies: Dict[str, StateTransferReply] = {}
         self._checkpoint_snapshots: Dict[int, Tuple[bytes, bytes]] = {}
-        snapshot_fn = getattr(app, "snapshot", None)
+        snapshot_fn = getattr(self.app, "snapshot", None)
         if snapshot_fn is not None:
-            self._checkpoint_snapshots[0] = (app.digest(), snapshot_fn())
+            self._checkpoint_snapshots[0] = (self.app.digest(), snapshot_fn())
 
         # Tracing state: per-slot trace contexts (adopted from the first
         # traced request of the batch) and the open protocol-phase spans
@@ -157,44 +251,58 @@ class Replica:
         # of always filling to the fixed ceiling.
         self._batcher = None
         if self.config.adaptive_batching:
-            from repro.bft.cop.batcher import AdaptiveBatcher
-
             self._batcher = AdaptiveBatcher(
                 floor=self.config.batch_size_min,
                 ceiling=self.config.batch_size,
                 shrink_patience=self.config.batch_shrink_patience,
             )
 
-        # COP pipelines: per-pipeline inbound queues and handler processes.
+        # Fault hooks armed by repro.bft.faults; None on an honest
+        # pipeline.  ``outbound_tamper(message, raw, peer_id)`` returns the
+        # bytes to send (None drops them), ``reply_mute(reply)`` is true to
+        # suppress a client reply, ``new_view_intercept(new_view, votes)``
+        # is true to swallow a NewView this pipeline would install.
+        self.outbound_tamper = None
+        self.reply_mute = None
+        self.new_view_intercept = None
+
+        # Handler pipelines: per-pipeline inbound queues and processes.
         self._pipelines: List[Store] = [
             Store(self.env) for _ in range(self.config.pipelines)
         ]
         self.running = True
-
-        self._wire_endpoint()
         for index, queue in enumerate(self._pipelines):
             Drive(
                 self.env,
                 self._pipeline_loop(queue),
-                name=f"{replica_id}.pipe{index}",
+                name=f"{self.replica_id}.pipe{index}",
             )
-        self.env.process(self._batch_loop(), name=f"{replica_id}.batcher")
-        self.env.process(self._timer_loop(), name=f"{replica_id}.timer")
+        self.env.process(self._batch_loop(), name=f"{self.replica_id}.batcher")
+        self.env.process(self._timer_loop(), name=f"{self.replica_id}.timer")
 
         # Metrics.
         self.committed_count = 0
         self.view_changes_completed = 0
-        self.state_transfers_completed = 0
-        self.state_transfers_served = Counter(f"{replica_id}.st_served")
-        self.state_transfer_bytes = Counter(f"{replica_id}.st_bytes")
-        self.shed_requests = Counter(f"{replica_id}.shed_requests")
-        self.rejoin_latency = TimeSeries(self.env, f"{replica_id}.rejoin")
 
-        if recover:
-            # A restarted replica starts from a blank state machine:
-            # fetch the group's stable checkpoint before doing anything
-            # else (the request loop retries until peers are reachable).
-            self.begin_state_transfer()
+    def _start_coordinator(self) -> None:
+        """Start groups 1..G-1 and the merged executor (COP)."""
+        config = self.config
+        self._merge = MergeStage(config.group_count)
+        self._partitioner = make_partitioner(
+            config.partitioner, config.group_count
+        )
+        self._coordinator = self
+        self._exec_kick = None
+        self._st_attempted_slot = 0
+        self._groups = (self,) + tuple(
+            _GroupPipeline(self, group) for group in range(1, config.group_count)
+        )
+        self.env.process(
+            self._cop_execute_loop(), name=f"{self.replica_id}.cop-exec"
+        )
+        self.env.process(
+            self._merge_fill_loop(), name=f"{self.replica_id}.cop-fill"
+        )
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -211,8 +319,9 @@ class Replica:
         return self.config.f
 
     def leader_of(self, view: int) -> str:
-        """The leader (primary) of ``view``."""
-        return self.all_ids[view % self.n]
+        """The leader (primary) of ``view`` in this pipeline's group:
+        group-rotated, so distinct groups get distinct leaders."""
+        return self.all_ids[(view + self.group) % self.n]
 
     @property
     def is_leader(self) -> bool:
@@ -223,22 +332,17 @@ class Replica:
         """View-change timeout with exponential backoff under churn."""
         return self.config.view_change_timeout * (2 ** self._vc_backoff)
 
-    def group_children(self) -> Tuple["Replica", ...]:
-        """Extra per-group pipelines owned by this replica (COP)."""
-        return ()
-
     def group_pipelines(self) -> Tuple["Replica", ...]:
         """All ordering pipelines of this replica, indexed by group."""
-        return (self,) + self.group_children()
+        return (self,) if self._groups is None else self._groups
 
     @property
     def global_executed_seq(self) -> int:
-        """Position in the merged total execution order.
-
-        For the sequential pipeline the merged order *is* the sequence
-        order; COP replicas override this with the merge-stage position.
-        """
-        return self.executed_seq
+        """Position in the merged total execution order (the sequence
+        order itself when there is one group)."""
+        if self._groups is None:
+            return self.executed_seq
+        return self._merge.position
 
     def _span_tags(self) -> Dict[str, int]:
         """Extra trace-span attributes (the group tag under COP)."""
@@ -250,17 +354,16 @@ class Replica:
     # wiring
     # ------------------------------------------------------------------
 
-    def _wire_endpoint(self) -> None:
-        """Subscribe to inbound connections on the shared endpoint.
-
-        COP group pipelines skip this: their owning replica demultiplexes
-        group-tagged traffic to them instead.
-        """
-        self.endpoint.on_connection(self._on_inbound_connection)
-
     def attach_peer(self, peer_id: str, connection: ReptorConnection) -> None:
-        """Bind an outbound connection to a peer replica."""
-        self._replica_conns[peer_id] = connection
+        """Bind a connection to a peer replica (under COP, every pipeline
+        gets a tagged view of it) and start its receive loop."""
+        if self._groups is None:
+            self._replica_conns[peer_id] = connection
+        else:
+            for pipeline in self._groups:
+                pipeline._replica_conns[peer_id] = GroupConnection(
+                    connection, pipeline.group
+                )
         Drive(
             self.env,
             self._receive_loop(connection, peer_id),
@@ -270,12 +373,7 @@ class Replica:
     def _on_inbound_connection(self, connection: ReptorConnection) -> None:
         peer = connection.peer_name
         if peer in self.all_ids:
-            self._replica_conns[peer] = connection
-            Drive(
-                self.env,
-                self._receive_loop(connection, peer),
-                name=f"{self.replica_id}<-{peer}.rx",
-            )
+            self.attach_peer(peer, connection)
         else:
             # Map the client connection immediately: every replica must be
             # able to send replies even if the client only addresses its
@@ -288,20 +386,31 @@ class Replica:
             )
 
     def _receive_loop(self, connection: ReptorConnection, peer: str):
+        groups = self._groups
+        pipeline = self
         while self.running and not connection.closed:
             try:
                 raw = yield connection.receive()
             except BftError:
                 return
+            if groups is not None:
+                group = 0
+                if raw and raw[0] & GROUP_TAG:
+                    group = raw[0] & 0x7F
+                    raw = bytes(raw[1:])
+                if group >= len(groups):
+                    continue  # tag for a group we do not run: drop
+                pipeline = groups[group]
             try:
                 message = decode(raw)
             except BftError:
                 # Malformed bytes from a peer: Byzantine; drop the link.
                 connection.close()
                 return
-            self._route(message, peer)
+            pipeline._route(message, peer)
 
     def _client_receive_loop(self, connection: ReptorConnection):
+        groups = self._groups
         while self.running and not connection.closed:
             try:
                 raw = yield connection.receive()
@@ -314,11 +423,18 @@ class Replica:
                 return
             if isinstance(message, Request):
                 self._client_conns[message.client_id] = connection
-                self._route(message, message.client_id)
+                pipeline = self
+                if groups is not None:
+                    pipeline = groups[
+                        self._partitioner.group_of(
+                            message.client_id, message.timestamp
+                        )
+                    ]
+                pipeline._route(message, message.client_id)
             # Anything else from a client is ignored.
 
     def _route(self, message, sender: str) -> None:
-        """Shard protocol messages across the COP pipelines."""
+        """Shard protocol messages across the handler pipelines."""
         seq = getattr(message, "seq", None)
         if seq is None:
             index = 0
@@ -363,28 +479,30 @@ class Replica:
 
     def _broadcast(self, message, trace_ctx=None) -> None:
         raw = encode(message)
+        tamper = self.outbound_tamper
+        onesided = self.onesided
         for peer_id in self.all_ids:
             if peer_id == self.replica_id:
                 continue
-            tampered = self._outbound_filter(message, raw, peer_id)
-            if tampered is None:
+            payload = raw if tamper is None else tamper(message, raw, peer_id)
+            if payload is None:
+                continue
+            if onesided is not None and onesided.send(peer_id, message, payload):
                 continue
             connection = self._replica_conns.get(peer_id)
             if connection is not None and not connection.closed:
-                connection.post(tampered, trace_ctx=trace_ctx)
+                connection.post(payload, trace_ctx=trace_ctx)
 
     def _send_to(self, peer_id: str, message, trace_ctx=None) -> None:
-        raw = self._outbound_filter(message, encode(message), peer_id)
-        if raw is None:
-            return
+        raw = encode(message)
+        tamper = self.outbound_tamper
+        if tamper is not None:
+            raw = tamper(message, raw, peer_id)
+            if raw is None:
+                return
         connection = self._replica_conns.get(peer_id)
         if connection is not None and not connection.closed:
             connection.post(raw, trace_ctx=trace_ctx)
-
-    def _outbound_filter(self, message, raw: bytes, peer_id: str):
-        """Hook for Byzantine subclasses: return bytes to send, or None
-        to drop.  The honest replica sends faithfully."""
-        return raw
 
     # ------------------------------------------------------------------
     # tracing helpers
@@ -798,27 +916,40 @@ class Replica:
     # -- execution ---------------------------------------------------------
 
     def _execute_ready(self) -> None:
-        """Execute committed slots strictly in sequence order."""
+        """Execute committed slots strictly in sequence order.
+
+        Under COP each slot is buffered at its global merge slot instead,
+        and the coordinator's executor runs it once every lower slot has
+        merged.
+        """
+        coordinator = self._coordinator
         while True:
             next_seq = self.executed_seq + 1
             slot = self.log.slots.get(next_seq)
             if slot is None or not slot.committed or slot.executed:
                 break
             batch = self._request_batches.get(next_seq, slot.pre_prepare.batch)
-            audit = get_audit(self.env)
-            if audit.enabled:
-                audit.on_execute(
-                    self.replica_id, next_seq, batch_digest(batch),
-                    group=self.group,
+            if coordinator is not None:
+                coordinator._merge.offer(
+                    self.group, next_seq, (self, slot, batch)
                 )
-            detach(
-                self.env,
-                self._execute_batch(slot, batch),
-                f"{self.replica_id}.exec{next_seq}",
-            )
+            else:
+                audit = get_audit(self.env)
+                if audit.enabled:
+                    audit.on_execute(
+                        self.replica_id, next_seq, batch_digest(batch),
+                        group=self.group,
+                    )
+                detach(
+                    self.env,
+                    self._execute_batch(slot, batch),
+                    f"{self.replica_id}.exec{next_seq}",
+                )
             slot.executed = True
             self.executed_seq = next_seq
             self._vc_backoff = 0  # execution progress calms the timers
+        if coordinator is not None:
+            coordinator._kick_exec()
 
     def _execute_batch(self, slot, batch: Tuple[Request, ...]):
         cpu = self.endpoint.host.cpu
@@ -889,6 +1020,9 @@ class Replica:
         self._broadcast(checkpoint)
 
     def _reply_to_client(self, reply: Reply, trace_ctx=None) -> None:
+        mute = self.reply_mute
+        if mute is not None and mute(reply):
+            return
         connection = self._client_conns.get(reply.client_id)
         if connection is not None and not connection.closed:
             connection.post(encode(reply), trace_ctx=trace_ctx)
@@ -913,6 +1047,140 @@ class Replica:
         if self.log.stable_seq > self.executed_seq:
             self.begin_state_transfer()
 
+    # -- merged execution (COP coordinator) --------------------------------
+
+    def _kick_exec(self) -> None:
+        if self._exec_kick is not None and not self._exec_kick.triggered:
+            self._exec_kick.succeed()
+
+    def _cop_execute_loop(self):
+        """The merged executor: runs merged slots strictly one batch at
+        a time, so every replica applies the identical operation stream
+        and checkpoint digests are deterministic."""
+        while self.running:
+            if self._st_active:
+                self._cop_install_now()
+            item = None if self._st_active else self._merge.pop_ready()
+            if item is None:
+                self._exec_kick = self.env.event()
+                yield self._exec_kick
+                continue
+            global_slot, (pipeline, slot, batch) = item
+            audit = get_audit(self.env)
+            if audit.enabled:
+                audit.on_execute(
+                    self.replica_id,
+                    slot.seq,
+                    batch_digest(batch),
+                    group=pipeline.group,
+                    global_seq=global_slot,
+                )
+            yield from pipeline._execute_batch(slot, batch)
+
+    def _merge_fill_loop(self):
+        """Close merge gaps left by idle or leaderless groups.
+
+        A group with no client traffic never commits, which stalls the
+        merged order for every other group.  The leader of the stalled
+        group proposes an *empty* filler batch; if the stall persists
+        (e.g. that leader crashed), every replica arms a synthetic
+        deadline in the stalled group so its ordinary timers force a
+        view change there.
+        """
+        interval = self.config.merge_fill_interval
+        stall_timeout = (
+            self.config.merge_stall_timeout or self.config.view_change_timeout
+        )
+        stalled_slot = None
+        stalled_since = 0.0
+        while self.running:
+            yield self.env.timeout(interval)
+            position = self._merge.position
+            for pipeline in self._groups:
+                stale = [
+                    key
+                    for key in pipeline._request_deadlines
+                    if key[0] == "__merge__" and key[1] <= position
+                ]
+                for key in stale:
+                    pipeline._request_deadlines.pop(key, None)
+            if self._st_active:
+                stalled_slot = None
+                continue
+            if self._merge.has_gap():
+                slot_no = self._merge.next_slot
+            else:
+                slot_no = self._lost_tail_slot()
+                if slot_no is None:
+                    stalled_slot = None
+                    continue
+            if slot_no != stalled_slot:
+                stalled_slot = slot_no
+                stalled_since = self.env.now
+            pipeline = self._groups[self._merge.group_of(slot_no)]
+            seq = self._merge.group_seq(slot_no)
+            slot_state = pipeline.log.slots.get(seq)
+            unproposed = slot_state is None or (
+                not slot_state.committed
+                and (
+                    slot_state.pre_prepare is None
+                    or slot_state.pre_prepare.view < pipeline.view
+                )
+            )
+            if (
+                pipeline.is_leader
+                and not pipeline.in_view_change
+                and not pipeline._pending_requests
+                and pipeline.next_seq <= seq
+                and unproposed
+                and pipeline.log.in_window(seq)
+            ):
+                try:
+                    pipeline._propose(())
+                except BftError:
+                    pass
+            elif self.env.now - stalled_since >= stall_timeout:
+                # Already-past deadline: the stalled group's next timer
+                # tick escalates into a view change.
+                pipeline._request_deadlines.setdefault(
+                    ("__merge__", slot_no), self.env.now
+                )
+                if slot_no != self._st_attempted_slot:
+                    # The missing slot may be committed (even garbage-
+                    # collected) everywhere else — e.g. this replica was
+                    # healing when it went through.  No one retransmits
+                    # old commits, but state transfer fetches executed
+                    # slots directly.  Once per stalled slot; a genuine
+                    # leader failure still recovers via the view change.
+                    self._st_attempted_slot = slot_no
+                    self.begin_state_transfer()
+
+    def _lost_tail_slot(self):
+        """Global slot whose pre-prepare this replica provably missed.
+
+        With no merge gap the replica looks idle, yet a group's next
+        sequence number may hold f+1 commit votes without the
+        pre-prepare that carries the batch — the proposal was lost in
+        flight (nobody retransmits it) while at least one correct peer
+        committed and moved on.  Without traffic behind it, nothing
+        would ever surface the loss; report it so the stall timer can
+        escalate into a state transfer.
+        """
+        lost = None
+        for pipeline in self._groups:
+            seq = pipeline.executed_seq + 1
+            slot = pipeline.log.slots.get(seq)
+            if (
+                slot is not None
+                and slot.pre_prepare is None
+                and not slot.committed
+                and len(slot.commits) >= self.config.f + 1
+            ):
+                slot_no = self._merge.global_slot(pipeline.group, seq)
+                if lost is None or slot_no < lost:
+                    lost = slot_no
+        return lost
+
     # -- state transfer --------------------------------------------------------
 
     def begin_state_transfer(self) -> None:
@@ -922,7 +1190,13 @@ class Replica:
         request is re-broadcast every ``state_transfer_timeout`` until
         f+1 peers agree on a checkpoint that verifies and installs —
         one of f+1 matching replies must come from an honest replica.
+        Under COP one group lagging means the merged order is lagging,
+        so the coordinator runs one transfer across all groups.
         """
+        coordinator = self._coordinator
+        if coordinator is not None and coordinator is not self:
+            coordinator.begin_state_transfer()
+            return
         if self._st_active:
             return
         self._st_active = True
@@ -930,13 +1204,23 @@ class Replica:
         audit = get_audit(self.env)
         if audit.enabled:
             audit.on_state_transfer(
-                self.replica_id, "started", low_seq=self.executed_seq,
+                self.replica_id, "started", low_seq=self.global_executed_seq,
                 group=self.group,
             )
-        self._st_replies = {}
-        self.env.process(
-            self._state_transfer_loop(), name=f"{self.replica_id}.statex"
-        )
+        if self._groups is None:
+            self._st_replies = {}
+            self.env.process(
+                self._state_transfer_loop(), name=f"{self.replica_id}.statex"
+            )
+            return
+        for pipeline in self._groups:
+            pipeline._st_active = True
+            pipeline._st_replies = {}
+            self.env.process(
+                pipeline._state_transfer_loop(),
+                name=f"{self.replica_id}.g{pipeline.group}.statex",
+            )
+        self._kick_exec()
 
     def _state_transfer_loop(self):
         while self.running and self._st_active:
@@ -973,9 +1257,12 @@ class Replica:
             view=self.view,
             replica_id=self.replica_id,
         )
-        raw = self._outbound_filter(reply, encode(reply), sender)
-        if raw is None:
-            return
+        raw = encode(reply)
+        tamper = self.outbound_tamper
+        if tamper is not None:
+            raw = tamper(reply, raw, sender)
+            if raw is None:
+                return
         connection = self._replica_conns.get(sender)
         if connection is not None and not connection.closed:
             self.state_transfers_served.increment()
@@ -1018,6 +1305,11 @@ class Replica:
 
     def _try_install_state(self) -> None:
         """Install a checkpoint once f+1 replies agree on its digest."""
+        if self._coordinator is not None:
+            # Installation decisions belong to the merged executor (and
+            # must never run mid-batch), so a new reply just wakes it.
+            self._coordinator._kick_exec()
+            return
         candidate = self._st_candidate()
         if candidate is None:
             return
@@ -1049,6 +1341,92 @@ class Replica:
         self._execute_ready()
         if self.is_leader:
             self._kick_batcher()
+
+    def _cop_install_now(self) -> bool:
+        """Run the coordinated install from the merged executor.
+
+        Picks the f+1-agreed per-group checkpoint covering the highest
+        merged slot, installs it (the snapshot is global state at that
+        merged point), aligns every other group's log to the merged
+        prefix, then extends slot by slot with per-slot f+1-agreed
+        suffix batches.  Returns True when the transfer completed.
+        """
+        best = None
+        for pipeline in self._groups:
+            candidate = pipeline._st_candidate()
+            if candidate is None:
+                # Until *every* group has an f+1-agreed checkpoint the
+                # true merge target is unknown — a slot covered by a
+                # missing group's checkpoint could never be filled from
+                # suffixes alone.  The per-group retry loops keep
+                # re-requesting until the stragglers answer.
+                return False
+            seq, digest, replies = candidate
+            slot_no = (
+                self._merge.global_slot(pipeline.group, seq) if seq else 0
+            )
+            if best is None or slot_no > best[0]:
+                best = (slot_no, pipeline, seq, digest, replies)
+        target_slot, pipeline, seq, digest, replies = best
+        if target_slot > self._merge.position:
+            if seq > pipeline.executed_seq:
+                if not pipeline._install_checkpoint(seq, digest, replies):
+                    return False
+            group_count = self.config.group_count
+            for other in self._groups:
+                if other is pipeline:
+                    continue
+                j = other.group
+                # Group j's share of the merged prefix [1..target_slot].
+                covered = (
+                    (target_slot - j - 1) // group_count + 1
+                    if target_slot >= j + 1
+                    else 0
+                )
+                if covered > other.executed_seq:
+                    other.executed_seq = covered
+                    other.next_seq = max(other.next_seq, covered + 1)
+                    if covered > other.log.stable_seq:
+                        other.log.install_stable(covered)
+            self._merge.reset(target_slot)
+        # Extend the merged order with f+1-agreed suffix batches.
+        while True:
+            slot_no = self._merge.next_slot
+            target = self._groups[self._merge.group_of(slot_no)]
+            seq_needed = self._merge.group_seq(slot_no)
+            if seq_needed != target.executed_seq + 1:
+                break
+            chosen = target._st_suffix_batch(seq_needed)
+            if chosen is None:
+                break
+            target._apply_transferred_batch(seq_needed, chosen)
+            self._merge.reset(slot_no)
+        if self._merge.position < target_slot:
+            return False
+        for p in self._groups:
+            candidate = p._st_candidate()
+            if candidate is not None:
+                p._adopt_reported_view(candidate[2])
+            elif p._st_replies:
+                p._adopt_reported_view(list(p._st_replies.values()))
+            p._request_deadlines.clear()
+            p._st_active = False
+            p._st_replies = {}
+        self.state_transfers_completed += 1
+        self.rejoin_latency.record(self.env.now - self._st_started)
+        audit = get_audit(self.env)
+        if audit.enabled:
+            audit.on_state_transfer(
+                self.replica_id,
+                "completed",
+                checkpoint_seq=self._merge.position,
+                executed_seq=self._merge.position,
+            )
+        for p in self._groups:
+            p._execute_ready()
+            if p.is_leader:
+                p._kick_batcher()
+        return True
 
     def _install_checkpoint(
         self,
@@ -1220,6 +1598,8 @@ class Replica:
         now = self.env.now
         for key in self._request_deadlines:
             self._request_deadlines[key] = now + self._current_timeout()
+        if self.onesided is not None:
+            self.onesided.fence_leader()
 
     def _on_view_change(self, message: ViewChange, sender: str) -> None:
         if message.replica_id != sender or message.new_view <= self.view:
@@ -1258,6 +1638,9 @@ class Replica:
             self._install_new_view(message.new_view, votes)
 
     def _install_new_view(self, new_view: int, votes: Dict[str, ViewChange]) -> None:
+        intercept = self.new_view_intercept
+        if intercept is not None and intercept(new_view, votes):
+            return
         if self.view >= new_view:
             return
         # Re-propose every prepared request from the union of the votes,
@@ -1374,6 +1757,8 @@ class Replica:
             self._request_deadlines[key] = now + self._current_timeout()
         if self.is_leader:
             self._kick_batcher()
+        if self.onesided is not None:
+            self.onesided.follow_leader()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1381,6 +1766,11 @@ class Replica:
 
     def stop(self) -> None:
         """Stop all replica processes (crash the replica)."""
+        if self._groups is not None:
+            for pipeline in self._groups[1:]:
+                pipeline.running = False
+                pipeline._kick_batcher()
+            self._kick_exec()
         self.running = False
         self._kick_batcher()
         for connection in list(self._replica_conns.values()):
@@ -1391,7 +1781,38 @@ class Replica:
 
     def __repr__(self) -> str:
         role = "leader" if self.is_leader else "backup"
+        group = f" g{self.group}" if self.group else ""
         return (
-            f"<Replica {self.replica_id} view={self.view} {role} "
-            f"executed={self.executed_seq}>"
+            f"<Replica {self.replica_id}{group} view={self.view} {role} "
+            f"executed={self.global_executed_seq}>"
         )
+
+
+class _GroupPipeline(Replica):
+    """Consensus group ``group`` >= 1 of a COP replica.
+
+    A full PBFT ordering pipeline — its own log, view, timers, view
+    changes and checkpoints — over its owner's endpoint, application,
+    client connections and counters.  It never executes: committed slots
+    go to the owner's merge stage, whose executor applies them in merged
+    order (which is also when this pipeline's checkpoints are taken, so
+    their digests cover the global state at the merged execution point).
+    """
+
+    def __init__(self, owner: Replica, group: int):
+        # Not Replica.__init__, which builds a whole replica.
+        self.config = owner.config
+        self.replica_id = owner.replica_id
+        self.endpoint = owner.endpoint
+        self.env = owner.env
+        self.all_ids = owner.all_ids
+        self.app = owner.app
+        self._client_conns = owner._client_conns
+        self.state_transfers_served = owner.state_transfers_served
+        self.state_transfer_bytes = owner.state_transfer_bytes
+        self.shed_requests = owner.shed_requests
+        self.onesided = None
+        self._coordinator = owner
+        self._groups = None
+        self.group = group
+        self._start_pipeline()

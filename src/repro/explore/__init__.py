@@ -11,7 +11,7 @@ turns the kernel's tie-break into a pluggable choice point
 - :mod:`repro.explore.trace` — replayable decision traces (the schedule
   identity of a run);
 - :mod:`repro.explore.scenario` — declarative, composable fault
-  scenarios (Byzantine replicas, crash/restart, partitions, loss) run
+  scenarios (Byzantine members, crash/restart, partitions, loss) run
   under full auditing;
 - :mod:`repro.explore.oracle` — an execution-history safety oracle
   layered on the audit observer hooks;
@@ -34,12 +34,12 @@ from repro.explore.engine import (
     Explorer,
     RunRecord,
 )
-from repro.explore.mutants import MUTANTS, CommitQuorumOffByOneReplica
+from repro.explore.mutants import MUTANTS, commit_quorum_off_by_one
 from repro.explore.oracle import HistoryOracle
 from repro.explore.policy import RecordingPolicy, SeededFuzz, owner_key
 from repro.explore.scenario import (
-    BYZANTINE_CATALOG,
     FAULT_CATALOG,
+    MEMBER_FAULTS,
     SCENARIOS,
     FaultAction,
     ScenarioOutcome,
@@ -54,8 +54,6 @@ from repro.explore.trace import TRACE_SCHEMA, DecisionTrace, TraceError
 from repro.sim.core import TieBreakPolicy
 
 __all__ = [
-    "BYZANTINE_CATALOG",
-    "CommitQuorumOffByOneReplica",
     "DecisionTrace",
     "ExplorationReport",
     "ExploreBudget",
@@ -63,6 +61,7 @@ __all__ = [
     "FAULT_CATALOG",
     "FaultAction",
     "HistoryOracle",
+    "MEMBER_FAULTS",
     "MUTANTS",
     "RecordingPolicy",
     "RunRecord",
@@ -74,6 +73,7 @@ __all__ = [
     "TieBreakPolicy",
     "TRACE_SCHEMA",
     "TraceError",
+    "commit_quorum_off_by_one",
     "ddmin",
     "get_scenario",
     "owner_key",

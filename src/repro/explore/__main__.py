@@ -185,10 +185,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         print("scenarios:")
         for name, spec in SCENARIOS.items():
-            byz = ", ".join(kind for _, kind in spec.byzantine) or "none"
+            members = ", ".join(
+                f"{a.kind}@{a.target}" for a in spec.member_faults()
+            )
             print(
                 f"  {name}: transport={spec.transport} "
-                f"byzantine=[{byz}] faults={len(spec.faults)}"
+                f"members=[{members or 'none'}] faults={len(spec.faults)}"
             )
         print("mutants:")
         for name in MUTANTS:

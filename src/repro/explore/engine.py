@@ -25,7 +25,7 @@ replayable :class:`~repro.explore.trace.DecisionTrace` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.explore.policy import RecordingPolicy, SeededFuzz
 from repro.explore.scenario import ScenarioOutcome, ScenarioSpec, run_scenario
@@ -107,7 +107,7 @@ class Explorer:
     def __init__(
         self,
         spec: ScenarioSpec,
-        mutant: Optional[Type] = None,
+        mutant: Optional[Callable] = None,
         mutant_name: Optional[str] = None,
         seed: int = 0,
         budget: Optional[ExploreBudget] = None,

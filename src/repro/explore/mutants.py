@@ -1,29 +1,28 @@
 """Seeded protocol mutants: known-broken builds the explorer must catch.
 
-Each mutant is a :class:`~repro.bft.replica.Replica` subclass with one
-deliberate protocol bug.  The self-test deploys a mutant on every
-correct replica (a buggy build shipped fleet-wide), explores, and must
-find + shrink a violating schedule — the end-to-end check that the
-exploration-oracle-shrinker pipeline actually detects protocol bugs
-rather than vacuously passing.
+Each mutant is a function that plants one deliberate protocol bug in a
+freshly built :class:`~repro.bft.replica.Replica`.  The self-test applies
+a mutant to every correct replica (a buggy build shipped fleet-wide),
+explores, and must find + shrink a violating schedule — the end-to-end
+check that the exploration-oracle-shrinker pipeline actually detects
+protocol bugs rather than vacuously passing.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Type
+from typing import Callable, Dict
 
-from repro.bft.onesided import OneSidedReplica
 from repro.bft.replica import Replica
 
 __all__ = [
-    "CommitQuorumOffByOneReplica",
-    "OneSidedGuardOffReplica",
+    "commit_quorum_off_by_one",
+    "onesided_guard_off",
     "MUTANTS",
 ]
 
 
-class CommitQuorumOffByOneReplica(Replica):
+def commit_quorum_off_by_one(replica: Replica) -> None:
     """Commits one vote early: quorum ``2f`` instead of ``2f + 1``.
 
     The classic off-by-one a refactor of the quorum arithmetic could
@@ -32,13 +31,11 @@ class CommitQuorumOffByOneReplica(Replica):
     auditors' ``bft.commit-quorum`` check (and, under the right
     schedule, divergence) must fire on every commit.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        log = self.log
+    for pipeline in replica.group_pipelines():
+        log = pipeline.log
         honest_quorum = log.committed_quorum
 
-        def buggy_quorum() -> int:
+        def buggy_quorum(honest_quorum=honest_quorum) -> int:
             return max(1, honest_quorum() - 1)
 
         # Patch the instance, not the class: the shared MessageLog type
@@ -46,28 +43,25 @@ class CommitQuorumOffByOneReplica(Replica):
         log.committed_quorum = buggy_quorum  # type: ignore[method-assign]
 
 
-class OneSidedGuardOffReplica(OneSidedReplica):
+def onesided_guard_off(replica: Replica) -> None:
     """Ships the one-sided fast path with its permission guard disabled.
 
     The bug a refactor of the region-setup path could introduce: the
     rings are registered with plain ``REMOTE_WRITE`` access bits and the
     per-peer grant table is never armed, so any replica holding the
     rkeys can write anywhere.  Against a scenario with a
-    :class:`~repro.bft.byzantine.CompromisedRkeyReplica` member the
-    forged leader proposals now *land* instead of being denied, and the
-    declared-writer audit (``rdma.unauthorized-write`` with a
-    ``declared_writer`` detail) must call out every landed byte.
+    :func:`~repro.bft.faults.compromise_rkey` member the forged leader
+    proposals now *land* instead of being denied, and the declared-writer
+    audit (``rdma.unauthorized-write`` with a ``declared_writer`` detail)
+    must call out every landed byte.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Per-instance config copy: the scenario's shared BftConfig (and
-        # every non-mutant replica) keeps the guard armed.
-        self.config = replace(self.config, onesided_guard=False)
+    # Per-replica config copy: the scenario's shared BftConfig (and every
+    # non-mutant replica) keeps the guard armed.
+    replica.config = replace(replica.config, onesided_guard=False)
 
 
 #: Mutants addressable from the CLI / self-test.
-MUTANTS: Dict[str, Type[Replica]] = {
-    "commit-quorum-off-by-one": CommitQuorumOffByOneReplica,
-    "onesided-guard-off": OneSidedGuardOffReplica,
+MUTANTS: Dict[str, Callable[[Replica], None]] = {
+    "commit-quorum-off-by-one": commit_quorum_off_by_one,
+    "onesided-guard-off": onesided_guard_off,
 }

@@ -1,35 +1,25 @@
 """Declarative fault scenarios and the single-run harness.
 
 A :class:`ScenarioSpec` composes everything a run throws at the
-protocol — Byzantine replica classes from :mod:`repro.bft.byzantine`,
-crash/restart via the fabric's :class:`HostFaultController`, partitions
-and seeded loss from :mod:`repro.net.faults`, and admission-budget
-overload — as data: a workload plus a list of timed
-:class:`FaultAction`\\ s drawn from :data:`FAULT_CATALOG`.  The explorer
-replays one spec under many tie-break schedules; the spec itself never
-changes between runs, so the decision trace alone identifies a run.
+protocol — Byzantine and fail-silent members armed through
+:mod:`repro.bft.faults`, crash/restart via the fabric's
+:class:`HostFaultController`, partitions and seeded loss from
+:mod:`repro.net.faults`, and admission-budget overload — as data: a
+workload plus a list of timed :class:`FaultAction`\\ s drawn from
+:data:`FAULT_CATALOG`.  The explorer replays one spec under many
+tie-break schedules; the spec itself never changes between runs, so the
+decision trace alone identifies a run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.audit import AuditConfig, AuditManager, release_audit
 from repro.bft import BftCluster, BftConfig
-from repro.bft.byzantine import (
-    CompromisedRkeyReplica,
-    CorruptingReplica,
-    EquivocatingLeader,
-    EquivocatingNewViewLeader,
-    EquivocatingViewChangeReplica,
-    PermissionRaceReplica,
-    RogueOverwriteReplica,
-    SilentReplica,
-    StallingViewChangeLeader,
-)
-from repro.bft.cop import CopGroupEquivocator
+from repro.bft import faults as bft_faults
 from repro.bft.replica import Replica
 from repro.errors import ReproError
 from repro.explore.oracle import HistoryOracle
@@ -41,7 +31,7 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioOutcome",
     "FAULT_CATALOG",
-    "BYZANTINE_CATALOG",
+    "MEMBER_FAULTS",
     "SCENARIOS",
     "run_scenario",
 ]
@@ -49,21 +39,6 @@ __all__ = [
 
 class ScenarioError(ReproError):
     """A scenario spec references unknown faults or is inconsistent."""
-
-
-#: Byzantine replica classes addressable from scenario specs.
-BYZANTINE_CATALOG: Dict[str, Type[Replica]] = {
-    "silent": SilentReplica,
-    "equivocating-leader": EquivocatingLeader,
-    "corrupting": CorruptingReplica,
-    "vc-stalling-leader": StallingViewChangeLeader,
-    "vc-equivocator": EquivocatingViewChangeReplica,
-    "nv-equivocator": EquivocatingNewViewLeader,
-    "cop-equivocator": CopGroupEquivocator,
-    "compromised-rkey": CompromisedRkeyReplica,
-    "rogue-overwrite": RogueOverwriteReplica,
-    "perm-race": PermissionRaceReplica,
-}
 
 
 @dataclass(frozen=True)
@@ -80,7 +55,7 @@ class FaultAction:
 # -- fault appliers ---------------------------------------------------------
 #
 # Each applier runs inside a simulation process at its action's time.
-# They only flip switches (controllers, byzantine arms); everything the
+# They only flip switches (controllers, fault hooks); everything the
 # switch causes stays inside the simulated protocol.
 
 def _apply_crash(cluster: BftCluster, action: FaultAction) -> None:
@@ -110,57 +85,80 @@ def _apply_loss(cluster: BftCluster, action: FaultAction) -> None:
     cluster.fabric.controller(a, b).set_loss(rate)
 
 
+def _member(cluster: BftCluster, target: str) -> Replica:
+    """The replica ``"r1"`` or its COP group pipeline ``"r1/g1"``."""
+    replica_id, _, group = target.partition("/g")
+    replica = cluster.replica(replica_id)
+    return replica.group_pipelines()[int(group)] if group else replica
+
+
+def _victims(action: FaultAction):
+    return set(action.args[0]) if action.args else None
+
+
 def _apply_go_silent(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).go_silent()
+    bft_faults.go_silent(_member(cluster, action.target))
 
 
 def _apply_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).start_equivocating(victims)
+    bft_faults.equivocate(_member(cluster, action.target), _victims(action))
 
 
 def _apply_corrupt(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).start_corrupting()
+    bft_faults.corrupt(_member(cluster, action.target))
 
 
 def _apply_vc_stall(cluster: BftCluster, action: FaultAction) -> None:
     crash = bool(action.args[0]) if action.args else False
-    cluster.replica(action.target).arm_stall(crash_on_new_view=crash)
+    bft_faults.stall_view_change(
+        _member(cluster, action.target), crash_on_new_view=crash
+    )
 
 
 def _apply_vc_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_vote_equivocation(victims)
+    bft_faults.equivocate_view_change(
+        _member(cluster, action.target), _victims(action)
+    )
 
 
 def _apply_nv_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = set(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_new_view_equivocation(victims)
-
-
-def _apply_cop_equivocate(cluster: BftCluster, action: FaultAction) -> None:
-    victims = (
-        set(action.args[0]) if action.args and action.args[0] else None
-    )
-    group = action.args[1] if len(action.args) > 1 else None
-    cluster.replica(action.target).arm_group_equivocation(
-        victims, group=group
+    bft_faults.equivocate_new_view(
+        _member(cluster, action.target), _victims(action)
     )
 
 
 def _apply_compromise_rkey(cluster: BftCluster, action: FaultAction) -> None:
     victims = tuple(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_compromise(0.0, victims=victims)
+    bft_faults.compromise_rkey(
+        _member(cluster, action.target), 0.0, victims=victims
+    )
 
 
 def _apply_rogue_overwrite(cluster: BftCluster, action: FaultAction) -> None:
     victims = tuple(action.args[0]) if action.args else None
-    cluster.replica(action.target).arm_rogue_overwrite(0.0, victims=victims)
+    bft_faults.rogue_overwrite(
+        _member(cluster, action.target), 0.0, victims=victims
+    )
 
 
 def _apply_perm_race(cluster: BftCluster, action: FaultAction) -> None:
-    cluster.replica(action.target).arm_permission_race(0.0)
+    bft_faults.permission_race(_member(cluster, action.target), 0.0)
 
+
+#: Fault kinds that make their target a faulty *member* (the oracle
+#: judges only the other replicas).  Their target is a replica id
+#: (``"r1"``) or one of its COP group pipelines (``"r1/g1"``).
+MEMBER_FAULTS: Dict[str, Callable[[BftCluster, FaultAction], None]] = {
+    "go-silent": _apply_go_silent,
+    "equivocate": _apply_equivocate,
+    "corrupt": _apply_corrupt,
+    "vc-stall": _apply_vc_stall,
+    "vc-equivocate": _apply_vc_equivocate,
+    "nv-equivocate": _apply_nv_equivocate,
+    "compromise-rkey": _apply_compromise_rkey,
+    "rogue-overwrite": _apply_rogue_overwrite,
+    "perm-race": _apply_perm_race,
+}
 
 #: The explorable fault catalog: every composable fault kind.
 FAULT_CATALOG: Dict[str, Callable[[BftCluster, FaultAction], None]] = {
@@ -170,16 +168,7 @@ FAULT_CATALOG: Dict[str, Callable[[BftCluster, FaultAction], None]] = {
     "isolate": _apply_isolate,
     "heal": _apply_heal,
     "loss": _apply_loss,
-    "go-silent": _apply_go_silent,
-    "equivocate": _apply_equivocate,
-    "corrupt": _apply_corrupt,
-    "vc-stall": _apply_vc_stall,
-    "vc-equivocate": _apply_vc_equivocate,
-    "nv-equivocate": _apply_nv_equivocate,
-    "cop-equivocate": _apply_cop_equivocate,
-    "compromise-rkey": _apply_compromise_rkey,
-    "rogue-overwrite": _apply_rogue_overwrite,
-    "perm-race": _apply_perm_race,
+    **MEMBER_FAULTS,
 }
 
 
@@ -195,8 +184,6 @@ class ScenarioSpec:
     #: Simulated seconds the run advances after the last request is
     #: submitted (faults later than this never fire).
     run_time: float = 120e-3
-    #: Replica id -> BYZANTINE_CATALOG key.
-    byzantine: Tuple[Tuple[str, str], ...] = ()
     faults: Tuple[FaultAction, ...] = ()
     num_clients: int = 1
     view_change_timeout: float = 30e-3
@@ -214,16 +201,21 @@ class ScenarioSpec:
     expected_rules: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        replicas = [f"r{i}" for i in range(self.bft_config().n)]
         for action in self.faults:
             if action.kind not in FAULT_CATALOG:
                 raise ScenarioError(
                     f"scenario {self.name!r}: unknown fault kind {action.kind!r}"
                 )
-        for _, kind in self.byzantine:
-            if kind not in BYZANTINE_CATALOG:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: unknown byzantine class {kind!r}"
-                )
+            if action.kind in MEMBER_FAULTS:
+                replica_id, _, group = action.target.partition("/g")
+                if replica_id not in replicas or (
+                    group and not 0 <= int(group) < self.group_count
+                ):
+                    raise ScenarioError(
+                        f"scenario {self.name!r}: {action.kind!r} targets "
+                        f"unknown member {action.target!r}"
+                    )
 
     def bft_config(self) -> BftConfig:
         return BftConfig(
@@ -253,10 +245,14 @@ class ScenarioSpec:
             post_batch=4,
         )
 
+    def member_faults(self) -> Tuple[FaultAction, ...]:
+        """The actions that make their target a faulty member."""
+        return tuple(a for a in self.faults if a.kind in MEMBER_FAULTS)
+
     def correct_replicas(self) -> Tuple[str, ...]:
-        byzantine = {rid for rid, _ in self.byzantine}
+        faulty = {a.target.partition("/")[0] for a in self.member_faults()}
         n = self.bft_config().n
-        return tuple(f"r{i}" for i in range(n) if f"r{i}" not in byzantine)
+        return tuple(f"r{i}" for i in range(n) if f"r{i}" not in faulty)
 
 
 @dataclass
@@ -312,24 +308,18 @@ def _fault_proc(env, cluster: BftCluster, action: FaultAction, applied: list):
 def run_scenario(
     spec: ScenarioSpec,
     policy=None,
-    mutant: Optional[Type[Replica]] = None,
+    mutant: Optional[Callable[[Replica], None]] = None,
     dump_dir: Optional[str] = None,
 ) -> ScenarioOutcome:
     """Run ``spec`` once under ``policy`` and score it.
 
-    ``mutant`` replaces the *correct* replicas' class (a buggy build
-    deployed fleet-wide); deliberately Byzantine members keep their
-    scenario-assigned classes.  The audit manager is created expecting
+    ``mutant`` is applied to every *correct* replica right after it is
+    built (a buggy build deployed fleet-wide); the scenario's faulty
+    members stay as built.  The audit manager is created expecting
     violations — the explorer, not the test-suite conformance fixture,
     is the judge here — and released from the active-audit list before
     returning so long sweeps stay bounded.
     """
-    replica_classes: Dict[str, Type[Replica]] = {
-        rid: BYZANTINE_CATALOG[kind] for rid, kind in spec.byzantine
-    }
-    if mutant is not None:
-        for rid in spec.correct_replicas():
-            replica_classes[rid] = mutant
     manager = AuditManager(
         config=AuditConfig(ring_size=2048, max_postmortems=8),
         name=f"explore:{spec.name}",
@@ -339,11 +329,13 @@ def run_scenario(
         transport=spec.transport,
         config=spec.bft_config(),
         rubin_config=spec.rubin_config(),
-        replica_classes=replica_classes,
         num_clients=spec.num_clients,
         faulty_fabric=True,
         audit=manager,
     )
+    if mutant is not None:
+        for replica_id in spec.correct_replicas():
+            mutant(cluster.replica(replica_id))
     env = cluster.env
     if policy is not None:
         env.set_tiebreak(policy)
@@ -421,7 +413,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "Equivocating leader forging batches to one victim while a "
                 "backup is partitioned away and rejoins mid-run."
             ),
-            byzantine=(("r0", "equivocating-leader"),),
             faults=(
                 FaultAction(at=4e-3, kind="equivocate", target="r0", args=(("r1",),)),
                 FaultAction(at=10e-3, kind="partition", args=(("r3",), ("r0", "r1", "r2", "c0"))),
@@ -452,7 +443,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "Old leader partitioned away; the next leader stalls its "
                 "NewView, forcing escalation past it; partition heals."
             ),
-            byzantine=(("r1", "vc-stalling-leader"),),
             faults=(
                 FaultAction(at=2e-3, kind="vc-stall", target="r1"),
                 FaultAction(at=8e-3, kind="partition", args=(("r0",), ("r1", "r2", "r3", "c0"))),
@@ -468,7 +458,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "Leader goes fail-silent under seeded random loss on the "
                 "surviving replicas' links: view change under a lossy mesh."
             ),
-            byzantine=(("r0", "silent"),),
             faults=(
                 FaultAction(at=3e-3, kind="loss", target="r1:r2", args=(0.05,)),
                 FaultAction(at=3e-3, kind="loss", target="r2:r3", args=(0.05,)),
@@ -484,7 +473,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "Fail-silent leader triggers a view change during which a "
                 "backup equivocates its ViewChange votes."
             ),
-            byzantine=(("r0", "silent"), ("r2", "vc-equivocator")),
             faults=(
                 FaultAction(at=2e-3, kind="vc-equivocate", target="r2", args=(("r3",),)),
                 FaultAction(at=6e-3, kind="go-silent", target="r0"),
@@ -504,7 +492,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "and the cluster must still change views and commit."
             ),
             onesided=True,
-            byzantine=(("r3", "compromised-rkey"),),
             faults=(
                 FaultAction(at=4e-3, kind="compromise-rkey", target="r3"),
                 FaultAction(at=8e-3, kind="crash", target="r0"),
@@ -523,11 +510,9 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
                 "survive both."
             ),
             group_count=4,
-            byzantine=(("r1", "cop-equivocator"),),
             faults=(
                 FaultAction(
-                    at=2e-3, kind="cop-equivocate", target="r1",
-                    args=(("r2",), 1),
+                    at=2e-3, kind="equivocate", target="r1/g1", args=(("r2",),)
                 ),
                 FaultAction(at=6e-3, kind="crash", target="r0"),
                 FaultAction(at=60e-3, kind="restart", target="r0"),

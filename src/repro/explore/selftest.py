@@ -43,19 +43,18 @@ MUTANT_SCENARIOS: Dict[str, str] = {
 def selftest_spec(mutant_name: str = "commit-quorum-off-by-one"):
     """The stripped-down spec self-test (and trace replay) runs against.
 
-    Faults that merely arm the scenario's own Byzantine members are
-    kept (they are part of the bug's trigger); environmental noise
+    Faults that arm the scenario's own faulty members are kept (they
+    are part of the bug's trigger); environmental noise
     (crashes, partitions) is stripped, and ``expected_rules`` is
     cleared so every violation — including rules the full scenario
     whitelists for its *guarded* runs — counts as a finding.
     """
     base_name = MUTANT_SCENARIOS.get(mutant_name, SELFTEST_SCENARIO)
     base = get_scenario(base_name)
-    byzantine = {rid for rid, _ in base.byzantine}
     return with_overrides(
         base,
         name=f"selftest:{base_name}",
-        faults=tuple(a for a in base.faults if a.target in byzantine),
+        faults=base.member_faults(),
         requests=3,
         num_clients=1,
         admission_budget=0,

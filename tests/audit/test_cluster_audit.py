@@ -15,7 +15,7 @@ from repro.audit import (
     install_audit,
     validate_postmortem,
 )
-from repro.bft import BftCluster, BftConfig, EquivocatingLeader
+from repro.bft import BftCluster, BftConfig, faults
 from repro.net import Fabric
 from repro.rdma import RdmaDevice
 from repro.rubin import BufferPool
@@ -68,15 +68,15 @@ class TestEquivocationCaught:
     def test_equivocating_leader_trips_the_auditor(self, tmp_path):
         dump_dir = str(tmp_path / "postmortems")
         cluster = make_cluster(
-            replica_classes={"r0": EquivocatingLeader},
             config=BftConfig(view_change_timeout=60e-3, batch_delay=0.0,
                              batch_size=1),
             audit=AuditConfig(dump_dir=dump_dir),
         )
-        # The cluster marked the manager itself: Byzantine members are
-        # expected to trip auditors.
+        assert not cluster.audit.expect_violations
+        # Arming a Byzantine behaviour marks the manager itself: the
+        # member is expected to trip auditors.
+        faults.equivocate(cluster.replica("r0"))
         assert cluster.audit.expect_violations
-        cluster.replica("r0").start_equivocating()
         cluster.client(0).invoke(b"PUT a=1")
         cluster.run_for(300e-3)
 

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.bft import (
-    BftCluster,
-    BftConfig,
-    CorruptingReplica,
-    CounterMachine,
-    EquivocatingLeader,
-    SilentReplica,
-)
+from repro.bft import BftCluster, BftConfig, CounterMachine, faults
 
 
 def make_cluster(**kwargs):
@@ -25,14 +18,14 @@ def make_cluster(**kwargs):
 
 class TestCorruptingBackup:
     def test_corrupt_votes_do_not_block_progress(self):
-        cluster = make_cluster(replica_classes={"r2": CorruptingReplica})
-        cluster.replica("r2").start_corrupting()
+        cluster = make_cluster()
+        faults.corrupt(cluster.replica("r2"))
         for i in range(5):
             assert cluster.invoke_and_wait(f"PUT k{i}=v".encode()) == b"OK"
 
     def test_corrupt_votes_never_count_toward_quorums(self):
-        cluster = make_cluster(replica_classes={"r2": CorruptingReplica})
-        cluster.replica("r2").start_corrupting()
+        cluster = make_cluster()
+        faults.corrupt(cluster.replica("r2"))
         cluster.invoke_and_wait(b"PUT a=1")
         cluster.run_for(10e-3)
         # Honest replicas committed with honest votes only: none of their
@@ -47,11 +40,8 @@ class TestCorruptingBackup:
                     assert vote.digest != slot.pre_prepare.digest
 
     def test_honest_state_unaffected(self):
-        cluster = make_cluster(
-            replica_classes={"r1": CorruptingReplica},
-            app_factory=CounterMachine,
-        )
-        cluster.replica("r1").start_corrupting()
+        cluster = make_cluster(app_factory=CounterMachine)
+        faults.corrupt(cluster.replica("r1"))
         for _ in range(4):
             cluster.invoke_and_wait(CounterMachine.add(5))
         cluster.run_for(10e-3)
@@ -61,8 +51,8 @@ class TestCorruptingBackup:
 
 class TestEquivocation:
     def test_equivocating_values_never_commit_on_honest_replicas(self):
-        cluster = make_cluster(replica_classes={"r0": EquivocatingLeader})
-        cluster.replica("r0").start_equivocating()
+        cluster = make_cluster()
+        faults.equivocate(cluster.replica("r0"))
         result = cluster.invoke_and_wait(b"PUT target=true")
         assert result == b"OK"
         cluster.run_for(20e-3)
@@ -74,9 +64,8 @@ class TestEquivocation:
     def test_forged_batches_rejected_by_digest_check(self):
         """Victims of the equivocation see digest-mismatching batches and
         must drop them rather than vote."""
-        cluster = make_cluster(replica_classes={"r0": EquivocatingLeader})
-        leader = cluster.replica("r0")
-        leader.start_equivocating(victims={"r1"})
+        cluster = make_cluster()
+        faults.equivocate(cluster.replica("r0"), victims={"r1"})
         cluster.invoke_and_wait(b"PUT check=digest")
         cluster.run_for(20e-3)
         # r1 received a forged batch whose digest matches its contents
@@ -90,28 +79,24 @@ class TestEquivocation:
 class TestCrashRecoveryMatrix:
     @pytest.mark.parametrize("victim", ["r1", "r2", "r3"])
     def test_any_single_backup_crash_tolerated(self, victim):
-        cluster = make_cluster(
-            replica_classes={victim: SilentReplica},
-        )
-        cluster.replica(victim).go_silent()
+        cluster = make_cluster()
+        faults.go_silent(cluster.replica(victim))
         assert cluster.invoke_and_wait(b"PUT who=cares") == b"OK"
 
     def test_two_crashes_exceed_f_and_block(self):
         """f = 1: two silent replicas must stall the service (safety
         over liveness) — no spurious results may be produced."""
-        cluster = make_cluster(
-            replica_classes={"r2": SilentReplica, "r3": SilentReplica},
-        )
-        cluster.replica("r2").go_silent()
-        cluster.replica("r3").go_silent()
+        cluster = make_cluster()
+        faults.go_silent(cluster.replica("r2"))
+        faults.go_silent(cluster.replica("r3"))
         event = cluster.client().invoke(b"PUT never=committed")
         cluster.run_for(200e-3)
         assert not event.triggered
 
     def test_view_change_cascade_until_honest_leader(self):
         """With r0 silent from the start, view 1 (led by r1) takes over."""
-        cluster = make_cluster(replica_classes={"r0": SilentReplica})
-        cluster.replica("r0").go_silent()
+        cluster = make_cluster()
+        faults.go_silent(cluster.replica("r0"))
         assert cluster.invoke_and_wait(b"PUT first=requests") == b"OK"
         views = {r.view for r in cluster.replicas.values() if r.replica_id != "r0"}
         assert views == {1}

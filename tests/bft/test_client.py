@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bft import BftCluster, BftConfig, SilentReplica
+from repro.bft import BftCluster, BftConfig, faults
 from repro.errors import BftError
 
 
@@ -37,8 +37,8 @@ def test_timestamps_are_monotonic():
 
 
 def test_retransmission_on_silent_leader():
-    cluster = make_cluster(replica_classes={"r0": SilentReplica})
-    cluster.replica("r0").go_silent()
+    cluster = make_cluster()
+    faults.go_silent(cluster.replica("r0"))
     client = cluster.client()
     assert cluster.invoke_and_wait(b"PUT retry=me") == b"OK"
     assert client.retransmissions >= 1
@@ -52,8 +52,8 @@ def test_no_retransmission_on_fast_path():
 
 
 def test_view_hint_tracks_replies():
-    cluster = make_cluster(replica_classes={"r0": SilentReplica})
-    cluster.replica("r0").go_silent()
+    cluster = make_cluster()
+    faults.go_silent(cluster.replica("r0"))
     client = cluster.client()
     cluster.invoke_and_wait(b"PUT learn=views")
     assert client._view_hint >= 1

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.bft import (
-    BftCluster,
-    BftConfig,
-    CounterMachine,
-    EquivocatingLeader,
-    KeyValueStore,
-    SilentReplica,
-)
+from repro.bft import BftCluster, BftConfig, CounterMachine, KeyValueStore, faults
 
 
 def make_cluster(transport="nio", **kwargs):
@@ -133,11 +126,9 @@ class TestFaultTolerance:
         assert result == b"OK"
 
     def test_leader_crash_triggers_view_change(self):
-        cluster = make_cluster(
-            replica_classes={"r0": SilentReplica},
-        )
+        cluster = make_cluster()
         cluster.invoke_and_wait(b"PUT before=crash")
-        cluster.replica("r0").go_silent()
+        faults.go_silent(cluster.replica("r0"))
         result = cluster.invoke_and_wait(b"PUT after=crash")
         assert result == b"OK"
         survivors = [r for r in cluster.replicas.values() if r.replica_id != "r0"]
@@ -151,12 +142,9 @@ class TestFaultTolerance:
             assert app.get("after") == "crash"
 
     def test_equivocating_leader_cannot_split_state(self):
-        cluster = make_cluster(
-            replica_classes={"r0": EquivocatingLeader},
-            app_factory=KeyValueStore,
-        )
+        cluster = make_cluster(app_factory=KeyValueStore)
         cluster.invoke_and_wait(b"PUT honest=1")
-        cluster.replica("r0").start_equivocating()
+        faults.equivocate(cluster.replica("r0"))
         result = cluster.invoke_and_wait(b"PUT contested=value")
         assert result == b"OK"
         cluster.run_for(30e-3)
@@ -175,9 +163,9 @@ class TestViewChangeDetails:
     def test_view_change_preserves_prepared_requests(self):
         """Requests prepared under the old leader survive into the new
         view (the new-view message re-proposes them)."""
-        cluster = make_cluster(replica_classes={"r0": SilentReplica})
+        cluster = make_cluster()
         cluster.invoke_and_wait(b"PUT seed=1")
-        cluster.replica("r0").go_silent()
+        faults.go_silent(cluster.replica("r0"))
         # Submit while the leader is dead: replicas time out, change view,
         # and the request still executes exactly once.
         result = cluster.invoke_and_wait(b"PUT survived=yes")
@@ -188,8 +176,8 @@ class TestViewChangeDetails:
             assert cluster.apps[replica_id].applied_count == 2
 
     def test_service_continues_after_view_change(self):
-        cluster = make_cluster(replica_classes={"r0": SilentReplica})
-        cluster.replica("r0").go_silent()
+        cluster = make_cluster()
+        faults.go_silent(cluster.replica("r0"))
         for i in range(5):
             assert cluster.invoke_and_wait(f"PUT k{i}=v".encode()) == b"OK"
         survivors = [cluster.replicas[r] for r in ("r1", "r2", "r3")]

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bft import (
-    BftCluster,
-    BftConfig,
-    CopGroupEquivocator,
-    CopReplica,
-)
+from repro.bft import BftCluster, BftConfig, faults
 from repro.rubin import RubinConfig
 
 
@@ -92,6 +87,36 @@ class TestMultiGroupOrdering:
         assert sum(snap[f"bft.group.{g}.committed"] for g in range(4)) > 0
         assert max(snap[f"bft.group.{g}.executed_seq"] for g in range(4)) > 0
 
+    def test_replica_counters_sum_over_groups(self):
+        """``replica.<id>.committed`` and ``.view_changes`` count every
+        group the replica runs, not group 0 alone."""
+        cluster = make_cop_cluster(num_clients=4)
+        # A silent group-1 leader forces view changes in group 1 only.
+        faults.go_silent(cluster.replica("r1").group_pipelines()[1])
+        events = [
+            cluster.client(i % 4).invoke(f"PUT k{i}=v{i}".encode())
+            for i in range(40)
+        ]
+        cluster.env.run(until=cluster.env.all_of(events))
+        cluster.run_for(50e-3)
+        snap = cluster.metrics_registry().snapshot()
+        for rid in cluster.replica_ids:
+            pipelines = cluster.replica(rid).group_pipelines()
+            assert snap[f"replica.{rid}.committed"] == sum(
+                p.committed_count for p in pipelines
+            )
+            assert snap[f"replica.{rid}.view_changes"] == sum(
+                p.view_changes_completed for p in pipelines
+            )
+        r0 = cluster.replica("r0")
+        assert snap["replica.r0.committed"] > r0.committed_count
+        assert snap["replica.r0.view_changes"] > r0.view_changes_completed
+        # Each replica's total and each group's total count the same
+        # commits, sliced the other way.
+        assert sum(
+            snap[f"replica.{rid}.committed"] for rid in cluster.replica_ids
+        ) == sum(snap[f"bft.group.{g}.committed"] for g in range(4))
+
 
 class TestMultiGroupRecovery:
     def test_crashed_replica_rejoins_and_converges(self):
@@ -123,11 +148,9 @@ class TestMultiGroupRecovery:
 
 class TestByzantineGroupMember:
     def test_group_equivocator_cannot_split_merged_state(self):
-        cluster = make_cop_cluster(
-            replica_classes={"r1": CopGroupEquivocator},
-        )
+        cluster = make_cop_cluster()
         cluster.invoke_and_wait(b"PUT honest=1")
-        cluster.replica("r1").arm_group_equivocation()
+        faults.equivocate(cluster.replica("r1").group_pipelines()[1])
         for i in range(12):
             cluster.invoke_and_wait(f"PUT k{i}=v{i}".encode())
         cluster.run_for(80e-3)
@@ -145,10 +168,8 @@ class TestByzantineGroupMember:
             )
 
     def test_group_tagged_equivocation_detected(self):
-        cluster = make_cop_cluster(
-            replica_classes={"r1": CopGroupEquivocator},
-        )
-        cluster.replica("r1").arm_group_equivocation(group=1)
+        cluster = make_cop_cluster()
+        faults.equivocate(cluster.replica("r1").group_pipelines()[1])
         # Keep submitting until some request routes through group 1's
         # pipeline while r1 leads it in view 0 (r1 leads group 1:
         # leader_of(0) = all_ids[(0 + 1) % 4]).

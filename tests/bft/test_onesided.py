@@ -4,13 +4,7 @@ family is denied / detected / survived as designed."""
 
 import pytest
 
-from repro.bft import (
-    BftCluster,
-    BftConfig,
-    CompromisedRkeyReplica,
-    OneSidedReplica,
-    RogueOverwriteReplica,
-)
+from repro.bft import BftCluster, BftConfig, OneSidedPath, faults
 from repro.bft.onesided import (
     RECORD_OVERHEAD,
     pack_record,
@@ -64,11 +58,12 @@ class TestFastPath:
         assert len(set(cluster.state_digests().values())) == 1
         writes = records = 0
         for replica in cluster.replicas.values():
-            assert isinstance(replica, OneSidedReplica)
-            writes += replica.onesided_writes.value
-            records += replica.onesided_records.value
-            assert replica.onesided_corrupted_slots.value == 0
-            assert replica.onesided_fallbacks.value == 0
+            path = replica.onesided
+            assert isinstance(path, OneSidedPath)
+            writes += path.writes.value
+            records += path.records.value
+            assert path.corrupted_slots.value == 0
+            assert path.fallbacks.value == 0
         assert writes > 0 and records > 0
         assert not cluster.audit.violations
 
@@ -94,11 +89,11 @@ class TestFastPath:
     def test_guard_grants_initially_name_the_leader(self):
         cluster = make_cluster()
         for replica in cluster.replicas.values():
-            grants = replica._os_proposal_mr.grants()
+            grants = replica.onesided.proposal_mr.grants()
             assert set(grants) == {"r0"}
         # Each ack lane admits exactly its owning writer.
         for replica in cluster.replicas.values():
-            for peer_id, mr in replica._os_lane_mrs.items():
+            for peer_id, mr in replica.onesided.lane_mrs.items():
                 assert set(mr.grants()) == {peer_id}
 
     def test_view_change_switches_proposal_grants(self):
@@ -113,22 +108,20 @@ class TestFastPath:
         ]
         assert all(replica.view == 1 for replica in survivors)
         for replica in survivors:
-            assert set(replica._os_proposal_mr.grants()) == {"r1"}
+            assert set(replica.onesided.proposal_mr.grants()) == {"r1"}
 
     def test_unguarded_mode_keeps_regions_open(self):
         cluster = make_cluster(guard=False)
         cluster.invoke_and_wait(b"PUT open=1")
         for replica in cluster.replicas.values():
-            assert not replica._os_proposal_mr.guarded
+            assert not replica.onesided.proposal_mr.guarded
 
 
 class TestCompromisedRkey:
     def test_guard_denies_every_forgery(self):
-        cluster = make_cluster(
-            replica_classes={"r3": CompromisedRkeyReplica},
-        )
+        cluster = make_cluster()
         cluster.invoke_and_wait(b"PUT seed=1")
-        cluster.replica("r3").arm_compromise(0.0)
+        faults.compromise_rkey(cluster.replica("r3"), 0.0)
         cluster.run_for(5e-3)
         assert cluster.invoke_and_wait(b"PUT still=committing") == b"OK"
         violations = cluster.audit.violations
@@ -141,16 +134,13 @@ class TestCompromisedRkey:
         assert not any("declared_writer" in dict(v.detail) for v in denied)
         for replica_id, replica in cluster.replicas.items():
             if replica_id != "r3":
-                assert replica.onesided_corrupted_slots.value == 0
+                assert replica.onesided.corrupted_slots.value == 0
         assert len(set(cluster.state_digests().values())) == 1
 
     def test_unguarded_forgeries_land_and_are_attributed(self):
-        cluster = make_cluster(
-            guard=False,
-            replica_classes={"r3": CompromisedRkeyReplica},
-        )
+        cluster = make_cluster(guard=False)
         cluster.invoke_and_wait(b"PUT seed=1")
-        cluster.replica("r3").arm_compromise(0.0, forgeries=2)
+        faults.compromise_rkey(cluster.replica("r3"), 0.0, forgeries=2)
         cluster.run_for(5e-3)
         landed = [
             v
@@ -172,13 +162,10 @@ class TestCompromisedRkey:
 
 class TestRogueOverwrite:
     def test_scribble_detected_and_survived(self):
-        cluster = make_cluster(
-            guard=False,
-            replica_classes={"r3": RogueOverwriteReplica},
-        )
+        cluster = make_cluster(guard=False)
         for i in range(4):
             cluster.invoke_and_wait(b"PUT k%d=v%d" % (i, i))
-        cluster.replica("r3").arm_rogue_overwrite(0.0, slots=(0, 1))
+        faults.rogue_overwrite(cluster.replica("r3"), 0.0, slots=(0, 1))
         cluster.run_for(5e-3)
         overwrites = [
             v
@@ -187,7 +174,7 @@ class TestRogueOverwrite:
         ]
         assert overwrites
         corrupted = sum(
-            replica.onesided_corrupted_slots.value
+            replica.onesided.corrupted_slots.value
             for replica_id, replica in cluster.replicas.items()
             if replica_id != "r3"
         )

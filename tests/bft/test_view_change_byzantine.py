@@ -15,13 +15,10 @@ the honest group must keep both safety and, where f allows, liveness.
 from repro.bft import (
     BftCluster,
     BftConfig,
-    EquivocatingNewViewLeader,
-    EquivocatingViewChangeReplica,
     Request,
-    SilentReplica,
-    StallingViewChangeLeader,
     ViewChange,
     batch_digest,
+    faults,
 )
 
 
@@ -44,10 +41,8 @@ class TestViewChangeVoteEquivocation:
     def test_auditor_flags_conflicting_votes(self):
         """A forged ViewChange vote to one victim trips the vote-digest
         cross-check as soon as the victim reports what it received."""
-        cluster = make_cluster(
-            replica_classes={"r2": EquivocatingViewChangeReplica},
-        )
-        cluster.replica("r2").arm_vote_equivocation(victims={"r3"})
+        cluster = make_cluster()
+        faults.equivocate_view_change(cluster.replica("r2"), victims={"r3"})
         # Drive an explicit view change so votes flow without waiting
         # out request timers.
         for rid in ("r1", "r2", "r3"):
@@ -59,10 +54,8 @@ class TestViewChangeVoteEquivocation:
         """The padding in the forged vote targets an already-stable
         sequence number, so the new leader's re-proposals (and therefore
         the honest group's state) are untouched by the forgery."""
-        cluster = make_cluster(
-            replica_classes={"r2": EquivocatingViewChangeReplica},
-        )
-        cluster.replica("r2").arm_vote_equivocation(victims={"r1"})
+        cluster = make_cluster()
+        faults.equivocate_view_change(cluster.replica("r2"), victims={"r1"})
         for i in range(2):
             assert cluster.invoke_and_wait(f"PUT k{i}=v".encode()) == b"OK"
         for rid in ("r1", "r2", "r3"):
@@ -77,10 +70,8 @@ class TestNewViewEquivocation:
     def test_auditor_flags_conflicting_new_view(self):
         """A new leader re-proposing different batches to different
         replicas is equivocation on the adopted (view, seq) assignments."""
-        cluster = make_cluster(
-            replica_classes={"r1": EquivocatingNewViewLeader},
-        )
-        cluster.replica("r1").arm_new_view_equivocation(victims={"r3"})
+        cluster = make_cluster()
+        faults.equivocate_new_view(cluster.replica("r1"), victims={"r3"})
         # Hand the traitor a ViewChange quorum carrying a prepared (but
         # unexecuted) batch, so its NewView re-proposes a real batch it
         # can forge per-recipient.  Honest replicas adopt seq 1 from the
@@ -107,17 +98,12 @@ class TestStallingViewChangeLeader:
     def test_group_escalates_past_stalled_leader(self):
         """r0 silent, r1 swallows its NewView: the timers must escalate
         to view 2 (led by honest r2) and the service must resume."""
-        cluster = make_cluster(
-            replica_classes={
-                "r0": SilentReplica,
-                "r1": StallingViewChangeLeader,
-            },
-        )
+        cluster = make_cluster()
         assert cluster.invoke_and_wait(b"PUT before=faults") == b"OK"
-        cluster.replica("r0").go_silent()
-        cluster.replica("r1").arm_stall()
+        faults.go_silent(cluster.replica("r0"))
+        stalled_views = faults.stall_view_change(cluster.replica("r1"))
         assert cluster.invoke_and_wait(b"PUT after=stall") == b"OK"
-        assert cluster.replica("r1").stalled_views, "stall never engaged"
+        assert stalled_views, "stall never engaged"
         views = {
             r.view
             for rid, r in cluster.replicas.items()

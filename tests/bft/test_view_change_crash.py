@@ -7,7 +7,7 @@ leader announcing the new view — the timers must escalate to the view
 after it, and nothing the dead leader learned may be lost or forked.
 """
 
-from repro.bft import BftCluster, BftConfig, StallingViewChangeLeader
+from repro.bft import BftCluster, BftConfig, faults
 
 SAFETY_RULES = (
     "bft.pre-prepare-equivocation",
@@ -24,7 +24,6 @@ def test_leader_crash_between_vc_quorum_and_new_view():
         transport="nio",
         config=BftConfig(view_change_timeout=20e-3, batch_delay=50e-6),
         faulty_fabric=True,
-        replica_classes={"r1": StallingViewChangeLeader},
     )
     cluster.start()
     assert cluster.invoke_and_wait(b"PUT before=partition") == b"OK"
@@ -32,13 +31,15 @@ def test_leader_crash_between_vc_quorum_and_new_view():
     # Cut the current leader off and let request timeouts drive a view
     # change toward r1 — which is armed to die at the precise moment it
     # holds the ViewChange quorum and would broadcast NewView.
-    cluster.replica("r1").arm_stall(crash_on_new_view=True)
+    stalled_views = faults.stall_view_change(
+        cluster.replica("r1"), crash_on_new_view=True
+    )
     cluster.fabric.partition({"r0"}, {"r1", "r2", "r3", "c0"})
     pending = cluster.client().invoke(b"PUT during=viewchange")
     cluster.run_for(120e-3)
 
     r1 = cluster.replica("r1")
-    assert r1.stalled_views, "r1 never reached the vc-quorum crash point"
+    assert stalled_views, "r1 never reached the vc-quorum crash point"
     assert not r1.running, "r1 should have crashed at the NewView point"
 
     # Heal the old leader: r0 + r2 + r3 are 2f + 1 live replicas again,

@@ -63,7 +63,7 @@ TICKING_LOOPS = {
     # round-number protocol timers, so bit-exact ties with other entries
     # are plausible rather than measure-zero, every tick drains links
     # and polls readers, and no perfbench workload covers it.
-    "bft/onesided.py::OneSidedReplica._os_poll_loop": 1,
+    "bft/onesided.py::OneSidedPath._poll_loop": 1,
     # -- periodic work: the tick is the job ------------------------------
     # Samples every probe on the sim clock each period.
     "obs/sampler.py::MetricsSampler._loop": 1,
@@ -76,9 +76,9 @@ TICKING_LOOPS = {
     # Re-broadcasts the state-transfer request until answered.
     "bft/replica.py::Replica._state_transfer_loop": 1,
     # Expires stale requests and fills merge gaps with no-ops.
-    "bft/cop/group.py::CopReplica._merge_fill_loop": 1,
+    "bft/replica.py::Replica._merge_fill_loop": 1,
     # A Byzantine writer hammering a slot: one write per tick.
-    "bft/byzantine.py::PermissionRaceReplica._race_loop": 1,
+    "bft/faults.py::_race_loop": 1,
 }
 
 

@@ -22,8 +22,13 @@ class TestCatalogValidation:
             )
 
     def test_unknown_byzantine_class_rejected(self):
-        with pytest.raises(ScenarioError):
-            ScenarioSpec(name="bad", byzantine=(("r0", "gremlin"),))
+        """A Byzantine fault must name a member of the group."""
+        for target in ("gremlin", "r9", "r0/g1"):
+            with pytest.raises(ScenarioError):
+                ScenarioSpec(
+                    name="bad",
+                    faults=(FaultAction(at=0.0, kind="equivocate", target=target),),
+                )
 
     def test_unknown_scenario_name_rejected(self):
         with pytest.raises(ScenarioError):

@@ -18,7 +18,7 @@ class TestSelfTest:
     def test_selftest_spec_is_faultless_and_mutant_free(self):
         spec = selftest_spec()
         assert spec.faults == ()
-        assert spec.byzantine == ()
+        assert spec.correct_replicas() == ("r0", "r1", "r2", "r3")
         # Without the mutant the same spec must be clean: the self-test
         # scenario cannot fail on its own.
         from repro.explore.scenario import run_scenario

@@ -1,13 +1,12 @@
 """COP degenerate-case fingerprints: ``group_count=1`` moves no event.
 
-The consensus-oriented parallelization subsystem (``repro.bft.cop``)
-promises an *exact* degenerate case: with one consensus group the
-``CopReplica``/``CopClient`` classes must schedule the very same agenda
-entries, in the same order, as the sequential ``Replica``/``BftClient``
-they wrap.  These tests replay the pinned schedule fingerprints from
-``test_fastpath_determinism`` through the COP classes — a digest
-mismatch means some COP override created, delayed or reordered an event
-at G=1.
+Consensus-oriented parallelization lives inside ``Replica`` and
+``BftClient`` and promises an *exact* degenerate case: with one
+consensus group they must schedule the very same agenda entries, in the
+same order, as the sequential pipeline always did.  These tests replay
+the pinned schedule fingerprints from ``test_fastpath_determinism``
+through the chaos and overload runs — a digest mismatch means some COP
+code path created, delayed or reordered an event at G=1.
 
 A fifth digest pins the G=4 multi-group chaos schedule itself, so COP
 changes that reshuffle the parallel pipelines are caught the same way.
@@ -18,7 +17,7 @@ import hashlib
 from repro.bench.echo import run_echo
 from repro.bench.overload import run_overload
 from repro.bench.selector_echo import reptor_echo
-from repro.bft import BftCluster, BftConfig, CopClient, CopReplica
+from repro.bft import BftCluster, BftConfig
 from repro.rubin import RubinConfig
 
 from tests.sim.test_fastpath_determinism import (
@@ -52,8 +51,6 @@ def _chaos_run(group_count: int, settle_s: float, tail_s: float) -> str:
         ),
         rubin_config=RubinConfig(retry_timeout=1e-3, retry_count=3),
         faulty_fabric=True,
-        default_replica_class=CopReplica,
-        client_class=CopClient,
     )
     cluster.start()
     times = []
@@ -96,15 +93,13 @@ def test_fig4_point_unchanged_with_cop_loaded():
 
 
 def test_chaos_schedule_bit_identical_at_group_count_one():
-    """CopReplica/CopClient at G=1 replay the pinned sequential chaos run."""
+    """The G=1 chaos run replays the pinned sequential schedule."""
     assert _chaos_run(1, 400e-3, 100e-3) == CHAOS_DIGEST
 
 
 def test_overload_schedule_bit_identical_at_group_count_one():
-    """The overload scenario is bit-identical under the COP classes."""
-    record = run_overload(
-        default_replica_class=CopReplica, client_class=CopClient
-    )
+    """The overload scenario replays its pinned schedule at G=1."""
+    record = run_overload()
     fingerprint = _digest(
         (
             sorted(
