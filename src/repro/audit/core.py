@@ -8,6 +8,13 @@ one attribute read per hook site and nothing else::
 
     audit = get_audit(self.env)
     if audit.enabled:
+        audit.on_view_adopted(self.replica_id, view)
+
+The per-message sites (QP, CQ, buffer pool, selector) read the slot
+itself, ``None`` while no manager is installed, and skip the call::
+
+    audit = self.env.audit
+    if audit is not None:
         audit.on_buffer_release(self.name, pooled.index, ...)
 
 Everything the manager does is pure observation: hooks update auditor
@@ -156,6 +163,24 @@ class AuditManager:
         self.resources = ResourceAuditor(self)
         #: Simulated time of the last execution progress (watchdog input).
         self.last_progress = 0.0
+        # The per-message resource hooks record nothing (they would
+        # flood the ring) and notify no observer: each *is* the
+        # auditor's check, bound here so that a hook site reaches it in
+        # one dispatch.
+        resources = self.resources
+        self.on_post_recv = resources.on_post_recv
+        self.on_recv_complete = resources.on_recv_complete
+        self.on_cq_push = resources.on_cq_push
+        self.on_send_credit = resources.on_send_credit
+        self.on_credit_advertised = resources.on_credit_advertised
+        self.on_credit_update = resources.on_credit_update
+        self.on_buffer_acquire = resources.on_buffer_acquire
+        self.on_buffer_release = resources.on_buffer_release
+        self.on_select_pass = resources.on_select_pass
+        #: A one-sided WRITE landed (no CQE, no recv WR): checked against
+        #: the declared-writer table (:meth:`declare_region_writer`), the
+        #: memory-level detector for forged writes when guarding is off.
+        self.on_remote_write_applied = resources.on_remote_write_applied
 
     def add_observer(self, observer: Any) -> Any:
         """Register a passive observer for BFT hook fan-out."""
@@ -384,20 +409,9 @@ class AuditManager:
                     transition=f"{old}->{new}")
         self.resources.on_qp_transition(host, qp_num, old, new)
 
-    def on_post_recv(self, qp_num: int, wr_id: int) -> None:
-        # Not flight-recorded: posting happens per message and would
-        # flood the ring; the auditor's accounting table is enough.
-        self.resources.on_post_recv(qp_num, wr_id)
-
-    def on_recv_complete(self, qp_num: int, wr_id: int) -> None:
-        self.resources.on_recv_complete(qp_num, wr_id)
-
     def on_qp_destroy(self, host: str, qp_num: int) -> None:
         self.record("rdma", "qp-destroy", host, qp_num=qp_num)
         self.resources.on_qp_destroy(host, qp_num)
-
-    def on_cq_push(self, cq_name: str, depth: int, capacity: int) -> None:
-        self.resources.on_cq_push(cq_name, depth, capacity)
 
     def on_rnr_nak(self, host: str, qp_num: int, psn: int) -> None:
         self.record("rdma", "rnr-nak", host, qp_num=qp_num, psn=psn)
@@ -452,27 +466,6 @@ class AuditManager:
             write, reason,
         )
 
-    def on_remote_write_applied(
-        self,
-        host: str,
-        src_host: Optional[str],
-        rkey: Optional[int],
-        offset: int,
-        length: int,
-    ) -> None:
-        """A one-sided WRITE landed on ``host`` (no CQE, no recv WR).
-
-        The resource auditor checks it against the declared-writer table:
-        regions registered via :meth:`declare_region_writer` must only be
-        written by their declared owner — the memory-level detector for
-        forged one-sided writes when permission guarding is off.
-        """
-        # Not flight-recorded per write (hot path); the auditor keeps the
-        # authorization table and reports violations.
-        self.resources.on_remote_write_applied(
-            host, src_host, rkey, offset, length
-        )
-
     def declare_region_writer(
         self, host: str, rkey: int, writer: str
     ) -> None:
@@ -501,47 +494,10 @@ class AuditManager:
             writer=writer,
         )
 
-    def on_send_credit(
-        self, host: str, qp_num: int, sent_total: int, credit_limit: int
-    ) -> None:
-        # Not flight-recorded (per-message volume); the invariant check
-        # is what matters.
-        self.resources.on_send_credit(host, qp_num, sent_total, credit_limit)
-
-    def on_credit_advertised(self, qp_num: int, credit: int) -> None:
-        self.resources.on_credit_advertised(qp_num, credit)
-
-    def on_credit_update(
-        self, qp_num: int, credit: int, previous: int
-    ) -> None:
-        self.resources.on_credit_update(qp_num, credit, previous)
-
     # -- RUBIN hooks -----------------------------------------------------
-
-    def on_buffer_acquire(
-        self, pool: str, available: int, capacity: int
-    ) -> None:
-        self.resources.on_buffer_acquire(pool, available, capacity)
-
-    def on_buffer_release(
-        self,
-        pool: str,
-        index: int,
-        was_free: bool,
-        available: int,
-        capacity: int,
-    ) -> None:
-        self.resources.on_buffer_release(
-            pool, index, was_free, available, capacity
-        )
 
     def on_pool_exhausted(self, pool: str) -> None:
         self.record("rubin", "pool-exhausted", pool)
-
-    def on_select_pass(
-        self, host: str, ready: Tuple[Tuple[int, int], ...]
-    ) -> None:
-        self.resources.on_select_pass(host, ready)
 
     def on_reconnect(self, supervisor: str, event: str, **fields: Any) -> None:
         self.record("rubin", f"reconnect-{event}", supervisor, **fields)

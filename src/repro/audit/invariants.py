@@ -86,12 +86,23 @@ One-sided agreement (dynamic permissions + slot arrays):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.audit.core import AuditManager
 
 __all__ = ["BftSafetyAuditor", "ResourceAuditor"]
+
+#: The streak table of a host with no previous select pass.
+_NO_STREAKS: Dict[int, Tuple[int, int]] = {}
 
 
 class BftSafetyAuditor:
@@ -397,9 +408,9 @@ class ResourceAuditor:
         self._posted_total: Dict[int, int] = {}
         #: qp_num -> highest credit a requester has seen advertised
         self._seen_credit: Dict[int, int] = {}
-        #: (host, channel_id) -> (consecutive no-progress ready passes,
-        #: last observed progress marker)
-        self._ready_streaks: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        #: host -> {channel_id -> (consecutive no-progress ready passes,
+        #: last observed progress marker)}, keys of the host's last pass
+        self._ready_streaks: Dict[str, Dict[int, Tuple[int, int]]] = {}
         #: (host, rkey) -> the only peer allowed to one-sided-write it
         #: (declared protocol intent; see :meth:`declare_region_writer`).
         self._declared_writers: Dict[Tuple[str, int], str] = {}
@@ -628,7 +639,7 @@ class ResourceAuditor:
     # -- selector ---------------------------------------------------------
 
     def on_select_pass(
-        self, host: str, ready: Tuple[Tuple[int, int], ...]
+        self, host: str, ready: Sequence[Tuple[int, int]]
     ) -> None:
         """One completed select pass on ``host``.
 
@@ -640,21 +651,16 @@ class ResourceAuditor:
         draining resets its streak on every serviced pass.
         """
         threshold = self.manager.config.starvation_ticks
-        ready_ids = {channel_id for channel_id, _marker in ready}
-        stale = [
-            key
-            for key in self._ready_streaks
-            if key[0] == host and key[1] not in ready_ids
-        ]
-        for key in stale:
-            del self._ready_streaks[key]
+        # This pass's table replaces the host's last one: a key missing
+        # from it went unready, which ends its streak.
+        last = self._ready_streaks.get(host, _NO_STREAKS)
+        streaks = self._ready_streaks[host] = {}
         for channel_id, marker in ready:
-            key = (host, channel_id)
-            streak, last_marker = self._ready_streaks.get(key, (0, marker))
+            streak, last_marker = last.get(channel_id, (0, marker))
             if marker != last_marker:
                 streak = 0  # the application serviced this key
             streak += 1
-            self._ready_streaks[key] = (streak, marker)
+            streaks[channel_id] = (streak, marker)
             if streak == threshold:
                 self.manager.violation(
                     "rubin.selector-starvation",

@@ -190,6 +190,8 @@ class BftClient:
                     self._busy_signal[timestamp] = busy_signal
                 waiters.append(busy_signal)
             yield self.env.any_of(waiters)
+            # Lost the race (or fired): only the AnyOf listens.
+            timer.cancel()
             if accepted.triggered:
                 break
             busy_signal = self._busy_signal.get(timestamp)

@@ -969,7 +969,7 @@ class Replica:
         try:
             for request in batch:
                 yield cpu.execute(self.config.execution_cost)
-                result = self.app.apply(request.operation)
+                result = self._apply(request.operation)
                 reply = Reply(
                     replica_id=self.replica_id,
                     client_id=request.client_id,
@@ -977,9 +977,10 @@ class Replica:
                     view=self.view,
                     result=result,
                 )
-                self._reply_cache[request.key()] = reply
-                self._request_deadlines.pop(request.key(), None)
-                self._proposed_keys.discard(request.key())
+                key = request.key()
+                self._reply_cache[key] = reply
+                self._request_deadlines.pop(key, None)
+                self._proposed_keys.discard(key)
                 self._reply_to_client(
                     reply, trace_ctx=self._message_trace_ctx(request)
                 )
@@ -990,6 +991,22 @@ class Replica:
         if slot.seq % self.config.checkpoint_interval == 0:
             self._take_checkpoint(slot.seq)
 
+    def _apply(self, operation: bytes) -> bytes:
+        """Execute one ordered operation; a malformed one is answered.
+
+        The application refuses an operation it cannot parse with a
+        BftError.  Raised here it would escape the detached execution
+        into the kernel, halting the run with some replicas past the
+        slot and some not.  Every correct replica refuses the same
+        operation with the same reason, so ``ERR <reason>`` is an
+        ordinary deterministic result the client accepts on f+1
+        matching replies.
+        """
+        try:
+            return self.app.apply(operation)
+        except BftError as exc:
+            return b"ERR " + str(exc).encode()
+
     def _take_checkpoint(self, seq: int) -> None:
         """Snapshot the state machine, vote, and broadcast the checkpoint.
 
@@ -999,10 +1016,15 @@ class Replica:
         enough to serve the current stable checkpoint plus the one being
         voted on.
         """
-        state_digest = self.app.digest()
         snapshot_fn = getattr(self.app, "snapshot", None)
-        if snapshot_fn is not None:
-            self._checkpoint_snapshots[seq] = (state_digest, snapshot_fn())
+        if snapshot_fn is None:
+            state_digest = self.app.digest()
+        else:
+            # Snapshot first: an app that encodes both in one walk (the
+            # KeyValueStore) then has the digest at hand.
+            snapshot = snapshot_fn()
+            state_digest = self.app.digest()
+            self._checkpoint_snapshots[seq] = (state_digest, snapshot)
             for old in sorted(self._checkpoint_snapshots)[:-2]:
                 del self._checkpoint_snapshots[old]
         checkpoint = Checkpoint(
@@ -1517,7 +1539,7 @@ class Replica:
                 self.replica_id, seq, batch_digest(batch), group=self.group
             )
         for request in batch:
-            result = self.app.apply(request.operation)
+            result = self._apply(request.operation)
             key = request.key()
             self._seen_requests.add(key)
             self._proposed_keys.discard(key)

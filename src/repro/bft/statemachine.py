@@ -12,8 +12,9 @@ implementation.
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from typing import Dict, Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.crypto import digest as sha256
 from repro.errors import BftError
@@ -54,8 +55,13 @@ class KeyValueStore:
     def __init__(self):
         self._data: Dict[str, str] = {}
         self.applied_count = 0
+        #: Bumped by every apply and restore; names the state the cached
+        #: encoding was taken of.
+        self._version = 0
+        self._encoded: Tuple[int, bytes, Optional[bytes]] = (-1, b"", None)
 
     def apply(self, operation: bytes) -> bytes:
+        self._version += 1
         try:
             text = operation.decode()
             verb, _, rest = text.partition(" ")
@@ -74,25 +80,45 @@ class KeyValueStore:
             return b"OK" if self._data.pop(rest, None) is not None else b""
         raise BftError(f"unknown verb {verb!r}")
 
+    def _encode(self, snapshot: bool) -> Tuple[int, bytes, Optional[bytes]]:
+        """(version, digest, snapshot or None) of the current state.
+
+        One sorted walk yields the digest and, when asked, the snapshot
+        as well, and both are kept until the next apply or restore: a
+        checkpoint takes the snapshot, then the digest, and walks once.
+        A digest on its own keeps no copy of the state.
+        """
+        encoded = self._encoded
+        if encoded[0] == self._version and (
+            encoded[2] is not None or not snapshot
+        ):
+            return encoded
+        data = self._data
+        hasher = hashlib.sha256()
+        out = bytearray(struct.pack(">I", len(data))) if snapshot else None
+        for key in sorted(data):
+            key_bytes = key.encode()
+            value_bytes = data[key].encode()
+            hasher.update(key_bytes + b"\0" + value_bytes + b"\0")
+            if out is not None:
+                out += struct.pack(">I", len(key_bytes))
+                out += key_bytes
+                out += struct.pack(">I", len(value_bytes))
+                out += value_bytes
+        encoded = self._encoded = (
+            self._version,
+            hasher.digest(),
+            None if out is None else bytes(out),
+        )
+        return encoded
+
     def digest(self) -> bytes:
-        blob = bytearray()
-        for key in sorted(self._data):
-            blob.extend(key.encode())
-            blob.append(0)
-            blob.extend(self._data[key].encode())
-            blob.append(0)
-        return sha256(bytes(blob))
+        """sha256 over ``key NUL value NUL`` in sorted key order."""
+        return self._encode(snapshot=False)[1]
 
     def snapshot(self) -> bytes:
         """Length-prefixed key/value pairs in sorted order."""
-        out = bytearray()
-        out.extend(struct.pack(">I", len(self._data)))
-        for key in sorted(self._data):
-            for text in (key, self._data[key]):
-                encoded = text.encode()
-                out.extend(struct.pack(">I", len(encoded)))
-                out.extend(encoded)
-        return bytes(out)
+        return self._encode(snapshot=True)[2]
 
     def restore(self, blob: bytes) -> None:
         pos = 0
@@ -115,6 +141,7 @@ class KeyValueStore:
         if pos != len(blob):
             raise BftError("trailing bytes in snapshot")
         self._data = data
+        self._version += 1
 
     def get(self, key: str) -> str | None:
         """Direct (non-replicated) state access for assertions."""

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 
-from repro.audit import get_audit
 from repro.errors import RdmaError
 from repro.rdma.verbs import Opcode, WcStatus
 from repro.sim import Store
@@ -109,8 +108,8 @@ class CompletionQueue:
 
     def push(self, wc: WorkCompletion) -> None:
         """RNIC-side: append a completion (overrun is a hard error)."""
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             # Depth *after* this push: > capacity flags the overrun the
             # exception below turns into a hard error.
             audit.on_cq_push(self.name, len(self._entries) + 1, self.capacity)

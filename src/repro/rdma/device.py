@@ -225,7 +225,11 @@ class RdmaDevice:
     # -- packet engine -------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        self._rx_queue.post(frame.payload)
+        # The private tail of a link arrival: Link._deliver is the
+        # arrival's last callback (traced or not), Nic._on_frame returns
+        # what its handler returns, and this is all the handler does —
+        # so a parked _rx_loop takes the packet in place (rule 7).
+        self._rx_queue.post_tail(frame.payload)
 
     def _rx_loop(self):
         """Serialize inbound packet processing (the RNIC's rx pipeline)."""

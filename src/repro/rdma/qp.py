@@ -24,7 +24,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-from repro.audit import get_audit
 from repro.errors import RdmaError
 from repro.net.frame import Frame
 from repro.rdma.cq import CompletionQueue, WorkCompletion
@@ -183,8 +182,8 @@ class QueuePair:
     def _set_state(self, new: QpState) -> None:
         """Transition the verbs state machine (audited)."""
         old, self.state = self.state, new
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             audit.on_qp_transition(
                 self.device.host.name, self.qp_num, old.value, new.value
             )
@@ -231,8 +230,8 @@ class QueuePair:
         if self.state is not QpState.ERROR:
             self._set_state(QpState.ERROR)
             self._flush_queues()
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             # Every posted receive WR must have completed (successfully
             # or flushed) by now; survivors were silently dropped.
             audit.on_qp_destroy(self.device.host.name, self.qp_num)
@@ -258,8 +257,8 @@ class QueuePair:
             # produces no CQE (the partial message is simply dropped);
             # settle the audit accounting without touching the CQ so an
             # audited run schedules identically to an unaudited one.
-            audit = get_audit(self.env)
-            if audit.enabled:
+            audit = self.env.audit
+            if audit is not None:
                 audit.record(
                     "rdma", "recv-aborted-midstream",
                     self.device.host.name,
@@ -370,8 +369,8 @@ class QueuePair:
                 # Credit consumed at post time: every two-sided SEND will
                 # occupy exactly one peer receive WR.
                 self._sent_total += 1
-                audit = get_audit(self.env)
-                if audit.enabled:
+                audit = self.env.audit
+                if audit is not None:
                     audit.on_send_credit(
                         self.device.host.name,
                         self.qp_num,
@@ -395,14 +394,14 @@ class QueuePair:
                 f"{self}: receive queue full ({len(self._recv_queue)}"
                 f"/{self.caps.max_recv_wr})"
             )
-        audit = get_audit(self.env)
+        audit = self.env.audit
         for wr in wrs:
             if wr.sge.mr.pd is not self.pd:
                 raise RdmaError(f"{self}: recv SGE memory region is in a foreign PD")
             wr.sge.mr.check_local_write(wr.sge.offset, wr.sge.length)
             self._recv_queue.append(wr)
             self._posted_recv_total += 1
-            if audit.enabled:
+            if audit is not None:
                 audit.on_post_recv(self.qp_num, wr.wr_id)
         if (
             self.caps.flow_control
@@ -723,8 +722,8 @@ class QueuePair:
             reason = "protection-fault"
         if reason in ("stale-epoch", "stale-rkey"):
             self.device.host.nic.stale_access_denied.increment()
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             audit.on_remote_access_denied(
                 host=self.device.host.name,
                 qp_num=self.qp_num,
@@ -812,8 +811,8 @@ class QueuePair:
             if not self._recv_queue:
                 # Receiver not ready: NAK without advancing the PSN.
                 nic.rnr_naks.increment()
-                audit = get_audit(self.env)
-                if audit.enabled:
+                audit = self.env.audit
+                if audit is not None:
                     audit.on_rnr_nak(
                         self.device.host.name, self.qp_num, packet.psn
                     )
@@ -939,8 +938,8 @@ class QueuePair:
         self._expected_psn = packet.psn + 1
         if packet.kind in PacketType.ENDS_MESSAGE:
             self._cur_write = None
-            audit = get_audit(self.env)
-            if audit.enabled:
+            audit = self.env.audit
+            if audit is not None:
                 audit.on_remote_write_applied(
                     host=self.device.host.name,
                     src_host=packet.src_host,
@@ -1001,8 +1000,8 @@ class QueuePair:
                 mr.check_epoch(epoch)
             except RdmaError:
                 nic.stale_access_denied.increment()
-                audit = get_audit(self.env)
-                if audit.enabled:
+                audit = self.env.audit
+                if audit is not None:
                     audit.on_remote_access_denied(
                         host=self.device.host.name,
                         qp_num=self.qp_num,
@@ -1066,16 +1065,16 @@ class QueuePair:
 
     def _handle_rnr(self, packet: RocePacket):
         nic = self.device.host.nic
-        audit = get_audit(self.env)
+        audit = self.env.audit
         self._rnr_budget -= 1
         if self._rnr_budget < 0:
             nic.rnr_exhausted.increment()
-            if audit.enabled:
+            if audit is not None:
                 audit.on_rnr_exhausted(self.device.host.name, self.qp_num)
             self._fail_head(WcStatus.RNR_RETRY_EXC_ERR)
             return
         nic.rnr_retries.increment()
-        if audit.enabled:
+        if audit is not None:
             audit.on_rnr_retry(
                 self.device.host.name,
                 self.qp_num,
@@ -1098,8 +1097,8 @@ class QueuePair:
 
     def _update_credit(self, limit: int) -> None:
         """Requester-side: absorb an advertised cumulative receive count."""
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             # Audited before the monotonic clamp so a regressing peer
             # advertisement is caught, not silently ignored.
             audit.on_credit_update(self.qp_num, limit, self._credit_limit)
@@ -1130,8 +1129,8 @@ class QueuePair:
         ):
             credit = self._posted_recv_total
             self._last_advertised = credit
-            audit = get_audit(self.env)
-            if audit.enabled:
+            audit = self.env.audit
+            if audit is not None:
                 audit.on_credit_advertised(self.qp_num, credit)
         self._transmit(
             RocePacket(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.audit import get_audit
 from repro.errors import RubinError
 from repro.rdma.mr import MemoryRegion, ProtectionDomain, alloc_registered
 from repro.rdma.verbs import Access
@@ -126,8 +125,8 @@ class BufferPool:
         """Take a free buffer; raises :class:`RubinError` when exhausted."""
         pooled = self.try_acquire()
         if pooled is None:
-            audit = get_audit(self.device.env)
-            if audit.enabled:
+            audit = self.device.env.audit
+            if audit is not None:
                 audit.on_pool_exhausted(self.name)
             raise RubinError(f"{self.name}: buffer pool exhausted")
         return pooled
@@ -148,8 +147,8 @@ class BufferPool:
             self._allocate_one()
         pooled = self._free.pop()
         pooled.in_use = True
-        audit = get_audit(self.device.env)
-        if audit.enabled:
+        audit = self.device.env.audit
+        if audit is not None:
             audit.on_buffer_acquire(self.name, self.available, self.capacity)
         return pooled
 
@@ -157,8 +156,8 @@ class BufferPool:
         """Return a buffer to the pool."""
         if pooled.pool is not self:
             raise RubinError(f"{self.name}: buffer belongs to another pool")
-        audit = get_audit(self.device.env)
-        if audit.enabled:
+        audit = self.device.env.audit
+        if audit is not None:
             # Report before the idempotence guard below swallows the
             # double return — that guard is exactly what the auditor's
             # checkout/return balance check exists to surface.

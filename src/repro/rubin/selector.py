@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.audit import get_audit
 from repro.errors import RubinError
 from repro.rdma.cm import ConnectionManager
 from repro.rubin.channel import RubinChannel, RubinServerChannel
@@ -47,6 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RubinSelector"]
 
 Registrable = Union[RubinChannel, RubinServerChannel]
+
+#: What :meth:`RubinSelector.wakeup` pushes.  A dispatch pass reads only
+#: its kind, so one shared instance serves every call.
+_WAKEUP = RubinEvent(kind="wakeup", event_id=None)
 
 
 class RubinSelector:
@@ -154,7 +157,9 @@ class RubinSelector:
                 remaining = deadline - self.env.now
                 if remaining <= 0:
                     return 0
-                yield self.env.any_of([waiter, self.env.timeout(remaining)])
+                timer = self.env.timeout(remaining)
+                yield self.env.any_of([waiter, timer])
+                timer.cancel()
             if self.closed:
                 raise RubinError("selector closed while selecting")
             yield cpu.execute(cpu.costs.context_switch)
@@ -212,41 +217,45 @@ class RubinSelector:
                 self._wakeup_requested = True
 
     def _compute_ready(self) -> List[RubinSelectionKey]:
+        # Every key is looked at on every pass, so readiness is read
+        # from the fields behind ``interest_ops``, ``accept_pending`` and
+        # ``receivable`` rather than through the properties.
         ready = []
         for key in self._keys.values():
-            ops = self._ready_ops(key)
+            channel = key.channel
+            interest = key._interest
+            ops = 0
+            if key.is_server:
+                if interest & OP_CONNECT and channel.connect_pending:
+                    ops = OP_CONNECT
+            else:
+                if interest & OP_ACCEPT and (
+                    (channel.established and channel._establish_pending)
+                    or channel.errored
+                ):
+                    # Errored establishment also surfaces as OP_ACCEPT so
+                    # the application's finish_connect() can raise
+                    # (NIO-style).
+                    ops = OP_ACCEPT
+                if interest & OP_RECEIVE and (
+                    channel._ready_messages or channel.recv_cq._entries
+                ):
+                    ops |= OP_RECEIVE
+                if interest & OP_SEND and channel.sendable:
+                    ops |= OP_SEND
             key.ready_ops = ops
             if ops:
                 ready.append(key)
-        audit = get_audit(self.env)
-        if audit.enabled:
+        audit = self.env.audit
+        if audit is not None:
             audit.on_select_pass(
                 self.host.name,
-                tuple(
+                [
                     (key.channel.channel_id, key.channel.progress_marker)
                     for key in ready
-                ),
+                ],
             )
         return ready
-
-    @staticmethod
-    def _ready_ops(key: RubinSelectionKey) -> int:
-        channel = key.channel
-        interest = key.interest_ops
-        ops = 0
-        if key.is_server:
-            if interest & OP_CONNECT and channel.connect_pending:
-                ops |= OP_CONNECT
-            return ops
-        if interest & OP_ACCEPT and (channel.accept_pending or channel.errored):
-            # Errored establishment also surfaces as OP_ACCEPT so the
-            # application's finish_connect() can raise (NIO-style).
-            ops |= OP_ACCEPT
-        if interest & OP_RECEIVE and channel.receivable:
-            ops |= OP_RECEIVE
-        if interest & OP_SEND and channel.sendable:
-            ops |= OP_SEND
-        return ops
 
     def selected_keys(self) -> List[RubinSelectionKey]:
         """Keys made ready by the last select; clears the selected set."""
@@ -257,7 +266,7 @@ class RubinSelector:
         """Make a blocked :meth:`select` return immediately (NIO's
         ``Selector.wakeup()`` analog): pushes a synthetic wake event onto
         the hybrid queue."""
-        self.queue.push(RubinEvent(kind="wakeup", event_id=None))
+        self.queue.push(_WAKEUP)
 
     # -- lifecycle ---------------------------------------------------------
 

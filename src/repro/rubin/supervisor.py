@@ -176,9 +176,9 @@ class ChannelSupervisor:
                         break
                     waiter = self.env.event()
                     self._waiters[cid] = waiter
-                    yield self.env.any_of(
-                        [waiter, self.env.timeout(remaining)]
-                    )
+                    timer = self.env.timeout(remaining)
+                    yield self.env.any_of([waiter, timer])
+                    timer.cancel()
                     self._waiters.pop(cid, None)
                 if self._stopped:
                     return

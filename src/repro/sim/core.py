@@ -48,7 +48,17 @@ than ``now``.  Nothing can run, or take a sequence number, in between, so
 every other entry keeps its time and its rank.
 :class:`~repro.sim.resources.TimedHold` does this for its grant and its
 completion, :func:`~repro.sim.process.inline` for the return of a callee
-that runs inside its caller.
+that runs inside its caller, :meth:`Store.post_tail
+<repro.sim.resources.Store.post_tail>` for a getter parked on a queue.
+
+Cancelled timers
+----------------
+
+A timer that lost an ``any_of`` race would fire into callbacks that all
+return at once.  :meth:`Timeout.cancel <repro.sim.events.Timeout.cancel>`
+empties its callback list and counts it; once cancelled entries are
+more than half the far heap the heap is rebuilt without them.  Keys are
+unique, so every survivor pops when it would have.
 """
 
 from __future__ import annotations
@@ -170,6 +180,7 @@ class Environment:
         "_urgent",
         "_dq",
         "_far",
+        "_cancelled",
         "_eid",
         "_active_process",
         "_tiebreak",
@@ -189,6 +200,10 @@ class Environment:
         # heapq.  The list object lives as long as the environment — the
         # run loops and the policy stand-ins hold references to it.
         self._far: list[tuple[float, int, int, Event]] = []
+        # Timers cancelled since the far heap was last rebuilt without
+        # them (Timeout.cancel); an upper bound, as one may have been
+        # served since.
+        self._cancelled = 0
         self._eid = 0
         self._active_process: Optional[Process] = None
         # Optional TieBreakPolicy consulted on equal-(time, priority)

@@ -23,7 +23,7 @@ ok
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
+from heapq import heapify as _heapify, heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -54,6 +54,23 @@ class _Pending:
 
 #: Sentinel stored in :attr:`Event._value` until the event is triggered.
 PENDING = _Pending()
+
+
+class _Cancelled(tuple):
+    """The callback list of a cancelled :class:`Timeout`.
+
+    Empty, so the entry runs nothing should it still be served, and
+    closed: a process or condition that subscribes to a timer that will
+    never fire would otherwise wait forever without a word.
+    """
+
+    __slots__ = ()
+
+    def append(self, _callback: Any) -> None:
+        raise SimulationError("cannot wait on a cancelled timer")
+
+
+_CANCELLED = _Cancelled()
 
 
 class Interrupt(Exception):
@@ -249,6 +266,50 @@ class Timeout(Event):
         self.delay = delay
         env._eid += 1
         _heappush(env._far, (env._now + delay, 1, env._eid, self))
+
+    def cancel(self) -> None:
+        """Take a timer that lost its race off the agenda.
+
+        For the owner of ``any_of([something, timer])`` once that
+        condition has fired: every subscriber left is a triggered
+        :class:`Condition`, whose callback returns at once, so the
+        firing would run nothing but no-ops (DESIGN §11, rule 6).  A
+        timer with any other subscriber is refused; a timer that fired
+        already is left alone.  Waiting on a cancelled timer raises.
+
+        The entry is dropped lazily: it keeps its place (served, it runs
+        nothing) until cancelled entries are more than half the far
+        heap, which is then rebuilt without them — keys are unique, so
+        the survivors pop in the same order.  Under a
+        :class:`~repro.sim.core.TieBreakPolicy` the entry is a tie the
+        policy enumerates, and stays.
+        """
+        callbacks = self.callbacks
+        if callbacks is None or callbacks is _CANCELLED:
+            return
+        for callback in callbacks:
+            owner = getattr(callback, "__self__", None)
+            if not isinstance(owner, Condition) or owner._value is PENDING:
+                raise SimulationError(
+                    f"cannot cancel {self!r}: {callback!r} still waits for it"
+                )
+        env = self.env
+        if env._tiebreak is not None:
+            return
+        self.callbacks = _CANCELLED
+        env._cancelled += 1
+        far = env._far
+        if env._cancelled * 2 > len(far):
+            # Compact in place (each entry moves to an index the loop
+            # has passed), then restore the heap order.
+            kept = 0
+            for entry in far:
+                if entry[3].callbacks is not _CANCELLED:
+                    far[kept] = entry
+                    kept += 1
+            del far[kept:]
+            _heapify(far)
+            env._cancelled = 0
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"

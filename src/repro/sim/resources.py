@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import PENDING, Event, Timeout
+from repro.sim.monitor import UtilizationTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -144,6 +145,43 @@ class Store:
         self.items.append(item)
         if getters:
             self._dispatch()
+
+    def post_tail(self, item: Any) -> None:
+        """:meth:`post`, called as the very last thing its step does.
+
+        A blocked unfiltered head getter is handed the item through a
+        zero-delay entry.  When that entry is provably the next one
+        served — urgent lane empty, zero-delay lane empty, far head
+        strictly later than ``now`` — and nothing runs between this call
+        and the end of the step, the getter's callbacks run here instead
+        (DESIGN §11, rule 7).  The caller vouches for the second half;
+        the store checks the first.  Otherwise, and under a
+        :class:`~repro.sim.core.TieBreakPolicy`, it is :meth:`post`.
+        """
+        getters = self._getters
+        if getters and getters[0].filter is None:
+            get = getters.popleft()
+            get._value = item
+            env = self.env
+            far = env._far
+            if (
+                env._tiebreak is None
+                and not env._urgent
+                and not env._dq
+                and (not far or far[0][0] > env._now)
+            ):
+                callbacks, get.callbacks = get.callbacks, None
+                for callback in callbacks:
+                    callback(get)
+            else:
+                # post()'s hand-over: the getter's entry.
+                env._eid += 1
+                env._dq.append((env._now, 1, env._eid, get))
+        elif not getters and len(self.items) < self.capacity:
+            # post() with nobody waiting: the receiver is busy.
+            self.items.append(item)
+        else:
+            self.post(item)
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Take the first (matching) item; event value is the item."""
@@ -323,7 +361,9 @@ class TimedHold(Event):
     one sequence number, a contended or crowded one up to three.
 
     ``tracker`` (optional) has ``begin()``/``end()`` called around the
-    hold; ``span`` (optional) has ``end()`` called after release.
+    hold — for a :class:`~repro.sim.monitor.UtilizationTracker`, the
+    tracker of every ``Cpu``, their arithmetic is done here, in place;
+    ``span`` (optional) has ``end()`` called after release.
     """
 
     __slots__ = ("_resource", "_duration", "_request", "_tracker", "_span")
@@ -375,16 +415,30 @@ class TimedHold(Event):
         request.callbacks.append(self._hold)
 
     def _hold(self, _event: Optional[Event] = None) -> None:
+        env = self.env
         tracker = self._tracker
         if tracker is not None:
-            tracker.begin()
-        timeout = Timeout(self.env, self._duration)
+            if type(tracker) is UtilizationTracker:
+                # UtilizationTracker.begin(), in place.
+                if not tracker._depth:
+                    tracker._busy_since = env._now
+                tracker._depth += 1
+            else:
+                tracker.begin()
+        timeout = Timeout(env, self._duration)
         timeout.callbacks.append(self._finish)
 
     def _finish(self, _event: Event) -> None:
         tracker = self._tracker
         if tracker is not None:
-            tracker.end()
+            if type(tracker) is UtilizationTracker and tracker._depth:
+                # UtilizationTracker.end(), in place.
+                depth = tracker._depth = tracker._depth - 1
+                if not depth and tracker._busy_since is not None:
+                    tracker._busy_total += self.env._now - tracker._busy_since
+                    tracker._busy_since = None
+            else:
+                tracker.end()
         # Inlined request.release() fast path: the grant fired (we held the
         # slot), so the request is in _users and cannot be double-released.
         resource = self._resource

@@ -572,9 +572,15 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def enqueue_segment(self, segment: Segment) -> None:
-        """Called by the stack's demux for every arriving segment."""
+        """Called by the stack's demux for every arriving segment.
+
+        The private tail of a link arrival (Link._deliver, its last
+        callback → Nic._on_frame → TcpStack._on_frame, which returns
+        right after this call), so a parked receive loop takes the
+        segment in place (DESIGN §11, rule 7).
+        """
         self._rx_queued_bytes += len(segment.data)
-        self._rx_queue.post(segment)
+        self._rx_queue.post_tail(segment)
 
     # The receive loop mirrors _tx_step: wait-for-segment -> charge CPU ->
     # handle, as callbacks with the same event order the generator had.

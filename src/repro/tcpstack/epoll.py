@@ -140,7 +140,9 @@ class Epoll:
                 remaining = deadline - self.env.now
                 if remaining <= 0:
                     return []
-                yield self.env.any_of([self._wakeup, self.env.timeout(remaining)])
+                timer = self.env.timeout(remaining)
+                yield self.env.any_of([self._wakeup, timer])
+                timer.cancel()
             self._wakeup = None
             if self.closed:
                 raise TcpError("epoll instance closed while waiting")

@@ -64,6 +64,19 @@ class TestHappyPath:
         for app in cluster.apps.values():
             assert app.value == 5
 
+    def test_a_malformed_operation_is_answered_not_raised(self, cluster):
+        """One client's unparsable operation used to escape the detached
+        execution into the kernel: the run stopped with replicas split
+        across the slot, and every later request raised again."""
+        assert cluster.invoke_and_wait(b"PUT a=1") == b"OK"
+        assert cluster.invoke_and_wait(b"FOO x") == b"ERR unknown verb 'FOO'"
+        assert cluster.invoke_and_wait(b"PUT b=2") == b"OK"
+        cluster.run_for(5e-3)
+        assert set(cluster.executed_sequences().values()) == {3}
+        assert len(set(cluster.state_digests().values())) == 1
+        for app in cluster.apps.values():
+            assert (app.get("a"), app.get("b"), app.applied_count) == ("1", "2", 3)
+
 
 class TestConcurrency:
     def test_concurrent_clients_converge(self):

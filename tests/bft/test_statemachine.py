@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bft import BftConfig, CounterMachine, KeyValueStore
+from repro.crypto import digest as sha256
 from repro.errors import BftError, ConfigurationError
 
 
@@ -51,6 +52,30 @@ class TestKeyValueStore:
         b.apply(b"PUT y=2")
         b.apply(b"PUT x=1")
         assert a.digest() == b.digest()  # order-independent state
+
+    def test_digest_and_snapshot_follow_every_apply_and_restore(self):
+        """One sorted walk serves both until the state may have changed;
+        a digest alone keeps no copy of the state."""
+        kv = KeyValueStore()
+        kv.apply(b"PUT b=2")
+        kv.apply(b"PUT a=1")
+        digest = kv.digest()
+        assert kv._encoded[2] is None
+        blob = kv.snapshot()
+        assert blob == (
+            b"\x00\x00\x00\x02"
+            b"\x00\x00\x00\x01a\x00\x00\x00\x011"
+            b"\x00\x00\x00\x01b\x00\x00\x00\x012"
+        )
+        assert digest == sha256(b"a\x001\x00b\x002\x00")
+        assert kv.digest() == digest and kv.snapshot() is blob  # cached
+        kv.apply(b"PUT a=3")
+        assert kv.digest() != digest and kv.snapshot() != blob
+        kv.restore(blob)
+        assert (kv.digest(), kv.snapshot()) == (digest, blob)
+        with pytest.raises(BftError, match="truncated"):
+            kv.restore(blob[:-1])  # refused whole: state and cache stand
+        assert (kv.digest(), kv.get("a")) == (digest, "1")
 
     def test_applied_count(self):
         kv = KeyValueStore()

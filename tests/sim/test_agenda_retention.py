@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from repro.bft import BftCluster, BftConfig
 from repro.sim import Environment
 
 FAR = 1.0
@@ -66,3 +67,37 @@ def test_a_served_entry_is_gone_from_the_agenda(drive):
     assert len(env._far) + len(env._dq) == 3
     served = carried[:-2]  # each ticker still holds its latest
     assert [ref() for ref in served] == [None] * len(served)
+
+
+#: ``pbft_rubin``'s shape: four closed-loop clients, unbatched PUTs.
+CLIENTS, PUTS = 4, 1_200
+#: What may be pending at a completion: the run's live entries (about
+#: 70 here), plus no more cancelled ones than live ones.
+FAR_BOUND = 160
+
+
+def test_lost_retry_timers_leave_the_agenda():
+    """Every request arms a 20 ms retry timer that its reply beats by
+    two orders of magnitude.  Left pending until they expire, they fill
+    the far heap (1 256 entries at the worst completion of this run);
+    cancelled once the reply wins (DESIGN §11 rule 6) they cost one
+    rebuild per few dozen requests, and the worst completion sees 135."""
+    cluster = BftCluster(
+        config=BftConfig(batch_size=1, batch_delay=0.0), num_clients=CLIENTS
+    )
+    cluster.start()
+    env = cluster.env
+    peaks = []
+
+    def closed_loop(client, first):
+        for index in range(first, PUTS, CLIENTS):
+            assert (yield client.invoke(b"PUT k%d=v%d" % (index, index))) == b"OK"
+            peaks.append(len(env._far))
+
+    env.run(
+        until=env.all_of(
+            [env.process(closed_loop(cluster.client(c), c)) for c in range(CLIENTS)]
+        )
+    )
+    assert len(peaks) == PUTS
+    assert max(peaks) <= FAR_BOUND

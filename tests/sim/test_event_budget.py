@@ -3,12 +3,13 @@
 Host speed moves with the machine; the number of agenda entries a fixed
 workload takes does not.  ``env._eid`` grows by one per keyed entry
 (starts on the urgent lane, eventless puts and fused hold ends take
-none), it is the same on every host, and it is what perfbench reports
-as ``sim.events_per_op``.  These pins are the host-independent gate on
-it: a change that adds entries to the request path fails here and has
-to move the number on purpose.  (Before the
-agenda diet the three figures were 80 258, 90 032 and 24 534; the echo
-was 22 048 while its readers still ticked through their waits.)
+none, and so do gets handed over in place), it is the same on every
+host, and it is what perfbench reports as ``sim.events_per_op``.  These
+pins are the host-independent gate on it: a change that adds entries to
+the request path fails here and has to move the number on purpose.
+(Before the agenda diet the three figures were 80 258, 90 032 and
+24 534; the echo was 22 048 while its readers still ticked through
+their waits.)
 
 ``Process`` objects are pinned beside them.  Every channel, selector and
 connection operation on the request path runs inside its caller
@@ -37,19 +38,29 @@ PUTS = 40
 #:   ``_kick_tx`` wakes the transmit loop first);
 #: * hold grants that fuse now that no detached send's completion is
 #:   pending when the next charge starts: -200 / -160.
-PBFT_EVENTS = {"rubin": 33_827, "nio": 36_520}
+#:
+#: That gave 33 827 / 36 520.  Then rule 7 (DESIGN §11): an arriving
+#: frame whose receive loop is parked on its queue takes it in place of
+#: the get's entry — RUBIN -2 280 (2 280 of the 2 320 RoCE packets; 40
+#: find the device's rx pipeline still busy), NIO -1 840 (1 840 of the
+#: 2 160 TCP segments; 320 find the connection's receive loop busy).
+#: Rule 6 moves no id: the 40 cancelled retry timers had theirs already
+#: (one heap rebuild in the run), and no adjacency test reads otherwise.
+PBFT_EVENTS = {"rubin": 31_547, "nio": 34_680}
 #: ``Process`` objects over the same run: the client's ``invoke`` per PUT,
 #: and on NIO one select that found a start queued ahead of it and was
 #: spawned after all.  (The spawning tree made 5 291 / 8 558.)
 PBFT_SPAWNS = {"rubin": 40, "nio": 41}
-#: Entries for the whole Fig-3 channel echo run: 26 to connect, then 144
-#: per echo — two messages of 16 + 7 per MTU frame, 8 frames here (the
+#: Entries for the whole Fig-3 channel echo run: 26 to connect, then 126
+#: per echo — two messages of 15 + 6 per MTU frame, 8 frames here (the
 #: per-primitive table in DESIGN §11) — and a dozen amortized ones (a
 #: send CQE reaped every 8 sends, receive buffers re-posted every 16
 #: reads, each application buffer's first use, the QPs' retry timers).
-#: It was 3 000 while the echo's four reads per message were processes;
-#: its two writes keep their completion entry.
-ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 2_920
+#: It was 3 000 while the echo's four reads per message were processes
+#: (its two writes keep their completion entry), and 2 920 until every
+#: one of an echo's 18 frames (8 data and an ACK per message) found the
+#: receiving rx pipeline parked and handed its packet over in place.
+ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 2_560
 
 
 def _pbft_run(transport, monkeypatch):

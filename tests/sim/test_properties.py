@@ -5,7 +5,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.net.frame import Frame
+from repro.net.link import Link
 from repro.sim import (
+    Drive,
     Environment,
     GridWait,
     Resource,
@@ -16,6 +19,7 @@ from repro.sim import (
     inline,
 )
 from repro.sim.resources import TimedHold
+from repro.trace import Tracer, install_tracer
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -1344,3 +1348,395 @@ class TestDetach:
             counts.append(env._eid)
         # Start, timeout, completion: every one a tie the policy may see.
         assert counts == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# Dead timers and parked receivers: Timeout.cancel() and Store.post_tail()
+# ---------------------------------------------------------------------------
+#
+# ``timer.cancel()`` after ``yield env.any_of([signal, timer])`` stands for
+# leaving the timer to fire into the AnyOf's no-op callback, and
+# ``store.post_tail(item)`` as the last thing an arrival's last callback
+# does stands for ``store.post(item)``.  A random program — racers whose
+# signal or timer wins (or both in one instant), arrivals with and
+# without a callback ahead of their delivery, receivers parked or busy,
+# holds, starts, zero-delay entries and timers due now, small-integer
+# times so that ties are exact — must dispatch the identical (time,
+# label) trace either way, however the kernel is driven, and under a
+# policy that always answers 0 (DESIGN §11, rules 6 and 7).
+
+_RACE_STEP = st.one_of(
+    # any_of([signal, timer]): the timer's delay, then the signal's.
+    st.tuples(st.just("race"), _TIMES, _TIMES),
+    # An arrival this much later at receiver 0 or 1, and whether a
+    # callback (a trace span's end, say) runs ahead of its delivery.
+    st.tuples(st.just("arrive"), _TIMES, st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("hold"), st.integers(1, 2).map(float)),
+    st.tuples(st.just("spawn")),
+    st.tuples(st.just("poke")),  # a zero-delay entry
+    st.tuples(st.just("timer")),  # a far entry due now
+    st.tuples(st.just("sleep"), _TIMES),
+)
+_RACERS = st.lists(
+    st.tuples(_TIMES, st.lists(_RACE_STEP, min_size=1, max_size=5)),
+    min_size=1,
+    max_size=4,
+)
+#: How long each receiver is busy after an item (0: it parks at once).
+_RECEIVERS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _run_races(racers, receivers, short=True, drive="run", policy=None):
+    """Dispatch the program; return ((time, label, what) trace, event ids).
+
+    ``short=False`` leaves every lost timer on the agenda and posts every
+    arrival the plain way.
+    """
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+    stores = [Store(env), Store(env)]
+    trace = []
+
+    def mark(label, what):
+        trace.append((env.now, label, what))
+
+    def spawned(label):
+        mark(label, "spawned")
+        return
+        yield
+
+    def receiver(number, busy):
+        while True:
+            item = yield stores[number].get()
+            mark(f"r{number}", item)
+            if busy:
+                yield TimedHold(cpu, float(busy))
+
+    def deliver(arrival, store):
+        # The arrival's last callback, and the post its last statement.
+        if short:
+            store.post_tail(arrival.value)
+        else:
+            store.post(arrival.value)
+
+    def racer(env, name, delay, steps):
+        yield env.timeout(delay)
+        for index, step in enumerate(steps):
+            label = f"{name}.{index}"
+            if step[0] == "race":
+                signal = env.event()
+                timer = env.timeout(step[1])
+                env.timeout(step[2]).callbacks.append(
+                    lambda _e, signal=signal: signal.succeed()
+                )
+                yield env.any_of([signal, timer])
+                mark(label, "signal" if signal.triggered else "timer")
+                if short:
+                    timer.cancel()
+            elif step[0] == "arrive":
+                _kind, delay, which, ahead = step
+                arrival = env.timeout(delay, value=label)
+                if ahead:
+                    arrival.callbacks.append(lambda e: mark(e.value, "span"))
+                arrival.callbacks.append(
+                    lambda e, store=stores[which]: deliver(e, store)
+                )
+            elif step[0] == "hold":
+                yield TimedHold(cpu, step[1])
+            elif step[0] == "spawn":
+                env.process(spawned(label))
+            elif step[0] == "poke":
+                env.event().succeed().callbacks.append(
+                    lambda _e, label=label: mark(label, "poke")
+                )
+            elif step[0] == "timer":
+                env.timeout(0.0).callbacks.append(
+                    lambda _e, label=label: mark(label, "timer")
+                )
+            else:
+                yield env.timeout(step[1])
+            mark(label, "next")
+
+    # One receiver parks as a process, the other as a drive: the two
+    # kinds of callback a hand-over calls.
+    env.process(receiver(0, receivers[0]))
+    Drive(env, receiver(1, receivers[1]))
+    for number, (delay, steps) in enumerate(racers):
+        env.process(racer(env, f"c{number}", delay, steps))
+    if policy is not None:
+        env.set_tiebreak(policy)
+    if drive == "step":
+        while env.peek() != float("inf"):
+            env.step()
+    else:
+        if drive == "until":
+            env.run(until=2.5)
+        env.run()
+    return trace, env._eid
+
+
+@settings(max_examples=200, deadline=None)
+@given(racers=_RACERS, receivers=_RECEIVERS)
+# Timer and signal in one instant, then an arrival behind a span callback.
+@example(
+    racers=[(1.0, [("race", 1.0, 1.0), ("arrive", 1.0, 0, True)])],
+    receivers=(0, 0),
+)
+# Enough lost timers to rebuild the heap while arrivals are in flight.
+@example(
+    racers=[
+        (0.0, [("race", 3.0, 0.0)] * 3 + [("arrive", 2.0, 1, False)]),
+        (1.0, [("arrive", 0.0, 1, False), ("race", 2.0, 1.0)]),
+    ],
+    receivers=(1, 2),
+)
+def test_cancelled_timers_and_tail_posts_dispatch_the_reference_trace(
+    racers, receivers
+):
+    expected, reference_events = _run_races(racers, receivers, short=False)
+    for drive in ("run", "until", "step"):
+        trace, events = _run_races(racers, receivers, drive=drive)
+        assert trace == expected
+        assert events <= reference_events
+    chosen, _ = _run_races(racers, receivers, policy=TieBreakPolicy())
+    assert chosen == expected
+
+
+class TestCancel:
+    """Directed cases for rule 6, one clause of ``Timeout.cancel`` each."""
+
+    def test_a_lost_timer_leaves_the_agenda(self):
+        def run(cancel):
+            env = Environment()
+            peak = []
+
+            def racer(env):
+                for _ in range(10):
+                    timer = env.timeout(100.0)
+                    yield env.any_of([env.timeout(1.0), timer])
+                    if cancel:
+                        timer.cancel()
+                    peak.append(len(env._far))
+
+            env.process(racer(env))
+            env.run()
+            return max(peak), env.now
+
+        # Each cancelled timer is the only one pending, so more than half
+        # the heap: rebuilt at once.  Left alone, the ten dead timers run
+        # the clock out to the last one.
+        assert run(cancel=True) == (0, 10.0)
+        assert run(cancel=False) == (10, 109.0)
+
+    def test_the_heap_is_rebuilt_once_cancelled_entries_are_the_majority(self):
+        env = Environment()
+        fired = []
+        for when in (3.0, 1.0, 2.0):
+            env.timeout(when, value=when).callbacks.append(
+                lambda e: fired.append(e.value)
+            )
+        doomed = [env.timeout(0.5 + k) for k in range(5)]  # no subscriber
+        sizes = []
+        for timer in doomed:
+            timer.cancel()
+            sizes.append((len(env._far), env._cancelled))
+        # Up to 4 of 8 is not more than half; 5 of 8 is.
+        assert sizes == [(8, 1), (8, 2), (8, 3), (8, 4), (3, 0)]
+        env.run()
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_a_subscriber_still_waiting_refuses_the_cancel(self):
+        env = Environment()
+        plain = env.timeout(1.0)
+        plain.callbacks.append(lambda _e: None)
+        pending = env.timeout(1.0)
+        env.any_of([env.event(), pending])  # not triggered: still waiting
+        waited = env.timeout(1.0)
+
+        def waiter(env):
+            yield waited
+
+        env.process(waiter(env))
+        env.step()  # the start: the process now waits on ``waited``
+        for timer in (plain, pending, waited):
+            with pytest.raises(SimulationError, match="still waits"):
+                timer.cancel()
+        assert env._cancelled == 0
+
+    def test_waiting_on_a_cancelled_timer_raises(self):
+        env = Environment()
+        timer = env.timeout(1.0)
+        timer.cancel()  # nobody subscribed: nothing to wait for it
+        with pytest.raises(SimulationError, match="cancelled"):
+            env.any_of([timer])
+        with pytest.raises(SimulationError, match="cancelled"):
+            timer.subscribe(lambda _e: None)
+
+        def waiter(env):
+            yield timer
+
+        env.process(waiter(env))
+        with pytest.raises(SimulationError, match="cancelled"):
+            env.run()
+
+    def test_a_timer_that_fired_is_left_alone(self):
+        env = Environment()
+        timer = env.timeout(1.0)
+        env.run()
+        timer.cancel()
+        assert timer.processed and env._cancelled == 0
+
+    def test_under_a_policy_the_entry_stays(self):
+        """The policy enumerates the dead timer's entry among its ties,
+        and the explorer's budgets count it."""
+        env = Environment()
+        env.set_tiebreak(TieBreakPolicy())
+        timer = env.timeout(5.0)
+        race = env.any_of([env.timeout(1.0), timer])
+        env.run(until=race)
+        timer.cancel()
+        assert (len(env._far), env._cancelled) == (1, 0)
+        env.run()
+        assert timer.processed and env.now == 5.0
+
+
+class TestPostTail:
+    """Directed cases for rule 7: what a parked receiver saves, and one
+    negative per clause of the test that keeps the getter's entry."""
+
+    @staticmethod
+    def _run(before_post=None, short=True, policy=None, wanted=None, setup=None):
+        """A receiver parked on a store, a frame arriving at t=1; returns
+        (trace, event ids, items left in the store)."""
+        env = Environment()
+        store = Store(env)
+        trace = []
+
+        def receiver(env):
+            match = None if wanted is None else (lambda item: item == wanted)
+            item = yield store.get(match)
+            trace.append((env.now, "receiver", item))
+
+        def arrive(_event):
+            if before_post is not None:
+                before_post(env, trace)
+            if short:
+                store.post_tail("frame")
+            else:
+                store.post("frame")
+
+        env.process(receiver(env))
+        env.timeout(1.0).callbacks.append(arrive)
+        if setup is not None:
+            setup(env, trace)
+        if policy is not None:
+            env.set_tiebreak(policy)
+        env.run()
+        return trace, env._eid, list(store.items)
+
+    def _both(self, **kwargs):
+        trace, events, items = self._run(**kwargs)
+        reference = self._run(short=False, **kwargs)
+        assert (trace, items) == (reference[0], reference[2])
+        return trace, reference[1] - events
+
+    def test_a_parked_receiver_takes_the_frame_in_place(self):
+        trace, saved = self._both()
+        assert trace == [(1.0, "receiver", "frame")]
+        assert saved == 1  # the get's entry
+
+    def test_a_pending_start_goes_first(self):
+        def started(env, trace):
+            trace.append((env.now, "process", "started"))
+            return
+            yield
+
+        def spawn(env, trace):
+            env.process(started(env, trace))
+
+        trace, saved = self._both(before_post=spawn)
+        assert trace == [(1.0, "process", "started"), (1.0, "receiver", "frame")]
+        assert saved == 0
+
+    def test_a_zero_delay_entry_goes_first(self):
+        def poke(env, trace):
+            env.event().succeed().callbacks.append(
+                lambda _e: trace.append((env.now, "event", "done"))
+            )
+
+        trace, saved = self._both(before_post=poke)
+        assert trace == [(1.0, "event", "done"), (1.0, "receiver", "frame")]
+        assert saved == 0
+
+    def test_a_far_entry_due_now_goes_first(self):
+        def timer(env, trace):
+            # Keyed after the arrival, due with it: pending at the post.
+            env.timeout(1.0).callbacks.append(
+                lambda _e: trace.append((env.now, "timer", "done"))
+            )
+
+        trace, saved = self._both(setup=timer)
+        assert trace == [(1.0, "timer", "done"), (1.0, "receiver", "frame")]
+        assert saved == 0
+
+    def test_a_filtered_receiver_is_not_handed_anything(self):
+        trace, saved = self._both(wanted="another frame")
+        assert trace == [] and saved == 0
+        assert self._run(wanted="another frame")[2] == ["frame"]
+
+    def test_under_a_policy_it_is_post(self):
+        trace, saved = self._both(policy=TieBreakPolicy())
+        assert trace == [(1.0, "receiver", "frame")]
+        assert saved == 0
+
+    def test_a_busy_receiver_finds_the_frame_queued(self):
+        env = Environment()
+        store = Store(env, capacity=1)
+        store.post_tail("first")
+        store.post_tail("second")  # full: waits behind a put event
+        assert (list(store.items), store.pending_putters, env._eid) == (
+            ["first"],
+            1,
+            0,
+        )
+
+    def test_a_traced_arrival_still_hands_over(self):
+        """With a tracer the arrival's propagation span ends in a callback
+        of its own, ahead of the delivery — which is still the last."""
+        runs = []
+        for short in (True, False):
+            env = Environment()
+            tracer = install_tracer(env, Tracer())
+            store = Store(env)
+            got = []
+
+            def receiver(env):
+                frame = yield store.get()
+                got.append((env.now, frame.payload))
+
+            env.process(receiver(env))
+            link = Link(env, name="wire")
+            link.attach_receiver(store.post_tail if short else store.post)
+            root = tracer.start_trace("request", layer="test")
+            env.run()  # the receiver parks, the transmit loop waits
+            link.send(
+                Frame(
+                    src="a",
+                    dst="b",
+                    protocol="test",
+                    wire_bytes=125,
+                    payload="hello",
+                    trace_ctx=root.context,
+                )
+            )
+            env.run()
+            spans = {
+                span.name: span.end_time
+                for span in tracer.spans
+                if span.name.startswith("link.")
+            }
+            runs.append((got, spans, env._eid))
+        (got, spans, events), (ref_got, ref_spans, ref_events) = runs
+        assert got == ref_got and spans == ref_spans
+        assert spans["link.propagate"] == got[0][0]
+        assert ref_events - events == 1
