@@ -10,8 +10,8 @@ replica treats as a faulty peer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import BftError
 
@@ -30,61 +30,6 @@ __all__ = [
     "encode",
     "decode",
 ]
-
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-
-
-def _pack_bytes(out: bytearray, data: bytes) -> None:
-    out.extend(_U32.pack(len(data)))
-    out.extend(data)
-
-
-def _pack_str(out: bytearray, text: str) -> None:
-    _pack_bytes(out, text.encode())
-
-
-class _Reader:
-    """Bounded, strict reader over an encoded message."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def u32(self) -> int:
-        return self._unpack(_U32)
-
-    def u64(self) -> int:
-        return self._unpack(_U64)
-
-    def _unpack(self, fmt: struct.Struct) -> int:
-        end = self.pos + fmt.size
-        if end > len(self.data):
-            raise BftError("truncated message")
-        (value,) = fmt.unpack_from(self.data, self.pos)
-        self.pos = end
-        return value
-
-    def bytes_(self) -> bytes:
-        length = self.u32()
-        end = self.pos + length
-        if end > len(self.data):
-            raise BftError("truncated byte field")
-        out = self.data[self.pos : end]
-        self.pos = end
-        return out
-
-    def str_(self) -> str:
-        return self.bytes_().decode()
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise BftError(
-                f"{len(self.data) - self.pos} trailing bytes after message"
-            )
-
 
 @dataclass(frozen=True)
 class Request:
@@ -225,207 +170,360 @@ class Busy:
     view: int
 
 
-_TYPE_IDS = {
-    Request: 1,
-    Reply: 2,
-    PrePrepare: 3,
-    Prepare: 4,
-    Commit: 5,
-    Checkpoint: 6,
-    ViewChange: 7,
-    NewView: 8,
-    StateTransferRequest: 9,
-    StateTransferReply: 10,
-    Busy: 11,
-}
-_TYPES = {v: k for k, v in _TYPE_IDS.items()}
+# ---------------------------------------------------------------------------
+# Codec.  After the type byte, runs of fixed-width fields are one
+# precompiled struct each; a string or byte field is a u32 length and the
+# bytes.  A decoder reads ``data`` from ``pos`` and returns ``(message,
+# end)``; :func:`decode` turns every way the bytes can be wrong into
+# BftError: a fixed field past the end (``struct.error``), invalid UTF-8,
+# a final field cut short (``end`` past the data) and trailing bytes
+# (``end`` short of it).  A field cut short anywhere else is caught by the
+# next fixed field, which then starts past the end.
+# ---------------------------------------------------------------------------
+
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_QI = struct.Struct(">QI")
+_QQ = struct.Struct(">QQ")
+_QQI = struct.Struct(">QQI")
+_TAG_Q = struct.Struct(">BQ")
+_TAG_QI = struct.Struct(">BQI")
+_TAG_QQ = struct.Struct(">BQQ")
+_TAG_QQI = struct.Struct(">BQQI")
+
+_MAX_ITEMS = 100_000
 
 
-def _encode_request_body(out: bytearray, message: Request) -> None:
-    _pack_str(out, message.client_id)
-    out.extend(_U64.pack(message.timestamp))
-    _pack_bytes(out, message.operation)
+# -- encoding -----------------------------------------------------------------
 
 
-def _decode_request_body(reader: _Reader) -> Request:
-    return Request(reader.str_(), reader.u64(), reader.bytes_())
+def _field(data: bytes) -> bytes:
+    return _U32.pack(len(data)) + data
 
 
-def _encode_preprepare_body(out: bytearray, message: PrePrepare) -> None:
-    out.extend(_U64.pack(message.view))
-    out.extend(_U64.pack(message.seq))
-    _pack_bytes(out, message.digest)
-    out.extend(_U32.pack(len(message.batch)))
-    for request in message.batch:
-        _encode_request_body(out, request)
-    _pack_str(out, message.replica_id)
+def _request_wire(request: Request) -> bytes:
+    client_id = request.client_id.encode()
+    operation = request.operation
+    return b"".join(
+        (
+            _U32.pack(len(client_id)),
+            client_id,
+            _QI.pack(request.timestamp, len(operation)),
+            operation,
+        )
+    )
 
 
-def _decode_preprepare_body(reader: _Reader) -> PrePrepare:
-    view = reader.u64()
-    seq = reader.u64()
-    digest = reader.bytes_()
-    count = reader.u32()
-    if count > 100_000:
-        raise BftError(f"absurd batch size {count}")
-    batch = tuple(_decode_request_body(reader) for _ in range(count))
-    return PrePrepare(view, seq, digest, batch, reader.str_())
+def _batch_wire(batch) -> bytes:
+    return _U32.pack(len(batch)) + b"".join(map(_request_wire, batch))
+
+
+def _preprepare_body(message: PrePrepare) -> bytes:
+    digest = message.digest
+    return b"".join(
+        (
+            _QQI.pack(message.view, message.seq, len(digest)),
+            digest,
+            _batch_wire(message.batch),
+            _field(message.replica_id.encode()),
+        )
+    )
+
+
+def _encode_request(message: Request) -> bytes:
+    return b"\x01" + _request_wire(message)
+
+
+def _encode_reply(message: Reply) -> bytes:
+    return b"".join(
+        (
+            b"\x02",
+            _field(message.replica_id.encode()),
+            _field(message.client_id.encode()),
+            _QQ.pack(message.timestamp, message.view),
+            _field(message.result),
+        )
+    )
+
+
+def _encode_preprepare(message: PrePrepare) -> bytes:
+    return b"\x03" + _preprepare_body(message)
+
+
+def _vote_encoder(type_id: int):
+    def encode_vote(message) -> bytes:
+        digest = message.digest
+        replica_id = message.replica_id.encode()
+        return b"".join(
+            (
+                _TAG_QQI.pack(type_id, message.view, message.seq, len(digest)),
+                digest,
+                _U32.pack(len(replica_id)),
+                replica_id,
+            )
+        )
+
+    return encode_vote
+
+
+def _encode_checkpoint(message: Checkpoint) -> bytes:
+    state_digest = message.state_digest
+    return b"".join(
+        (
+            _TAG_QI.pack(6, message.seq, len(state_digest)),
+            state_digest,
+            _field(message.replica_id.encode()),
+        )
+    )
+
+
+def _encode_view_change(message: ViewChange) -> bytes:
+    out = [
+        _TAG_QQ.pack(7, message.new_view, message.stable_seq),
+        _U32.pack(len(message.prepared)),
+    ]
+    for seq, view, digest, batch in message.prepared:
+        out += (_QQI.pack(seq, view, len(digest)), digest, _batch_wire(batch))
+    out.append(_field(message.replica_id.encode()))
+    return b"".join(out)
+
+
+def _encode_new_view(message: NewView) -> bytes:
+    out = [_TAG_QI.pack(8, message.new_view, len(message.view_change_senders))]
+    out += (_field(sender.encode()) for sender in message.view_change_senders)
+    out.append(_U32.pack(len(message.pre_prepares)))
+    out += (_field(_preprepare_body(pp)) for pp in message.pre_prepares)
+    out.append(_field(message.replica_id.encode()))
+    return b"".join(out)
+
+
+def _encode_state_transfer_request(message: StateTransferRequest) -> bytes:
+    return _TAG_Q.pack(9, message.low_seq) + _field(message.replica_id.encode())
+
+
+def _encode_state_transfer_reply(message: StateTransferReply) -> bytes:
+    out = [
+        _TAG_Q.pack(10, message.checkpoint_seq),
+        _field(message.state_digest),
+        _field(message.snapshot),
+        _U32.pack(len(message.suffix)),
+    ]
+    for seq, batch in message.suffix:
+        out += (_U64.pack(seq), _batch_wire(batch))
+    out += (_U64.pack(message.view), _field(message.replica_id.encode()))
+    return b"".join(out)
+
+
+def _encode_busy(message: Busy) -> bytes:
+    return b"".join(
+        (
+            b"\x0b",
+            _field(message.replica_id.encode()),
+            _field(message.client_id.encode()),
+            _QQ.pack(message.timestamp, message.view),
+        )
+    )
+
+
+# -- decoding -----------------------------------------------------------------
+
+
+def _str_at(data: bytes, pos: int) -> Tuple[str, int]:
+    (length,) = _U32.unpack_from(data, pos)
+    pos += 4
+    end = pos + length
+    return data[pos:end].decode(), end
+
+
+def _bytes_at(data: bytes, pos: int) -> Tuple[bytes, int]:
+    (length,) = _U32.unpack_from(data, pos)
+    pos += 4
+    end = pos + length
+    return data[pos:end], end
+
+
+def _count_at(data: bytes, pos: int, what: str) -> Tuple[int, int]:
+    (count,) = _U32.unpack_from(data, pos)
+    if count > _MAX_ITEMS:
+        raise BftError(f"absurd {what} {count}")
+    return count, pos + 4
+
+
+def _decode_request(data: bytes, pos: int):
+    client_id, pos = _str_at(data, pos)
+    timestamp, length = _QI.unpack_from(data, pos)
+    pos += 12
+    end = pos + length
+    return Request(client_id, timestamp, data[pos:end]), end
+
+
+def _batch_at(data: bytes, pos: int) -> Tuple[Tuple[Request, ...], int]:
+    count, pos = _count_at(data, pos, "batch size")
+    batch = []
+    for _ in range(count):
+        request, pos = _decode_request(data, pos)
+        batch.append(request)
+    return tuple(batch), pos
+
+
+def _decode_reply(data: bytes, pos: int):
+    replica_id, pos = _str_at(data, pos)
+    client_id, pos = _str_at(data, pos)
+    timestamp, view = _QQ.unpack_from(data, pos)
+    result, end = _bytes_at(data, pos + 16)
+    return Reply(replica_id, client_id, timestamp, view, result), end
+
+
+def _decode_preprepare(data: bytes, pos: int):
+    view, seq, length = _QQI.unpack_from(data, pos)
+    pos += 20
+    end = pos + length
+    digest = data[pos:end]
+    batch, pos = _batch_at(data, end)
+    replica_id, end = _str_at(data, pos)
+    return PrePrepare(view, seq, digest, batch, replica_id), end
+
+
+def _vote_decoder(cls):
+    def decode_vote(data: bytes, pos: int):
+        view, seq, length = _QQI.unpack_from(data, pos)
+        pos += 20
+        end = pos + length
+        digest = data[pos:end]
+        (length,) = _U32.unpack_from(data, end)
+        pos = end + 4
+        end = pos + length
+        return cls(view, seq, digest, data[pos:end].decode()), end
+
+    return decode_vote
+
+
+def _decode_checkpoint(data: bytes, pos: int):
+    seq, length = _QI.unpack_from(data, pos)
+    pos += 12
+    end = pos + length
+    state_digest = data[pos:end]
+    replica_id, end = _str_at(data, end)
+    return Checkpoint(seq, state_digest, replica_id), end
+
+
+def _decode_view_change(data: bytes, pos: int):
+    new_view, stable_seq = _QQ.unpack_from(data, pos)
+    count, pos = _count_at(data, pos + 16, "prepared-set size")
+    prepared = []
+    for _ in range(count):
+        seq, view, length = _QQI.unpack_from(data, pos)
+        pos += 20
+        end = pos + length
+        digest = data[pos:end]
+        batch, pos = _batch_at(data, end)
+        prepared.append((seq, view, digest, batch))
+    replica_id, end = _str_at(data, pos)
+    return ViewChange(new_view, stable_seq, tuple(prepared), replica_id), end
+
+
+def _decode_new_view(data: bytes, pos: int):
+    new_view, count = _QI.unpack_from(data, pos)
+    if count > 10_000:
+        raise BftError(f"absurd sender count {count}")
+    pos += 12
+    senders = []
+    for _ in range(count):
+        sender, pos = _str_at(data, pos)
+        senders.append(sender)
+    count, pos = _count_at(data, pos, "pre-prepare count")
+    pre_prepares = []
+    for _ in range(count):
+        body, pos = _bytes_at(data, pos)
+        pre_prepare, end = _decode_preprepare(body, 0)
+        _check_end(body, end)
+        pre_prepares.append(pre_prepare)
+    replica_id, end = _str_at(data, pos)
+    return NewView(new_view, tuple(senders), tuple(pre_prepares), replica_id), end
+
+
+def _decode_state_transfer_request(data: bytes, pos: int):
+    (low_seq,) = _U64.unpack_from(data, pos)
+    replica_id, end = _str_at(data, pos + 8)
+    return StateTransferRequest(low_seq, replica_id), end
+
+
+def _decode_state_transfer_reply(data: bytes, pos: int):
+    (checkpoint_seq,) = _U64.unpack_from(data, pos)
+    state_digest, pos = _bytes_at(data, pos + 8)
+    snapshot, pos = _bytes_at(data, pos)
+    count, pos = _count_at(data, pos, "suffix size")
+    suffix = []
+    for _ in range(count):
+        (seq,) = _U64.unpack_from(data, pos)
+        batch, pos = _batch_at(data, pos + 8)
+        suffix.append((seq, batch))
+    (view,) = _U64.unpack_from(data, pos)
+    replica_id, end = _str_at(data, pos + 8)
+    message = StateTransferReply(
+        checkpoint_seq, state_digest, snapshot, tuple(suffix), view, replica_id
+    )
+    return message, end
+
+
+def _decode_busy(data: bytes, pos: int):
+    replica_id, pos = _str_at(data, pos)
+    client_id, pos = _str_at(data, pos)
+    timestamp, view = _QQ.unpack_from(data, pos)
+    return Busy(replica_id, client_id, timestamp, view), pos + 16
+
+
+def _check_end(data: bytes, end: int) -> None:
+    if end > len(data):
+        raise BftError("truncated byte field")
+    if end < len(data):
+        raise BftError(f"{len(data) - end} trailing bytes after message")
+
+
+#: (type byte, class, encoder, decoder).  Each encoder writes the type
+#: byte itself, folded into its first struct where it has one.
+_CODECS = (
+    (1, Request, _encode_request, _decode_request),
+    (2, Reply, _encode_reply, _decode_reply),
+    (3, PrePrepare, _encode_preprepare, _decode_preprepare),
+    (4, Prepare, _vote_encoder(4), _vote_decoder(Prepare)),
+    (5, Commit, _vote_encoder(5), _vote_decoder(Commit)),
+    (6, Checkpoint, _encode_checkpoint, _decode_checkpoint),
+    (7, ViewChange, _encode_view_change, _decode_view_change),
+    (8, NewView, _encode_new_view, _decode_new_view),
+    (9, StateTransferRequest, _encode_state_transfer_request,
+     _decode_state_transfer_request),
+    (10, StateTransferReply, _encode_state_transfer_reply,
+     _decode_state_transfer_reply),
+    (11, Busy, _encode_busy, _decode_busy),
+)
+_ENCODERS = {cls: encoder for _tag, cls, encoder, _decoder in _CODECS}
+_DECODER_OF_TAG = {tag: decoder for tag, _cls, _encoder, decoder in _CODECS}
+#: Decoder by type byte; ``None`` where no type has that byte.
+_DECODERS = tuple(_DECODER_OF_TAG.get(byte) for byte in range(256))
 
 
 def encode(message) -> bytes:
     """Serialize any protocol message to bytes."""
-    type_id = _TYPE_IDS.get(type(message))
-    if type_id is None:
+    encoder = _ENCODERS.get(message.__class__)
+    if encoder is None:
         raise BftError(f"cannot encode {type(message).__name__}")
-    out = bytearray([type_id])
-    if isinstance(message, Request):
-        _encode_request_body(out, message)
-    elif isinstance(message, Reply):
-        _pack_str(out, message.replica_id)
-        _pack_str(out, message.client_id)
-        out.extend(_U64.pack(message.timestamp))
-        out.extend(_U64.pack(message.view))
-        _pack_bytes(out, message.result)
-    elif isinstance(message, PrePrepare):
-        _encode_preprepare_body(out, message)
-    elif isinstance(message, (Prepare, Commit)):
-        out.extend(_U64.pack(message.view))
-        out.extend(_U64.pack(message.seq))
-        _pack_bytes(out, message.digest)
-        _pack_str(out, message.replica_id)
-    elif isinstance(message, Checkpoint):
-        out.extend(_U64.pack(message.seq))
-        _pack_bytes(out, message.state_digest)
-        _pack_str(out, message.replica_id)
-    elif isinstance(message, ViewChange):
-        out.extend(_U64.pack(message.new_view))
-        out.extend(_U64.pack(message.stable_seq))
-        out.extend(_U32.pack(len(message.prepared)))
-        for seq, view, digest, batch in message.prepared:
-            out.extend(_U64.pack(seq))
-            out.extend(_U64.pack(view))
-            _pack_bytes(out, digest)
-            out.extend(_U32.pack(len(batch)))
-            for request in batch:
-                _encode_request_body(out, request)
-        _pack_str(out, message.replica_id)
-    elif isinstance(message, StateTransferRequest):
-        out.extend(_U64.pack(message.low_seq))
-        _pack_str(out, message.replica_id)
-    elif isinstance(message, Busy):
-        _pack_str(out, message.replica_id)
-        _pack_str(out, message.client_id)
-        out.extend(_U64.pack(message.timestamp))
-        out.extend(_U64.pack(message.view))
-    elif isinstance(message, StateTransferReply):
-        out.extend(_U64.pack(message.checkpoint_seq))
-        _pack_bytes(out, message.state_digest)
-        _pack_bytes(out, message.snapshot)
-        out.extend(_U32.pack(len(message.suffix)))
-        for seq, batch in message.suffix:
-            out.extend(_U64.pack(seq))
-            out.extend(_U32.pack(len(batch)))
-            for request in batch:
-                _encode_request_body(out, request)
-        out.extend(_U64.pack(message.view))
-        _pack_str(out, message.replica_id)
-    elif isinstance(message, NewView):
-        out.extend(_U64.pack(message.new_view))
-        out.extend(_U32.pack(len(message.view_change_senders)))
-        for sender in message.view_change_senders:
-            _pack_str(out, sender)
-        out.extend(_U32.pack(len(message.pre_prepares)))
-        for pre_prepare in message.pre_prepares:
-            body = bytearray()
-            _encode_preprepare_body(body, pre_prepare)
-            _pack_bytes(out, bytes(body))
-        _pack_str(out, message.replica_id)
-    return bytes(out)
+    return encoder(message)
 
 
 def decode(data: bytes):
     """Parse bytes back into a protocol message (strict)."""
     if not data:
         raise BftError("empty message")
-    type_id = data[0]
-    cls = _TYPES.get(type_id)
-    if cls is None:
-        raise BftError(f"unknown message type {type_id}")
-    reader = _Reader(data)
-    reader.pos = 1
-    if cls is Request:
-        message = _decode_request_body(reader)
-    elif cls is Reply:
-        message = Reply(
-            reader.str_(), reader.str_(), reader.u64(), reader.u64(), reader.bytes_()
-        )
-    elif cls is PrePrepare:
-        message = _decode_preprepare_body(reader)
-    elif cls in (Prepare, Commit):
-        message = cls(reader.u64(), reader.u64(), reader.bytes_(), reader.str_())
-    elif cls is Checkpoint:
-        message = Checkpoint(reader.u64(), reader.bytes_(), reader.str_())
-    elif cls is ViewChange:
-        new_view = reader.u64()
-        stable_seq = reader.u64()
-        count = reader.u32()
-        if count > 100_000:
-            raise BftError(f"absurd prepared-set size {count}")
-        prepared = []
-        for _ in range(count):
-            seq = reader.u64()
-            view = reader.u64()
-            digest = reader.bytes_()
-            batch_len = reader.u32()
-            if batch_len > 100_000:
-                raise BftError(f"absurd batch size {batch_len}")
-            batch = tuple(_decode_request_body(reader) for _ in range(batch_len))
-            prepared.append((seq, view, digest, batch))
-        message = ViewChange(new_view, stable_seq, tuple(prepared), reader.str_())
-    elif cls is StateTransferRequest:
-        message = StateTransferRequest(reader.u64(), reader.str_())
-    elif cls is Busy:
-        message = Busy(reader.str_(), reader.str_(), reader.u64(), reader.u64())
-    elif cls is StateTransferReply:
-        checkpoint_seq = reader.u64()
-        state_digest = reader.bytes_()
-        snapshot = reader.bytes_()
-        count = reader.u32()
-        if count > 100_000:
-            raise BftError(f"absurd suffix size {count}")
-        suffix = []
-        for _ in range(count):
-            seq = reader.u64()
-            batch_len = reader.u32()
-            if batch_len > 100_000:
-                raise BftError(f"absurd batch size {batch_len}")
-            batch = tuple(_decode_request_body(reader) for _ in range(batch_len))
-            suffix.append((seq, batch))
-        message = StateTransferReply(
-            checkpoint_seq,
-            state_digest,
-            snapshot,
-            tuple(suffix),
-            reader.u64(),
-            reader.str_(),
-        )
-    elif cls is NewView:
-        new_view = reader.u64()
-        sender_count = reader.u32()
-        if sender_count > 10_000:
-            raise BftError(f"absurd sender count {sender_count}")
-        senders = tuple(reader.str_() for _ in range(sender_count))
-        pp_count = reader.u32()
-        if pp_count > 100_000:
-            raise BftError(f"absurd pre-prepare count {pp_count}")
-        pre_prepares = []
-        for _ in range(pp_count):
-            body = reader.bytes_()
-            inner = _Reader(body)
-            pre_prepares.append(_decode_preprepare_body(inner))
-            inner.finish()
-        message = NewView(new_view, senders, tuple(pre_prepares), reader.str_())
-    else:  # pragma: no cover - exhaustive
-        raise BftError(f"unhandled type {cls}")
-    reader.finish()
+    decoder = _DECODERS[data[0]]
+    if decoder is None:
+        raise BftError(f"unknown message type {data[0]}")
+    try:
+        message, end = decoder(data, 1)
+    except struct.error:
+        raise BftError("truncated message") from None
+    except UnicodeDecodeError as exc:
+        raise BftError(f"string field is not UTF-8 ({exc.reason})") from None
+    if end != len(data):
+        _check_end(data, end)
     return message

@@ -583,30 +583,14 @@ class Replica:
     # ------------------------------------------------------------------
 
     def _dispatch(self, message, sender: str) -> None:
-        if isinstance(message, Request):
-            self._on_request(message)
-        elif isinstance(message, PrePrepare):
-            self._on_pre_prepare(message, sender)
-        elif isinstance(message, Prepare):
-            self._on_prepare(message, sender)
-        elif isinstance(message, Commit):
-            self._on_commit(message, sender)
-        elif isinstance(message, Checkpoint):
-            self._on_checkpoint(message, sender)
-        elif isinstance(message, ViewChange):
-            self._on_view_change(message, sender)
-        elif isinstance(message, NewView):
-            self._on_new_view(message, sender)
-        elif isinstance(message, StateTransferRequest):
-            self._on_state_transfer_request(message, sender)
-        elif isinstance(message, StateTransferReply):
-            self._on_state_transfer_reply(message, sender)
-        else:  # pragma: no cover - exhaustive
+        handler = _HANDLERS.get(message.__class__)
+        if handler is None:
             raise BftError(f"unknown message {type(message).__name__}")
+        handler(self, message, sender)
 
     # -- requests & batching -------------------------------------------------
 
-    def _on_request(self, request: Request) -> None:
+    def _on_request(self, request: Request, _sender: str = "") -> None:
         key = request.key()
         cached = self._reply_cache.get(key)
         if cached is not None:
@@ -1808,6 +1792,21 @@ class Replica:
             f"<Replica {self.replica_id}{group} view={self.view} {role} "
             f"executed={self.global_executed_seq}>"
         )
+
+
+#: ``Replica._dispatch``'s handler per message class.  A reply or busy
+#: signal sent to a replica has none: it is a protocol violation.
+_HANDLERS = {
+    Request: Replica._on_request,
+    PrePrepare: Replica._on_pre_prepare,
+    Prepare: Replica._on_prepare,
+    Commit: Replica._on_commit,
+    Checkpoint: Replica._on_checkpoint,
+    ViewChange: Replica._on_view_change,
+    NewView: Replica._on_new_view,
+    StateTransferRequest: Replica._on_state_transfer_request,
+    StateTransferReply: Replica._on_state_transfer_reply,
+}
 
 
 class _GroupPipeline(Replica):

@@ -21,6 +21,13 @@ __all__ = ["MAC_BYTES", "CryptoCosts", "HmacAuthenticator", "KeyStore", "digest"
 #: Truncated MAC length carried on the wire (16 B, like PBFT).
 MAC_BYTES = 16
 
+#: SHA-256's block size, and the RFC 2104 pads XORed into the block-sized
+#: key: the inner hash starts from ``key ^ ipad``, the outer from
+#: ``key ^ opad``.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
 
 def digest(data: bytes) -> bytes:
     """SHA-256 digest of ``data`` (used for request/batch identifiers)."""
@@ -53,14 +60,23 @@ _SIGN_MEMO_MAX = 256
 
 
 class HmacAuthenticator:
-    """Symmetric-key authenticator between two parties."""
+    """Symmetric-key authenticator between two parties.
+
+    HMAC-SHA256 (RFC 2104) from two precomputed hash states: the inner
+    hash after absorbing ``key ^ ipad`` and the outer after ``key ^
+    opad``.  A MAC copies both, so it costs the hashing of the message and
+    one 32-byte digest, the same bytes as ``hmac.new(key, message,
+    hashlib.sha256)``.
+    """
 
     def __init__(self, key: bytes, costs: CryptoCosts | None = None):
         if not key:
             raise BftError("authenticator key must be non-empty")
-        # Keyed once: deriving the key pads is half the cost of a short
-        # MAC, and every sign starts from a copy of this state.
-        self._keyed = _hmac.new(key, digestmod=hashlib.sha256)
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
         self.costs = costs if costs is not None else CryptoCosts()
         # Bounded FIFO memo (insertion-ordered dict).  Keyed on the message
         # alone: the key is fixed per authenticator instance.
@@ -73,9 +89,7 @@ class HmacAuthenticator:
         memo = self._sign_memo
         mac = memo.get(message)
         if mac is None:
-            keyed = self._keyed.copy()
-            keyed.update(message)
-            mac = keyed.digest()[:MAC_BYTES]
+            mac = self.sign_parts((message,))
             if len(memo) >= _SIGN_MEMO_MAX:
                 del memo[next(iter(memo))]
             memo[message] = mac
@@ -88,10 +102,12 @@ class HmacAuthenticator:
         ``sign(b"".join(parts))`` but feeds the HMAC incrementally so the
         zero-copy framing path never builds the joined message.
         """
-        mac = self._keyed.copy()
+        inner = self._inner.copy()
         for part in parts:
-            mac.update(part)
-        return mac.digest()[:MAC_BYTES]
+            inner.update(part)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:MAC_BYTES]
 
     def verify(self, message: bytes, mac: bytes) -> bool:
         """Constant-time check of ``mac`` against ``message``."""

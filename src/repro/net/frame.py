@@ -52,7 +52,7 @@ class Frame:
     wire_bytes: int
     payload: Any
     trace_ctx: Any = field(default=None, repr=False, compare=False)
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_frame_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.wire_bytes <= 0:

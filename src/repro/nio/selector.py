@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 from repro.errors import TcpError
 from repro.nio.channel import ServerSocketChannel, SocketChannel
 from repro.sim import inline
+from repro.sim.events import PENDING
+from repro.tcpstack.connection import _DATA_STATES
 from repro.tcpstack.epoll import EPOLLIN, EPOLLOUT, Epoll
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,6 +40,19 @@ OP_ACCEPT = 1 << 4
 
 Selectable = Union[SocketChannel, ServerSocketChannel]
 
+#: The epoll mask each interest set registers, indexed by its low four
+#: bits (OP_READ, OP_WRITE, OP_CONNECT): EPOLLIN for reads, EPOLLOUT for
+#: writes and connects, EPOLLIN when neither (a mask is never empty).  A
+#: server channel's mask is EPOLLIN whatever its interest.
+_MASK_BITS = 0b1111
+_SOCKET_MASKS = tuple(
+    ((EPOLLIN if bits & OP_READ else 0)
+     | (EPOLLOUT if bits & (OP_WRITE | OP_CONNECT) else 0))
+    or EPOLLIN
+    for bits in range(_MASK_BITS + 1)
+)
+_SERVER_MASKS = (EPOLLIN,) * (_MASK_BITS + 1)
+
 
 class SelectionKey:
     """The registration of one channel with one selector."""
@@ -49,6 +64,12 @@ class SelectionKey:
         self.ready_ops = 0
         self.attachment: Any = None
         self.valid = True
+        # Fixed at registration: what kind of channel this is, the
+        # listener or connection it polls, and the epoll mask registered.
+        self._server = isinstance(channel, ServerSocketChannel)
+        self._pollable = channel.listener if self._server else channel.connection
+        self._masks = _SERVER_MASKS if self._server else _SOCKET_MASKS
+        self._mask = self._masks[interest & _MASK_BITS]
 
     @property
     def interest_ops(self) -> int:
@@ -60,7 +81,15 @@ class SelectionKey:
         if not self.valid:
             raise TcpError("selection key is cancelled")
         self._interest = ops
-        self.selector._interest_changed(self)
+        mask = self._masks[ops & _MASK_BITS]
+        epoll = self.selector._epoll
+        if mask != self._mask:
+            self._mask = mask
+            epoll.modify(self._pollable, mask)
+        else:
+            # ``modify`` with the mask already registered changes nothing
+            # but wakes a blocked wait; so does this.
+            epoll._maybe_wake()
 
     def attach(self, attachment: Any) -> None:
         """Attach arbitrary context (Java's ``attach()``)."""
@@ -121,15 +150,14 @@ class Selector:
         if channel in self._keys:
             raise TcpError(f"{channel!r} already registered with this selector")
         self._validate_ops(channel, interest)
-        pollable = self._pollable(channel)
-        if pollable is None:
+        key = SelectionKey(self, channel, interest)
+        if key._pollable is None:
             raise TcpError(
                 "register the channel after connect()/bind() so it has an "
                 "underlying socket"
             )
-        key = SelectionKey(self, channel, interest)
         self._keys[channel] = key
-        self._epoll.register(pollable, self._epoll_mask(channel, interest))
+        self._epoll.register(key._pollable, key._mask)
         return key
 
     @staticmethod
@@ -143,40 +171,12 @@ class Selector:
         if interest == 0:
             raise TcpError("empty interest set")
 
-    @staticmethod
-    def _pollable(channel: Selectable):
-        if isinstance(channel, ServerSocketChannel):
-            return channel.listener
-        return channel.connection
-
-    @staticmethod
-    def _epoll_mask(channel: Selectable, interest: int) -> int:
-        mask = 0
-        if isinstance(channel, ServerSocketChannel):
-            if interest & OP_ACCEPT:
-                mask |= EPOLLIN
-        else:
-            if interest & OP_READ:
-                mask |= EPOLLIN
-            if interest & (OP_WRITE | OP_CONNECT):
-                mask |= EPOLLOUT
-        return mask or EPOLLIN
-
-    def _interest_changed(self, key: SelectionKey) -> None:
-        pollable = self._pollable(key.channel)
-        if pollable is not None:
-            self._epoll.modify(
-                pollable, self._epoll_mask(key.channel, key.interest_ops)
-            )
-
     def _cancel(self, key: SelectionKey) -> None:
         self._keys.pop(key.channel, None)
-        pollable = self._pollable(key.channel)
-        if pollable is not None:
-            try:
-                self._epoll.unregister(pollable)
-            except TcpError:
-                pass
+        try:
+            self._epoll.unregister(key._pollable)
+        except TcpError:
+            pass
 
     def keys(self) -> List[SelectionKey]:
         """All current registrations."""
@@ -219,29 +219,49 @@ class Selector:
         return len(ready)
 
     def _compute_ready(self) -> List[SelectionKey]:
+        # Every key is looked at on every pass, so readiness is read from
+        # the fields behind the channels' ``acceptable``, ``connectable``,
+        # ``readable``, ``writable`` and ``is_connected`` rather than
+        # through them.
         ready = []
         for key in self._keys.values():
-            ops = self._ready_ops(key)
+            interest = key._interest
+            pollable = key._pollable
+            if key._server:
+                ops = (
+                    OP_ACCEPT
+                    if interest & OP_ACCEPT and pollable._accept_queue.items
+                    else 0
+                )
+            else:
+                ops = 0
+                pending = key.channel._connect_pending
+                if (
+                    interest & OP_CONNECT
+                    and pending
+                    and pollable.established._value is not PENDING
+                ):
+                    ops = OP_CONNECT
+                if interest & OP_READ and (
+                    pollable._recv_buffer
+                    or pollable._fin_received
+                    or pollable._reset_error is not None
+                ):
+                    ops |= OP_READ
+                if (
+                    interest & OP_WRITE
+                    and not pending
+                    and pollable.state in _DATA_STATES
+                    and pollable.config.send_buffer
+                    > len(pollable._send_queue)
+                    + pollable._snd_nxt
+                    - pollable._snd_una
+                ):
+                    ops |= OP_WRITE
             key.ready_ops = ops
             if ops:
                 ready.append(key)
         return ready
-
-    @staticmethod
-    def _ready_ops(key: SelectionKey) -> int:
-        channel = key.channel
-        ops = 0
-        if isinstance(channel, ServerSocketChannel):
-            if key.interest_ops & OP_ACCEPT and channel.acceptable:
-                ops |= OP_ACCEPT
-            return ops
-        if key.interest_ops & OP_CONNECT and channel.connectable:
-            ops |= OP_CONNECT
-        if key.interest_ops & OP_READ and channel.readable:
-            ops |= OP_READ
-        if key.interest_ops & OP_WRITE and channel.writable and channel.is_connected:
-            ops |= OP_WRITE
-        return ops
 
     def selected_keys(self) -> List[SelectionKey]:
         """The keys made ready by the last select; clears the set."""

@@ -27,9 +27,13 @@ __all__ = ["WorkCompletion", "CompletionQueue", "CompletionChannel"]
 _cq_numbers = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WorkCompletion:
-    """One completion-queue entry (``ibv_wc``)."""
+    """One completion-queue entry (``ibv_wc``).
+
+    A plain slotted record, written once by the QP that completes the
+    work request and only read after.
+    """
 
     wr_id: int
     status: WcStatus

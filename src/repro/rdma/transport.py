@@ -99,7 +99,7 @@ class RocePacket:
     credit: int = -1
     #: Out-of-band trace context (never serialized, no wire bytes).
     trace_ctx: Optional[object] = field(default=None, repr=False)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     @property
     def wire_bytes(self) -> int:

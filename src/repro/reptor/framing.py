@@ -166,7 +166,8 @@ class Framer:
             if COPYSTATS.enabled:
                 COPYSTATS.copy(MAC_BYTES)
             mac = bytes(view[body + length : pos + total])
-            if not self.auth.verify_parts((view[pos:body], payload), mac):
+            # One update over the contiguous header and payload.
+            if not self.auth.verify_parts((view[pos : body + length],), mac):
                 self.rejected_count += 1
                 raise BftError("HMAC verification failed: message tampered")
         elif self.auth is not None:

@@ -32,7 +32,7 @@ EVENT_CONNECTION = "connection"  # copied from the CM event channel
 EVENT_COMPLETION = "completion"  # copied from a completion queue
 
 
-@dataclass
+@dataclass(slots=True)
 class RubinEvent:
     """One entry of the hybrid event queue.
 

@@ -10,10 +10,10 @@ is a thin layer over this, exactly like the real implementation stack.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple, Union
 
 from repro.errors import TcpError
-from repro.tcpstack.connection import TcpConnection
+from repro.tcpstack.connection import _DATA_STATES, CLOSED, TcpConnection
 from repro.tcpstack.listener import TcpListener
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,6 +37,7 @@ class Epoll:
         self.env = host.env
         self._interest: Dict[Pollable, int] = {}
         self._watchers: Dict[Pollable, object] = {}
+        self._listeners: Set[TcpListener] = set()
         self._wakeup: "Event | None" = None
         self._wakeup_requested = False
         self.closed = False
@@ -51,10 +52,9 @@ class Epoll:
         if not events:
             raise TcpError("empty interest mask")
         self._interest[pollable] = events
-
-        def watcher() -> None:
-            self._maybe_wake()
-
+        if isinstance(pollable, TcpListener):
+            self._listeners.add(pollable)
+        watcher = self._maybe_wake
         self._watchers[pollable] = watcher
         pollable.add_watcher(watcher)
 
@@ -74,6 +74,7 @@ class Epoll:
         if pollable not in self._interest:
             raise TcpError(f"{pollable!r} is not registered")
         del self._interest[pollable]
+        self._listeners.discard(pollable)
         watcher = self._watchers.pop(pollable)
         pollable.remove_watcher(watcher)  # type: ignore[arg-type]
 
@@ -83,29 +84,40 @@ class Epoll:
 
     # -- readiness ---------------------------------------------------------
 
-    def _ready_mask(self, pollable: Pollable, interest: int) -> int:
-        ready = 0
-        if isinstance(pollable, TcpListener):
-            if interest & EPOLLIN and pollable.acceptable:
-                ready |= EPOLLIN
-        else:
-            if interest & EPOLLIN and pollable.readable:
-                ready |= EPOLLIN
-            if interest & EPOLLOUT and pollable.writable:
-                ready |= EPOLLOUT
-            if pollable.state == "CLOSED":
+    def poll(self) -> List[Tuple[Pollable, int]]:
+        """Non-blocking snapshot of ready (object, mask) pairs."""
+        if self.closed:
+            raise TcpError("epoll instance is closed")
+        # Every registered object is looked at on every wait, so readiness
+        # is read from the fields behind ``TcpListener.acceptable`` and
+        # ``TcpConnection.readable``/``writable`` rather than through them.
+        listeners = self._listeners
+        ready = []
+        for pollable, interest in self._interest.items():
+            if pollable in listeners:
+                if interest & EPOLLIN and pollable._accept_queue.items:
+                    ready.append((pollable, EPOLLIN))
+                continue
+            mask = 0
+            if interest & EPOLLIN and (
+                pollable._recv_buffer
+                or pollable._fin_received
+                or pollable._reset_error is not None
+            ):
+                mask = EPOLLIN
+            state = pollable.state
+            if (
+                interest & EPOLLOUT
+                and state in _DATA_STATES
+                and pollable.config.send_buffer
+                > len(pollable._send_queue) + pollable._snd_nxt - pollable._snd_una
+            ):
+                mask |= EPOLLOUT
+            if state == CLOSED:
                 # Error/hang-up conditions are always reported (EPOLLERR /
                 # EPOLLHUP semantics): surface every requested interest so
                 # the caller notices and fails its operation.
-                ready |= interest
-        return ready
-
-    def poll(self) -> List[Tuple[Pollable, int]]:
-        """Non-blocking snapshot of ready (object, mask) pairs."""
-        self._check_open()
-        ready = []
-        for pollable, interest in self._interest.items():
-            mask = self._ready_mask(pollable, interest)
+                mask |= interest
             if mask:
                 ready.append((pollable, mask))
         return ready
@@ -155,8 +167,13 @@ class Epoll:
                 return []
 
     def _maybe_wake(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        # Also the watcher of every registered object.  The event is
+        # forgotten as it is triggered, so a later call before the wait
+        # resumes (which forgets it too) finds nothing to trigger.
+        wakeup = self._wakeup
+        if wakeup is not None:
+            self._wakeup = None
+            wakeup.succeed()
 
     def wakeup(self) -> None:
         """Force a blocked :meth:`wait` to return its current ready set
@@ -174,6 +191,7 @@ class Epoll:
             pollable.remove_watcher(watcher)  # type: ignore[arg-type]
         self._interest.clear()
         self._watchers.clear()
+        self._listeners.clear()
         self.closed = True
         self._maybe_wake()
 

@@ -1,5 +1,7 @@
 """Byzantine replica behaviours: the group must tolerate f = 1 traitor."""
 
+import struct
+
 import pytest
 
 from repro.bft import BftCluster, BftConfig, CounterMachine, faults
@@ -100,3 +102,29 @@ class TestCrashRecoveryMatrix:
         assert cluster.invoke_and_wait(b"PUT first=requests") == b"OK"
         views = {r.view for r in cluster.replicas.values() if r.replica_id != "r0"}
         assert views == {1}
+
+
+class TestMalformedClientBytes:
+    """A client owns the bytes of its requests, string fields included."""
+
+    @pytest.mark.parametrize("transport", ["nio", "rubin"])
+    def test_invalid_utf8_client_id_drops_only_that_link(self, transport):
+        cluster = make_cluster(transport=transport, num_clients=2)
+        assert cluster.invoke_and_wait(b"PUT a=1") == b"OK"
+        # Well framed and MACed by the link, but client_id is b"\xfe".
+        raw = (
+            b"\x01" + struct.pack(">I", 1) + b"\xfe"
+            + struct.pack(">Q", 99) + struct.pack(">I", 0)
+        )
+        cluster.client(1)._connections["r0"].post(raw)
+        cluster.run_for(5e-3)  # no decode error escapes the run
+        closed = {
+            conn.peer_name: conn.closed
+            for conn in cluster.replica("r0").endpoint.connections
+        }
+        assert closed["c1"] and not closed["c0"]
+        assert cluster.invoke_and_wait(b"PUT b=2") == b"OK"
+        cluster.run_for(5e-3)
+        for replica in cluster.replicas.values():
+            assert replica.executed_seq == 2
+        assert len(set(cluster.state_digests().values())) == 1

@@ -1,7 +1,7 @@
 """Codec tests: every message type roundtrips; hostile input is rejected."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.bft.messages import (
@@ -116,6 +116,8 @@ def test_vote_roundtrip_property(view, seq, digest, replica):
 
 
 @given(data=st.binary(max_size=200))
+# A well-framed Request whose client_id is the invalid UTF-8 byte 0xFE.
+@example(data=b"\x01\x00\x00\x00\x01\xfe" + (99).to_bytes(8, "big") + bytes(4))
 def test_decoder_never_crashes_unsafely(data):
     """Arbitrary bytes either decode or raise BftError — nothing else."""
     try:

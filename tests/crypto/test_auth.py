@@ -1,7 +1,7 @@
 """HMAC authenticators, keystores and cost model."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.crypto import MAC_BYTES, CryptoCosts, HmacAuthenticator, KeyStore, digest
@@ -95,9 +95,15 @@ def test_verify_accepts_only_the_signed_message(message, key):
     key=st.binary(min_size=1, max_size=200),  # beyond sha256's 64-byte block too
     parts=st.lists(st.binary(max_size=300), max_size=6),
 )
+# Keys one short of, exactly and one past the block (hashed first), long.
+@example(key=b"k" * 63, parts=[b"m"])
+@example(key=b"k" * 64, parts=[b"m"])
+@example(key=b"k" * 65, parts=[b"m"])
+@example(key=bytes(range(256)) * 4, parts=[b"", b"m", b""])
 def test_macs_are_plain_hmac_sha256_of_the_concatenation(key, parts):
-    """The authenticator keys its HMAC once and signs from copies of that
-    state; byte for byte that is ``hmac.new(key, message, sha256)``."""
+    """The authenticator keeps the inner and outer hash states after the
+    RFC 2104 pads and MACs from copies of them; byte for byte that is
+    ``hmac.new(key, message, sha256)``."""
     import hashlib
     import hmac
 
@@ -106,7 +112,10 @@ def test_macs_are_plain_hmac_sha256_of_the_concatenation(key, parts):
     auth = HmacAuthenticator(key)
     assert auth.sign_parts(parts) == expected
     assert auth.sign(message) == expected
-    # The keyed state is never consumed: sign again, both ways round.
+    # The pad states are never consumed: sign again, both ways round.
     assert auth.sign_parts([message]) == expected
     assert auth.sign(message + b"x") != expected
     assert auth.verify_parts(parts, expected)
+    # The framer verifies one contiguous view of header and payload.
+    assert auth.verify_parts((memoryview(message),), expected)
+    assert auth.verify(message, expected)

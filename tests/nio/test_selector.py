@@ -259,3 +259,40 @@ def test_echo_server_loop_with_selector(pair):
     p = pair.env.process(client_loop(pair.env))
     replies = pair.env.run(until=p)
     assert replies == [b"echo-0", b"echo-1", b"echo-2"]
+
+
+def _touch_interest_while_blocked(touch):
+    """(agenda ids, server CPU utilization) of a select blocked for 3 ms
+    while ``touch(selector, key)`` runs 1 ms in."""
+    pair = TcpPair()
+    _client, accepted, _ = connected_channels(pair)
+    selector = Selector.open(pair.server_host)
+    key = selector.register(accepted, OP_READ)
+    start = pair.env.now
+    pair.env.process(selector.select_gen())
+
+    def toucher(env):
+        yield env.timeout(1e-3)
+        touch(selector, key)
+
+    pair.env.process(toucher(pair.env))
+    pair.env.run(until=start + 3e-3)
+    return pair.env._eid, pair.server_host.cpu.utilization(start)
+
+
+def test_unchanged_interest_wakes_a_blocked_select_as_modify_does():
+    """Setting the interest a key already has registers nothing new, but
+    ``Epoll.modify`` with an unchanged mask wakes a blocked wait (which
+    charges a context switch, finds nothing and sleeps again), so the
+    assignment does too."""
+    from repro.tcpstack import EPOLLIN
+
+    def unchanged(selector, key):
+        key.interest_ops = OP_READ
+
+    def modify(selector, key):
+        selector._epoll.modify(key.channel.connection, EPOLLIN)
+
+    woken = _touch_interest_while_blocked(unchanged)
+    assert woken == _touch_interest_while_blocked(modify)
+    assert woken != _touch_interest_while_blocked(lambda selector, key: None)

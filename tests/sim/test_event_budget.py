@@ -17,6 +17,9 @@ connection operation on the request path runs inside its caller
 spawn per request is a decision too.
 """
 
+import gc
+import sys
+
 import pytest
 
 from repro.bench.echo import run_echo
@@ -51,6 +54,15 @@ PBFT_EVENTS = {"rubin": 31_547, "nio": 34_680}
 #: and on NIO one select that found a start queued ahead of it and was
 #: spawned after all.  (The spawning tree made 5 291 / 8 558.)
 PBFT_SPAWNS = {"rubin": 40, "nio": 41}
+#: Python frames entered per PUT over the same 40 PUTs: ``sys.setprofile``
+#: "call" events, so every function call and every generator resume, with
+#: the cyclic collector off so no finalizer runs inside the count.  Exact
+#: on one interpreter, whatever the hash seed; another CPython minor
+#: version compiles other frames, so the pins hold on 3.11 only.  They
+#: may only fall.  Before the per-message diet (the struct codec, MACs
+#: from pad states, slotted records, NIO readiness read from fields) the
+#: runs entered 12 534.475 / 15 826.45.
+PBFT_FRAMES_PER_PUT = {"rubin": 11_710.375, "nio": 11_694.95}
 #: Entries for the whole Fig-3 channel echo run: 26 to connect, then 126
 #: per echo — two messages of 15 + 6 per MTU frame, 8 frames here (the
 #: per-primitive table in DESIGN §11) — and a dozen amortized ones (a
@@ -88,6 +100,35 @@ def test_pbft_puts_take_exactly_this_many_entries(transport, monkeypatch):
     events, spawns = _pbft_run(transport, monkeypatch)
     assert events == PBFT_EVENTS[transport]
     assert spawns == PBFT_SPAWNS[transport]
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="frame counts are pinned for CPython 3.11",
+)
+@pytest.mark.parametrize("transport", ["rubin", "nio"])
+def test_pbft_puts_enter_exactly_this_many_python_frames(transport):
+    cluster = BftCluster(
+        transport=transport, config=BftConfig(batch_size=1, batch_delay=0.0)
+    )
+    cluster.start()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        for i in range(PUTS):
+            assert cluster.invoke_and_wait(b"PUT k%d=v%d" % (i, i)) == b"OK"
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert calls / PUTS == PBFT_FRAMES_PER_PUT[transport]
 
 
 def test_channel_echo_takes_exactly_this_many_entries():

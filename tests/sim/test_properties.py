@@ -554,11 +554,12 @@ _GRID_CLOSES = st.tuples(_OFF_GRID, _OFF_GRID).map(
 
 
 def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
-    """Dispatch the program; return (trace, tick instants, flip instants, ids)."""
+    """Dispatch the program; return (trace, tick instants, notify instants,
+    ids).  A notify instant is one where a flag was set, poked or closed."""
     env = Environment(initial_time=start)
     flags = [_Flag(), _Flag()]
     cpu = Resource(env, capacity=1)
-    trace, looked, flipped = [], [], []
+    trace, looked, notified = [], [], []
 
     def waiter(env, label, delay, period, flag, rounds):
         yield env.timeout(delay)
@@ -579,9 +580,10 @@ def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
         if what[0] == "set":
             flags[what[1]].value = True
             flags[what[1]].notify()
-            flipped.append(env.now)
+            notified.append(env.now)
         elif what[0] == "poke":
             flags[what[1]].notify()
+            notified.append(env.now)
         elif what[0] == "hold":
             yield TimedHold(cpu, what[1], tracker=_Marks(env, trace, label))
         trace.append((env.now, label, what[0]))
@@ -590,7 +592,7 @@ def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
         yield env.timeout(delay)
         flag.closed = True
         flag.notify()
-        flipped.append(env.now)
+        notified.append(env.now)
 
     for number, (delay, period, which, rounds) in enumerate(waiters):
         env.process(
@@ -603,7 +605,7 @@ def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
     if policy is not None:
         env.set_tiebreak(policy)
     env.run()
-    return trace, looked, flipped, env._eid
+    return trace, looked, notified, env._eid
 
 
 @settings(max_examples=150, deadline=None)
@@ -620,16 +622,25 @@ def _run_grid_program(waiters, steps, closes, start, wait, policy=None):
     closes=(7.0, 7.5),
     start=0.0,
 )
+# A poke bit-exactly on a grid point: 724/997 plus ten additions of 0.2 is
+# 2718/997, the waiter's tenth tick.
+@example(
+    waiters=[(724 / 997, 0.2, 1, 1)],
+    steps=[(2718 / 997, ("poke", 1))],
+    closes=(6.501003009027081, 6.501003009027081),
+    start=0.0,
+)
 def test_grid_wait_dispatches_the_ticking_loops_trace(waiters, steps, closes, start):
     program = (waiters, steps, closes, start)
-    expected, looked, flipped, reference_events = _run_grid_program(
+    expected, looked, notified, reference_events = _run_grid_program(
         *program, _ticking_wait
     )
-    # Discard programs with a tie: a tick on the very instant of a flip,
-    # or a tick that found its flag ready sharing its instant with any
-    # other labelled entry.
+    # Discard programs with a tie: a tick on the very instant a flag is
+    # set, poked or closed (each wakes the sleeping waiters), or a tick
+    # that found its flag ready sharing its instant with any other
+    # labelled entry.
     tick_instants = {when for when, _label in looked}
-    assume(not tick_instants & set(flipped))
+    assume(not tick_instants & set(notified))
     woke = {(when, label) for when, label, _what in expected if label[0] == "w"}
     assume(
         not any(
