@@ -17,7 +17,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.core import TieBreakPolicy
 
-__all__ = ["owner_key", "RecordingPolicy", "SeededFuzz"]
+__all__ = ["owner_key", "entry_owner", "RecordingPolicy", "SeededFuzz"]
+
+
+def _callback_owner(callback, default: str) -> str:
+    bound = getattr(callback, "__self__", None)
+    if bound is not None:
+        name = getattr(bound, "name", None)
+        if isinstance(name, str) and name:
+            return name.split(".", 1)[0]
+        return type(bound).__name__
+    return getattr(callback, "__name__", default)
 
 
 def owner_key(event) -> str:
@@ -33,15 +43,21 @@ def owner_key(event) -> str:
     """
     callbacks = event.callbacks
     if callbacks:
-        callback = callbacks[0]
-        bound = getattr(callback, "__self__", None)
-        if bound is not None:
-            name = getattr(bound, "name", None)
-            if isinstance(name, str) and name:
-                return name.split(".", 1)[0]
-            return type(bound).__name__
-        return getattr(callback, "__name__", type(event).__name__)
+        return _callback_owner(callbacks[0], type(event).__name__)
     return type(event).__name__
+
+
+def entry_owner(entry) -> str:
+    """:func:`owner_key` of an agenda entry, event or bare.
+
+    A bare entry ``(time, priority, sequence, None, fn, arg)`` has no
+    event; its one function is what an event's first callback is, and
+    the owner comes from it the same way.
+    """
+    event = entry[3]
+    if event is None:
+        return _callback_owner(entry[4], "bare")
+    return owner_key(event)
 
 
 class RecordingPolicy(TieBreakPolicy):
@@ -97,7 +113,7 @@ class RecordingPolicy(TieBreakPolicy):
         self.choices.append(index)
         self.sizes.append(size)
         if self.record_owners:
-            self.owners.append(tuple(owner_key(e[3]) for e in entries))
+            self.owners.append(tuple(entry_owner(e) for e in entries))
         return index
 
     def trimmed_choices(self) -> Tuple[int, ...]:

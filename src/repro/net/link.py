@@ -14,12 +14,13 @@ per frame, so failure-injection tests reproduce exactly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
-
+from collections import deque
+from heapq import heappush as _heappush
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.frame import Frame
-from repro.sim import Counter, Event, Store, Timeout, UtilizationTracker
+from repro.sim import Counter, Event, Store, UtilizationTracker
 from repro.sim.copystats import COPYSTATS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,14 +76,12 @@ class Link:
         self.frames_sent = Counter(f"{name}.frames_sent")
         self.frames_dropped = Counter(f"{name}.frames_dropped")
         self.bytes_sent = Counter(f"{name}.bytes_sent")
-        #: Deepest the transmit queue has ever been (bounded-memory
-        #: evidence for overload runs; pure observability).
-        self.queue_highwater = 0
         self._seconds_per_byte = 8 / self.bandwidth_bps
-        # In-flight transmit state for the callback-driven transmit loop.
-        self._tx_frame: Optional[Frame] = None
+        # The "link.serialize" span of the frame on the wire (traced only).
         self._tx_span = None
-        self._tx_traced = False
+        # (frame, "link.propagate" span) of the traced frames in flight,
+        # oldest first: frames arrive in the order they left.
+        self._propagating: Deque[tuple] = deque()
         # The transmit loop starts where the generator process it
         # replaces did: on the urgent lane.
         env._urgent.append(self._tx_next)
@@ -98,9 +97,6 @@ class Link:
         if self._receiver is None:
             raise NetworkError(f"{self.name}: no receiver attached")
         self._outbox.post(frame)
-        depth = len(self._outbox)
-        if depth > self.queue_highwater:
-            self.queue_highwater = depth
 
     def transmission_time(self, wire_bytes: int) -> float:
         """Seconds needed to clock ``wire_bytes`` onto the wire."""
@@ -108,19 +104,18 @@ class Link:
 
     # The transmit loop is a three-state callback machine rather than a
     # generator process: wait-for-frame -> serialize -> schedule arrival.
-    # It creates exactly the same events in exactly the same order the
-    # generator version did (StoreGet, serialization Timeout, arrival
-    # Timeout, next StoreGet), so schedules stay bit-identical, but each
-    # frame costs three bound-method calls instead of three generator
-    # ``send`` dispatches through Process._resume.
+    # It arms exactly the same entries in exactly the same order the
+    # generator version did (the get's hand-over, the serialization
+    # timer, the arrival timer, the next get), so schedules stay
+    # bit-identical.  The link is the only subscriber of each, so each is
+    # a bare entry (repro.sim.core): a tuple, not an event.
 
     def _tx_next(self, _event: Optional[Event] = None) -> None:
         """Wait for the next queued frame."""
-        self._outbox.get().callbacks.append(self._tx_serialize)
+        self._outbox.get_call(self._tx_serialize)
 
-    def _tx_serialize(self, event: Event) -> None:
+    def _tx_serialize(self, frame: Frame) -> None:
         """Start clocking the received frame onto the wire."""
-        frame = event._value
         env = self.env
         # Direct env.tracer read (get_tracer() costs a call per frame).
         tracer = env.tracer
@@ -139,26 +134,39 @@ class Link:
                 frame_id=frame.frame_id,
                 wire_bytes=frame.wire_bytes,
             )
-        self._tx_frame = frame
         self._tx_span = span
-        self._tx_traced = traced
-        self.tracker.begin()
-        # Timeout() called directly: env.timeout() is a wrapper frame on
-        # the per-frame hot path.
-        timeout = Timeout(env, frame.wire_bytes * self._seconds_per_byte)
-        timeout.callbacks.append(self._tx_finish)
+        # UtilizationTracker.begin(), in place, as TimedHold does it.
+        tracker = self.tracker
+        if not tracker._depth:
+            tracker._busy_since = env._now
+        tracker._depth += 1
+        env._eid += 1
+        _heappush(
+            env._far,
+            (
+                env._now + frame.wire_bytes * self._seconds_per_byte,
+                1,
+                env._eid,
+                None,
+                self._tx_finish,
+                frame,
+            ),
+        )
 
-    def _tx_finish(self, _event: Event) -> None:
+    def _tx_finish(self, frame: Frame) -> None:
         """Serialization done: account, drop-check, schedule the arrival."""
-        frame = self._tx_frame
         env = self.env
-        traced = self._tx_traced
-        self.tracker.end()
+        # UtilizationTracker.end(), in place (the begin above came first).
+        tracker = self.tracker
+        depth = tracker._depth = tracker._depth - 1
+        if not depth and tracker._busy_since is not None:
+            tracker._busy_total += env._now - tracker._busy_since
+            tracker._busy_since = None
         span = self._tx_span
-        if span is not None:
+        traced = span is not None
+        if traced:
             span.end()
             self._tx_span = None
-        self._tx_frame = None
         wire_bytes = frame.wire_bytes
         self.frames_sent.value += 1
         self.bytes_sent.value += wire_bytes
@@ -175,24 +183,32 @@ class Link:
                 )
             self._tx_next()
             return
-        arrival = Timeout(env, self.propagation_delay, value=frame)
+        env._eid += 1
+        arrival = env._now + self.propagation_delay
+        _heappush(env._far, (arrival, 1, env._eid, None, self._deliver, frame))
         if traced:
-            prop_span = env.tracer.start_span(
-                "link.propagate",
-                layer="link",
-                parent=frame.trace_ctx,
-                track=self.name,
-                frame_id=frame.frame_id,
+            self._propagating.append(
+                (
+                    frame,
+                    env.tracer.start_span(
+                        "link.propagate",
+                        layer="link",
+                        parent=frame.trace_ctx,
+                        track=self.name,
+                        frame_id=frame.frame_id,
+                    ),
+                )
             )
-            arrival.subscribe(lambda event, s=prop_span: s.end())
-        arrival.callbacks.append(self._deliver)
         self._tx_next()
 
-    def _deliver(self, event) -> None:
-        assert self._receiver is not None
+    def _deliver(self, frame: Frame) -> None:
+        """The frame arrives: end its propagation span, hand it over."""
+        propagating = self._propagating
+        if propagating and propagating[0][0] is frame:
+            propagating.popleft()[1].end()
         if COPYSTATS.enabled:
-            COPYSTATS.frame(event.value.wire_bytes)
-        self._receiver(event.value)
+            COPYSTATS.frame(frame.wire_bytes)
+        self._receiver(frame)
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of time the transmitter was busy since ``since``."""

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 from repro.errors import RdmaError
 from repro.rdma.verbs import Opcode, WcStatus
 from repro.sim import Store
-from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Environment, Event
@@ -59,6 +58,11 @@ class CompletionChannel:
     def get_cq_event(self) -> "Event":
         """Wait for the next CQ that signalled; value is the CQ."""
         return self._events.get()
+
+    def when_cq_event(self, callback: Callable[["CompletionQueue"], None]) -> None:
+        """:meth:`get_cq_event` for a waiter that is a function: call
+        ``callback(cq)`` with the next CQ that signalled (one-shot)."""
+        self._events.get_call(callback)
 
     def try_get_cq_event(self) -> Optional["CompletionQueue"]:
         """Non-blocking variant of :meth:`get_cq_event`."""
@@ -106,9 +110,6 @@ class CompletionQueue:
         #: a channel's subscribers see depends on who sleeps here.
         self.push_waiters: List[Callable[[], None]] = []
         self.overrun = False
-        #: Deepest the queue has ever been (bounded-memory evidence for
-        #: overload runs; pure observability).
-        self.high_watermark = 0
 
     def push(self, wc: WorkCompletion) -> None:
         """RNIC-side: append a completion (overrun is a hard error)."""
@@ -131,8 +132,8 @@ class CompletionQueue:
             )
         span = None
         if wc.trace_ctx is not None:
-            tracer = get_tracer(self.env)
-            if tracer.enabled:
+            tracer = self.env.tracer
+            if tracer is not None and tracer.enabled:
                 span = tracer.start_span(
                     "cq.wait",
                     layer="cq",
@@ -143,8 +144,6 @@ class CompletionQueue:
                 )
         self._entries.append(wc)
         self._wait_spans.append(span)
-        if len(self._entries) > self.high_watermark:
-            self.high_watermark = len(self._entries)
         if self._armed and self.channel is not None:
             self._armed = False
             self.channel._notify(self)

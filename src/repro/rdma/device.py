@@ -12,6 +12,7 @@ ringing doorbells and reaping completions (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import RdmaError
@@ -21,8 +22,7 @@ from repro.rdma.mr import MemoryRegion, ProtectionDomain
 from repro.rdma.qp import QpCapabilities, QueuePair
 from repro.rdma.transport import RocePacket
 from repro.rdma.verbs import DEFAULT_MTU, Access
-from repro.sim import Store, Timeout
-from repro.sim.process import Drive
+from repro.sim import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.host import Host
@@ -83,9 +83,9 @@ class RdmaDevice:
         self._rx_queue: Store = Store(self.env)
         host.install("rdma", self)
         host.nic.register_protocol(self.PROTOCOL, self._on_frame)
-        # Drive (not Process): the rx pipeline is never interrupted and
-        # retires one resume per packet — the hot path of every RDMA op.
-        Drive(self.env, self._rx_loop())
+        # The rx pipeline starts where the generator loop it replaces
+        # started: on the urgent lane.
+        self.env._urgent.append(self._rx_next)
 
     # -- verbs object factories ---------------------------------------------
 
@@ -208,7 +208,7 @@ class RdmaDevice:
         """Destroy a queue pair: flush it and remove it from the QP table.
 
         Packets still in flight toward the old QP number are dropped by
-        :meth:`_rx_loop`, so a replacement QP on the same logical
+        the rx pipeline, so a replacement QP on the same logical
         connection never sees stale traffic.
         """
         if qp.device is not self:
@@ -225,23 +225,42 @@ class RdmaDevice:
     # -- packet engine -------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        # The private tail of a link arrival: Link._deliver is the
-        # arrival's last callback (traced or not), Nic._on_frame returns
-        # what its handler returns, and this is all the handler does —
-        # so a parked _rx_loop takes the packet in place (rule 7).
+        # The private tail of a link arrival: the arrival's bare entry
+        # calls Link._deliver, which ends with this host's receiver,
+        # Nic._on_frame returns what its handler returns, and this is all
+        # the handler does — so a parked rx pipeline takes the packet in
+        # place (rule 7).
         self._rx_queue.post_tail(frame.payload)
 
-    def _rx_loop(self):
-        """Serialize inbound packet processing (the RNIC's rx pipeline)."""
-        while True:
-            packet: RocePacket = yield self._rx_queue.get()
-            yield Timeout(self.env, self.attrs.packet_process)
-            qp = self._qps.get(packet.dst_qp)
-            if qp is None:
-                # Stray packet for a destroyed QP: drop silently (the
-                # peer's retry machinery will eventually error out).
-                continue
-            yield from qp.handle_packet(packet)
+    # The rx pipeline serializes inbound packet processing.  It is a
+    # callback machine — wait for a packet, charge its processing, hand
+    # it to its QP, wait for the QP's DMA if there is one — that arms the
+    # entries the generator loop it replaces waited on, in the same
+    # order.  The pipeline is the only subscriber of its queue hand-over
+    # and of its charge, so both are bare entries (repro.sim.core).
+
+    def _rx_next(self, _event: Optional["Event"] = None) -> None:
+        """Wait for the next inbound packet."""
+        self._rx_queue.get_call(self._rx_charge)
+
+    def _rx_charge(self, packet: RocePacket) -> None:
+        """Charge the packet's processing on the pipeline."""
+        env = self.env
+        env._eid += 1
+        done = env._now + self.attrs.packet_process
+        _heappush(env._far, (done, 1, env._eid, None, self._rx_process, packet))
+
+    def _rx_process(self, packet: RocePacket) -> None:
+        """Hand the packet to its QP; go on once the QP is done with it."""
+        qp = self._qps.get(packet.dst_qp)
+        # A stray packet for a destroyed QP is dropped silently (the
+        # peer's retry machinery will eventually error out).
+        if qp is not None:
+            landing = qp.handle_packet(packet)
+            if landing is not None:
+                landing.callbacks.append(self._rx_next)
+                return
+        self._rx_next()
 
     def __repr__(self) -> str:
         return f"<RdmaDevice {self.name} qps={len(self._qps)}>"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.errors import RdmaError
@@ -36,13 +37,11 @@ from repro.rdma.transport import PacketType, RocePacket
 from repro.rdma.verbs import Access, Opcode, QpState, WcStatus
 from repro.rdma.wr import RecvWorkRequest, SendWorkRequest
 from repro.sim import Store, Timeout
-from repro.sim.process import Drive
 from repro.sim.copystats import COPYSTATS
-from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rdma.device import RdmaDevice
-    from repro.sim import Environment
+    from repro.sim import Environment, Event
 
 __all__ = ["QueuePair", "QpCapabilities"]
 
@@ -144,8 +143,20 @@ class QueuePair:
         self._pending: Deque[_PendingSend] = deque()
         self._sq_store: Store = Store(self.env)
         self._next_psn = 0
+        #: (packet, sent at) of every unacknowledged packet, in PSN order.
         self._unacked: List[tuple[RocePacket, float]] = []
         self._space_event = None
+        # The send pipeline's WR in progress: its entry and "qp.send"
+        # span, the message's chunks (None for a READ request), the next
+        # chunk's index, the first PSN and length, and a packet waiting
+        # for in-flight room.
+        self._sq_entry: Optional[_PendingSend] = None
+        self._sq_span = None
+        self._sq_chunks: Optional[list] = None
+        self._sq_index = 0
+        self._sq_first_psn = 0
+        self._sq_length = 0
+        self._sq_packet: Optional[RocePacket] = None
         self._retry_budget = self.caps.retry_count
         self._rnr_budget = self.caps.rnr_retry
         self._rnr_blocked_until = 0.0
@@ -162,6 +173,9 @@ class QueuePair:
         self._expected_psn = 0
         self._cur_recv: Optional[dict] = None
         self._cur_write: Optional[dict] = None
+        #: (packet, reassembly context) of the packet whose payload DMA
+        #: is in flight; the device's rx pipeline handles one at a time.
+        self._landing: Optional[tuple] = None
         self._last_nak_sent = -1
         # Responder-side credit state: cumulative receives posted /
         # messages consumed / last advertisement sent.
@@ -203,8 +217,9 @@ class QueuePair:
         # The CM handshake drives INIT/RTR internally; the simulator
         # collapses RESET->INIT->RTR->RTS into one audited transition.
         self._set_state(QpState.RTS)
-        # Drive (not Process): one resume per WQE stage on the send path.
-        Drive(self.env, self._sq_loop())
+        # The send pipeline starts where the generator loop it replaces
+        # started: on the urgent lane.
+        self.env._urgent.append(self._sq_next)
         self.env.process(self._retry_loop(), name=f"qp{self.qp_num}.retry")
 
     def add_error_watcher(self, watcher) -> None:
@@ -419,68 +434,99 @@ class QueuePair:
     # send-queue pipeline
     # ------------------------------------------------------------------
 
-    def _sq_loop(self):
-        attrs = self.device.attrs
-        nic = self.device.host.nic
-        while self.state is QpState.RTS:
-            entry = yield self._sq_store.get()
-            if self.state is not QpState.RTS:
-                return
-            wr = entry.wr
-            tracer = get_tracer(self.env)
-            span = None
-            if tracer.enabled and wr.trace_ctx is not None:
-                span = tracer.start_span(
-                    "qp.send",
-                    layer="qp",
-                    parent=wr.trace_ctx,
-                    track=self.device.host.name,
-                    wr_id=wr.wr_id,
-                    opcode=wr.opcode.value,
-                    nbytes=wr.length,
-                )
-            yield Timeout(self.env, attrs.wqe_fetch)
-            try:
-                data = self._gather_payload_check(wr)
-            except RdmaError:
-                entry.status = WcStatus.LOC_PROT_ERR
-                entry.done = True
-                if span is not None:
-                    span.end(error=WcStatus.LOC_PROT_ERR.value)
-                self._enter_error()
-                return
-            if wr.opcode is Opcode.RDMA_READ:
-                yield from self._issue_read(entry)
-                if span is not None:
-                    span.end()
-                continue
-            if data is None:
-                # Gather DMA from host memory (zero-copy: the RNIC reads
-                # the registered application buffer directly).  The setup
-                # round trip is what inline sends avoid.
-                assert wr.sge is not None
-                yield Timeout(self.env, attrs.gather_setup)
-                yield nic.dma_transfer(wr.sge.length, trace_ctx=wr.trace_ctx)
-                mr = wr.sge.mr
-                if wr.snapshot is not None:
-                    # Non-stable application memory: the owned copy was
-                    # pinned at post time, before the app could touch the
-                    # buffer again, so in-flight and retransmitted packets
-                    # stay correct.
-                    data = wr.snapshot
-                elif mr.stable:
-                    # The owner keeps these bytes unchanged until the WR's
-                    # completion (pool/staging memory recycled on CQE), so
-                    # packets may carry views of the registered buffer —
-                    # the literal zero-copy send of the paper.
-                    data = mr.read_view(wr.sge.offset, wr.sge.length)
-                else:
-                    # Defensive fallback (post-time snapshot is skipped only
-                    # for SGEs that fail the protection check above).
-                    data = mr.read_bytes(wr.sge.offset, wr.sge.length)
-            yield from self._emit_message(entry, data)
-            if span is not None:
-                span.end()
+    # A callback machine, one WR at a time: wait for a WQE, charge its
+    # fetch, gather the payload (set-up charge, then DMA) unless it is
+    # inline, then per packet wait for in-flight room and charge the
+    # packet.  It arms the entries the generator loop it replaces waited
+    # on, in the same order and at the same statements.  The pipeline is
+    # the only subscriber of its queue hand-over and of its three charges,
+    # so those are bare entries (repro.sim.core); the gather DMA and the
+    # wait for room stay events.  Once the QP has left RTS it arms nothing
+    # more.
+
+    def _sq_next(self, _event=None) -> None:
+        """Wait for the next posted WR."""
+        if self.state is QpState.RTS:
+            self._sq_store.get_call(self._sq_fetch)
+
+    def _sq_fetch(self, entry: _PendingSend) -> None:
+        """Charge the WQE fetch."""
+        if self.state is not QpState.RTS:
+            return
+        wr = entry.wr
+        env = self.env
+        tracer = env.tracer
+        span = None
+        if tracer is not None and tracer.enabled and wr.trace_ctx is not None:
+            span = tracer.start_span(
+                "qp.send",
+                layer="qp",
+                parent=wr.trace_ctx,
+                track=self.device.host.name,
+                wr_id=wr.wr_id,
+                opcode=wr.opcode.value,
+                nbytes=wr.length,
+            )
+        self._sq_span = span
+        env._eid += 1
+        done = env._now + self.device.attrs.wqe_fetch
+        _heappush(env._far, (done, 1, env._eid, None, self._sq_fetched, entry))
+
+    def _sq_fetched(self, entry: _PendingSend) -> None:
+        """The WQE is on the RNIC: check it, then gather or packetize."""
+        wr = entry.wr
+        try:
+            data = self._gather_payload_check(wr)
+        except RdmaError:
+            entry.status = WcStatus.LOC_PROT_ERR
+            entry.done = True
+            if self._sq_span is not None:
+                self._sq_span.end(error=WcStatus.LOC_PROT_ERR.value)
+            self._enter_error()
+            return
+        if wr.opcode is Opcode.RDMA_READ:
+            self._issue_read(entry)
+        elif data is None:
+            # Gather DMA from host memory (zero-copy: the RNIC reads the
+            # registered application buffer directly).  The set-up round
+            # trip is what inline sends avoid.
+            env = self.env
+            env._eid += 1
+            done = env._now + self.device.attrs.gather_setup
+            _heappush(env._far, (done, 1, env._eid, None, self._sq_gather, entry))
+        else:
+            self._emit_message(entry, data)
+
+    def _sq_gather(self, entry: _PendingSend) -> None:
+        """Start the gather DMA."""
+        wr = entry.wr
+        assert wr.sge is not None
+        self._sq_entry = entry
+        self.device.host.nic.dma_transfer(
+            wr.sge.length, trace_ctx=wr.trace_ctx
+        ).callbacks.append(self._sq_gathered)
+
+    def _sq_gathered(self, _event) -> None:
+        """The payload is on the RNIC: packetize it."""
+        entry = self._sq_entry
+        wr = entry.wr
+        mr = wr.sge.mr
+        if wr.snapshot is not None:
+            # Non-stable application memory: the owned copy was pinned at
+            # post time, before the app could touch the buffer again, so
+            # in-flight and retransmitted packets stay correct.
+            data = wr.snapshot
+        elif mr.stable:
+            # The owner keeps these bytes unchanged until the WR's
+            # completion (pool/staging memory recycled on CQE), so packets
+            # may carry views of the registered buffer — the literal
+            # zero-copy send of the paper.
+            data = mr.read_view(wr.sge.offset, wr.sge.length)
+        else:
+            # Defensive fallback (post-time snapshot is skipped only for
+            # SGEs that fail the protection check above).
+            data = mr.read_bytes(wr.sge.offset, wr.sge.length)
+        self._emit_message(entry, data)
 
     def _gather_payload_check(self, wr: SendWorkRequest) -> Optional[bytes]:
         """Inline payload, or None after validating the SGE for gather."""
@@ -490,11 +536,9 @@ class QueuePair:
         wr.sge.mr.check_local_read(wr.sge.offset, wr.sge.length)
         return None
 
-    def _emit_message(self, entry: _PendingSend, data: bytes):
+    def _emit_message(self, entry: _PendingSend, data: bytes) -> None:
         """Packetize one SEND/WRITE message and transmit it."""
-        attrs = self.device.attrs
-        wr = entry.wr
-        mtu = attrs.mtu
+        mtu = self.device.attrs.mtu
         size = len(data)
         if size <= mtu:
             chunks = [data] if size else [b""]
@@ -504,46 +548,51 @@ class QueuePair:
             # stable-buffer views.
             view = data if isinstance(data, memoryview) else memoryview(data)
             chunks = [view[i : i + mtu] for i in range(0, size, mtu)]
-        is_write = wr.opcode is Opcode.RDMA_WRITE
         # Reserve the whole PSN range up front so a cumulative ACK of a
         # partial prefix can never mark the message complete early.
         first_psn = self._next_psn
         self._next_psn += len(chunks)
         entry.last_psn = first_psn + len(chunks) - 1
-        for index, chunk in enumerate(chunks):
-            first = index == 0
-            last = index == len(chunks) - 1
-            if first and last:
-                kind = PacketType.WRITE_ONLY if is_write else PacketType.SEND_ONLY
-            elif first:
-                kind = PacketType.WRITE_FIRST if is_write else PacketType.SEND_FIRST
-            elif last:
-                kind = PacketType.WRITE_LAST if is_write else PacketType.SEND_LAST
-            else:
-                kind = (
-                    PacketType.WRITE_MIDDLE if is_write else PacketType.SEND_MIDDLE
-                )
-            packet = RocePacket(
+        self._sq_entry = entry
+        self._sq_chunks = chunks
+        self._sq_index = 0
+        self._sq_first_psn = first_psn
+        self._sq_length = size
+        self._sq_packetize()
+
+    def _sq_packetize(self) -> None:
+        """Build the message's next packet and wait for room to send it."""
+        wr = self._sq_entry.wr
+        chunks = self._sq_chunks
+        index = self._sq_index
+        first = index == 0
+        last = index == len(chunks) - 1
+        is_write = wr.opcode is Opcode.RDMA_WRITE
+        if first and last:
+            kind = PacketType.WRITE_ONLY if is_write else PacketType.SEND_ONLY
+        elif first:
+            kind = PacketType.WRITE_FIRST if is_write else PacketType.SEND_FIRST
+        elif last:
+            kind = PacketType.WRITE_LAST if is_write else PacketType.SEND_LAST
+        else:
+            kind = PacketType.WRITE_MIDDLE if is_write else PacketType.SEND_MIDDLE
+        self._sq_await_room(
+            RocePacket(
                 kind=kind,
                 src_host=self.device.host.name,
                 src_qp=self.qp_num,
                 dst_host=self.remote_host,  # type: ignore[arg-type]
                 dst_qp=self.remote_qp,  # type: ignore[arg-type]
-                psn=first_psn + index,
-                payload=chunk,
-                total_length=len(data) if first else 0,
+                psn=self._sq_first_psn + index,
+                payload=chunks[index],
+                total_length=self._sq_length if first else 0,
                 rkey=wr.remote.rkey if (is_write and first) else None,
                 remote_offset=wr.remote.offset if (is_write and first) else 0,
                 trace_ctx=wr.trace_ctx,
             )
-            yield from self._wait_inflight_space()
-            if self.state is not QpState.RTS:
-                return
-            yield Timeout(self.env, attrs.packet_process)
-            self._unacked.append((packet, self.env.now))
-            self._transmit(packet)
+        )
 
-    def _issue_read(self, entry: _PendingSend):
+    def _issue_read(self, entry: _PendingSend) -> None:
         """Send a READ request and set up response reassembly."""
         wr = entry.wr
         assert wr.sge is not None and wr.remote is not None
@@ -565,18 +614,52 @@ class QueuePair:
         )
         self._next_psn += 1
         entry.last_psn = packet.psn
-        yield from self._wait_inflight_space()
-        if self.state is not QpState.RTS:
-            return
-        yield Timeout(self.env, self.device.attrs.packet_process)
-        self._unacked.append((packet, self.env.now))
-        self._transmit(packet)
+        # A one-packet message.
+        self._sq_chunks = None
+        self._sq_await_room(packet)
 
-    def _wait_inflight_space(self):
-        while len(self._unacked) >= self.caps.max_inflight_packets:
-            self._space_event = self.env.event()
-            yield self._space_event
-            self._space_event = None
+    def _sq_await_room(self, packet: RocePacket) -> None:
+        """Charge ``packet`` once fewer than the in-flight limit are unacked."""
+        if len(self._unacked) >= self.caps.max_inflight_packets:
+            self._sq_packet = packet
+            space = self._space_event = self.env.event()
+            space.callbacks.append(self._sq_room_granted)
+            return
+        if self.state is not QpState.RTS:
+            self._sq_message_done()
+            return
+        env = self.env
+        env._eid += 1
+        done = env._now + self.device.attrs.packet_process
+        _heappush(env._far, (done, 1, env._eid, None, self._sq_send, packet))
+
+    def _sq_room_granted(self, _event) -> None:
+        self._space_event = None
+        packet, self._sq_packet = self._sq_packet, None
+        self._sq_await_room(packet)
+
+    def _sq_send(self, packet: RocePacket) -> None:
+        """Put the charged packet on the wire; go on with the next one."""
+        self._unacked.append((packet, self.env._now))
+        self._transmit(packet)
+        chunks = self._sq_chunks
+        if chunks is not None:
+            index = self._sq_index + 1
+            if index < len(chunks):
+                self._sq_index = index
+                self._sq_packetize()
+                return
+        self._sq_message_done()
+
+    def _sq_message_done(self) -> None:
+        """The WR is out (or the QP left RTS under it): take the next."""
+        self._sq_entry = None
+        self._sq_chunks = None
+        span = self._sq_span
+        if span is not None:
+            self._sq_span = None
+            span.end()
+        self._sq_next()
 
     def _grant_space(self) -> None:
         if self._space_event is not None and not self._space_event.triggered:
@@ -600,9 +683,15 @@ class QueuePair:
 
     def _process_ack(self, psn: int) -> None:
         """Cumulative ACK: everything with PSN <= psn is delivered."""
-        before = len(self._unacked)
-        self._unacked = [(p, t) for (p, t) in self._unacked if p.psn > psn]
-        if len(self._unacked) != before:
+        # _unacked is in PSN order, so what the ACK covers is a prefix.
+        unacked = self._unacked
+        covered = 0
+        for packet, _sent in unacked:
+            if packet.psn > psn:
+                break
+            covered += 1
+        if covered:
+            del unacked[:covered]
             self._retry_budget = self.caps.retry_count
             self._rnr_budget = self.caps.rnr_retry
             self._grant_space()
@@ -736,35 +825,39 @@ class QueuePair:
         self._enter_error()
 
     # ------------------------------------------------------------------
-    # inbound packet processing (called from the device's rx loop)
+    # inbound packet processing (called from the device's rx pipeline)
     # ------------------------------------------------------------------
 
-    def handle_packet(self, packet: RocePacket):
-        """Process one arriving packet; generator (device yields from it)."""
+    def handle_packet(self, packet: RocePacket) -> Optional[Event]:
+        """Process one arriving packet.
+
+        Returns None when the packet is done with, or the DMA that lands
+        its payload: the QP has subscribed to it to finish the packet, and
+        the device's rx pipeline waits for it before taking the next one.
+        """
         kind = packet.kind
         if kind == PacketType.ACK:
             if packet.credit >= 0 and self.caps.flow_control:
                 self._update_credit(packet.credit)
             self._process_ack(packet.psn)
-            return
+            return None
         if kind == PacketType.NAK_SEQUENCE:
             if packet.credit >= 0 and self.caps.flow_control:
                 self._update_credit(packet.credit)
             self._retransmit_from(packet.psn)
-            return
+            return None
         if kind == PacketType.NAK_RNR:
             if packet.credit >= 0 and self.caps.flow_control:
                 self._update_credit(packet.credit)
-            yield from self._handle_rnr(packet)
-            return
+            self._handle_rnr(packet)
+            return None
         if kind == PacketType.NAK_ACCESS:
             self._fail_head(WcStatus.REM_ACCESS_ERR)
-            return
+            return None
         if kind == PacketType.READ_RESPONSE:
-            yield from self._handle_read_response(packet)
-            return
+            return self._handle_read_response(packet)
         if self.state is QpState.ERROR:
-            return
+            return None
         # Sequenced request packets.
         if packet.psn < self._expected_psn:
             if kind == PacketType.READ_REQUEST:
@@ -774,15 +867,15 @@ class QueuePair:
                 # orphan its READ WR forever — and a revocation between
                 # the original and the retry must get the chance to deny
                 # the re-presented rkey outright.
-                yield from self._handle_read_request(packet)
-                return
+                self._handle_read_request(packet)
+                return None
             self._send_control(PacketType.ACK, self._expected_psn - 1)
-            return
+            return None
         if packet.psn > self._expected_psn:
             if self._last_nak_sent != self._expected_psn:
                 self._last_nak_sent = self._expected_psn
                 self._send_control(PacketType.NAK_SEQUENCE, self._expected_psn)
-            return
+            return None
         self._last_nak_sent = -1
         if kind in (
             PacketType.SEND_FIRST,
@@ -790,22 +883,22 @@ class QueuePair:
             PacketType.SEND_LAST,
             PacketType.SEND_ONLY,
         ):
-            yield from self._handle_send_packet(packet)
-        elif kind in (
+            return self._handle_send_packet(packet)
+        if kind in (
             PacketType.WRITE_FIRST,
             PacketType.WRITE_MIDDLE,
             PacketType.WRITE_LAST,
             PacketType.WRITE_ONLY,
         ):
-            yield from self._handle_write_packet(packet)
-        elif kind == PacketType.READ_REQUEST:
-            yield from self._handle_read_request(packet)
-        else:  # pragma: no cover - exhaustive
-            raise RdmaError(f"unknown packet kind {kind!r}")
+            return self._handle_write_packet(packet)
+        if kind == PacketType.READ_REQUEST:
+            self._handle_read_request(packet)
+            return None
+        raise RdmaError(f"unknown packet kind {kind!r}")  # pragma: no cover
 
     # -- two-sided receive path ---------------------------------------------
 
-    def _handle_send_packet(self, packet: RocePacket):
+    def _handle_send_packet(self, packet: RocePacket) -> Optional[Event]:
         nic = self.device.host.nic
         if packet.kind in PacketType.STARTS_MESSAGE:
             if not self._recv_queue:
@@ -821,7 +914,7 @@ class QueuePair:
                     packet.psn,
                     rnr_timer=self.caps.rnr_timer,
                 )
-                return
+                return None
             wr = self._recv_queue[0]
             if packet.total_length > (wr.sge.length or 0):
                 self._recv_queue.popleft()
@@ -836,12 +929,12 @@ class QueuePair:
                 )
                 self._send_control(PacketType.NAK_ACCESS, packet.psn)
                 self._enter_error()
-                return
+                return None
             self._recv_queue.popleft()
             self._cur_recv = {"wr": wr, "cursor": wr.sge.offset, "received": 0}
             if packet.trace_ctx is not None:
-                tracer = get_tracer(self.env)
-                if tracer.enabled:
+                tracer = self.env.tracer
+                if tracer is not None and tracer.enabled:
                     self._cur_recv["span"] = tracer.start_span(
                         "qp.recv",
                         layer="qp",
@@ -855,16 +948,28 @@ class QueuePair:
             # Middle/last without a first: protocol violation.
             self._send_control(PacketType.NAK_ACCESS, packet.psn)
             self._enter_error()
-            return
+            return None
         if packet.payload:
             # Scatter DMA into the posted receive buffer.
-            yield nic.dma_transfer(
+            landing = nic.dma_transfer(
                 len(packet.payload), trace_ctx=packet.trace_ctx
             )
-            wr = ctx["wr"]
-            wr.sge.mr.write_bytes(ctx["cursor"], packet.payload)
-            ctx["cursor"] += len(packet.payload)
-            ctx["received"] += len(packet.payload)
+            self._landing = (packet, ctx)
+            landing.callbacks.append(self._send_landed)
+            return landing
+        self._send_accepted(packet, ctx)
+        return None
+
+    def _send_landed(self, _event: Event) -> None:
+        packet, ctx = self._landing
+        self._landing = None
+        wr = ctx["wr"]
+        wr.sge.mr.write_bytes(ctx["cursor"], packet.payload)
+        ctx["cursor"] += len(packet.payload)
+        ctx["received"] += len(packet.payload)
+        self._send_accepted(packet, ctx)
+
+    def _send_accepted(self, packet: RocePacket, ctx: dict) -> None:
         self._expected_psn = packet.psn + 1
         if packet.kind in PacketType.ENDS_MESSAGE:
             self._messages_received += 1
@@ -889,7 +994,7 @@ class QueuePair:
 
     # -- one-sided write path ----------------------------------------------
 
-    def _handle_write_packet(self, packet: RocePacket):
+    def _handle_write_packet(self, packet: RocePacket) -> Optional[Event]:
         nic = self.device.host.nic
         if packet.kind in PacketType.STARTS_MESSAGE:
             mr = self.device.find_mr(packet.rkey)
@@ -907,7 +1012,7 @@ class QueuePair:
                 )
             except RdmaError as error:
                 self._deny_remote_access(packet, error, write=True)
-                return
+                return None
             self._cur_write = {
                 "mr": mr,
                 "cursor": packet.remote_offset,
@@ -921,20 +1026,32 @@ class QueuePair:
         if ctx is None:
             self._send_control(PacketType.NAK_ACCESS, packet.psn)
             self._enter_error()
-            return
+            return None
         if packet.kind not in PacketType.STARTS_MESSAGE:
             try:
                 ctx["mr"].check_epoch(ctx["epoch"])
             except RdmaError as error:
                 self._cur_write = None
                 self._deny_remote_access(packet, error, write=True)
-                return
+                return None
         if packet.payload:
-            yield nic.dma_transfer(
+            landing = nic.dma_transfer(
                 len(packet.payload), trace_ctx=packet.trace_ctx
             )
-            ctx["mr"].write_bytes(ctx["cursor"], packet.payload)
-            ctx["cursor"] += len(packet.payload)
+            self._landing = (packet, ctx)
+            landing.callbacks.append(self._write_landed)
+            return landing
+        self._write_accepted(packet, ctx)
+        return None
+
+    def _write_landed(self, _event: Event) -> None:
+        packet, ctx = self._landing
+        self._landing = None
+        ctx["mr"].write_bytes(ctx["cursor"], packet.payload)
+        ctx["cursor"] += len(packet.payload)
+        self._write_accepted(packet, ctx)
+
+    def _write_accepted(self, packet: RocePacket, ctx: dict) -> None:
         self._expected_psn = packet.psn + 1
         if packet.kind in PacketType.ENDS_MESSAGE:
             self._cur_write = None
@@ -954,7 +1071,7 @@ class QueuePair:
 
     # -- one-sided read path --------------------------------------------------
 
-    def _handle_read_request(self, packet: RocePacket):
+    def _handle_read_request(self, packet: RocePacket) -> None:
         mr = self.device.find_mr(packet.rkey)
         try:
             if mr is None:
@@ -980,7 +1097,6 @@ class QueuePair:
             self._stream_read_response(packet, mr),
             name=f"qp{self.qp_num}.read_resp",
         )
-        yield from ()
 
     def _stream_read_response(self, request: RocePacket, mr: MemoryRegion):
         attrs = self.device.attrs
@@ -1030,28 +1146,39 @@ class QueuePair:
                 )
             )
 
-    def _handle_read_response(self, packet: RocePacket):
+    def _handle_read_response(self, packet: RocePacket) -> Optional[Event]:
         ctx = self._reads.get(packet.read_id)
         if ctx is None:
-            return
-        entry = ctx.entry
-        wr = entry.wr
-        assert wr.sge is not None
+            return None
+        assert ctx.entry.wr.sge is not None
         if packet.chunk_index != ctx.chunks_received:
             # Out-of-order chunk (lost predecessor): drop; the retry timer
             # will re-issue the whole idempotent READ.
-            return
-        nic = self.device.host.nic
+            return None
         if packet.payload:
-            yield nic.dma_transfer(
+            landing = self.device.host.nic.dma_transfer(
                 len(packet.payload), trace_ctx=packet.trace_ctx
             )
-            wr.sge.mr.write_bytes(wr.sge.offset + ctx.cursor, packet.payload)
-            ctx.cursor += len(packet.payload)
+            self._landing = (packet, ctx)
+            landing.callbacks.append(self._read_landed)
+            return landing
+        self._read_chunk_accepted(packet, ctx)
+        return None
+
+    def _read_landed(self, _event: Event) -> None:
+        packet, ctx = self._landing
+        self._landing = None
+        sge = ctx.entry.wr.sge
+        sge.mr.write_bytes(sge.offset + ctx.cursor, packet.payload)
+        ctx.cursor += len(packet.payload)
+        self._read_chunk_accepted(packet, ctx)
+
+    def _read_chunk_accepted(self, packet: RocePacket, ctx: _ReadContext) -> None:
         ctx.chunks_received += 1
         ctx.chunk_count = packet.chunk_count
         if ctx.chunks_received == packet.chunk_count:
             del self._reads[packet.read_id]
+            entry = ctx.entry
             entry.done = True
             # The response train implicitly acknowledges the request PSN.
             self._unacked = [
@@ -1063,7 +1190,7 @@ class QueuePair:
 
     # -- RNR handling ------------------------------------------------------
 
-    def _handle_rnr(self, packet: RocePacket):
+    def _handle_rnr(self, packet: RocePacket) -> None:
         nic = self.device.host.nic
         audit = self.env.audit
         self._rnr_budget -= 1
@@ -1091,7 +1218,6 @@ class QueuePair:
                 self._retransmit_from(packet.psn)
 
         self.env.process(wait_and_retry(), name=f"qp{self.qp_num}.rnr_wait")
-        yield from ()
 
     # -- credit flow control ------------------------------------------------
 

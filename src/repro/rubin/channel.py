@@ -34,7 +34,6 @@ from repro.rubin.buffer_pool import BufferPool, PooledBuffer
 from repro.rubin.config import RubinConfig
 from repro.sim import Counter, TimeSeries
 from repro.sim.copystats import COPYSTATS
-from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.host import Host
@@ -465,7 +464,9 @@ class RubinChannel:
     def on_cq_event(self, cq: CompletionQueue):
         """Drain ``cq``; generator (the selector and read/write yield from it).
 
-        Charges the per-CQE reap cost and re-arms the notification."""
+        Charges the per-CQE reap cost and re-arms the notification.  On
+        an empty ``cq`` that is :meth:`finish_cq_event` alone, which
+        callers call directly rather than build this generator."""
         cpu = self.host.cpu
         while True:
             completions = cq.poll(max_entries=16)
@@ -474,6 +475,11 @@ class RubinChannel:
             yield cpu.execute(cpu.costs.cqe_poll * len(completions))
             for wc in completions:
                 self._handle_completion(wc)
+        self.finish_cq_event(cq)
+
+    def finish_cq_event(self, cq: CompletionQueue) -> None:
+        """The tail of :meth:`on_cq_event`, once ``cq`` is drained:
+        re-arm its notification and tell the watchers."""
         if cq.channel is not None:
             cq.request_notify()
         self._notify()
@@ -549,9 +555,13 @@ class RubinChannel:
         receive copy, buffer recycling), so schedules are bit-identical
         whichever the application picks.
         """
-        if self.closed and not self._ready_messages and len(self.recv_cq) == 0:
+        recv_cq = self.recv_cq
+        if recv_cq._entries:
+            yield from self.on_cq_event(recv_cq)
+        elif self.closed and not self._ready_messages:
             return None
-        yield from self.on_cq_event(self.recv_cq)
+        else:
+            self.finish_cq_event(recv_cq)
         if not self._ready_messages:
             return None if self.closed else 0
         message = self._ready_messages[0]
@@ -644,9 +654,10 @@ class RubinChannel:
                 f"{self}: message of {length}B exceeds channel buffer size "
                 f"{self.config.buffer_size}B"
             )
-        tracer = get_tracer(self.env)
+        tracer = self.env.tracer
+        traced = tracer is not None and tracer.enabled and trace_ctx is not None
         span = None
-        if tracer.enabled and trace_ctx is not None:
+        if traced:
             span = tracer.start_span(
                 "channel.write",
                 layer="rubin",
@@ -657,7 +668,10 @@ class RubinChannel:
         reserved = False
         try:
             # Reap finished sends first so slots/pool buffers recycle.
-            yield from self.on_cq_event(self.send_cq)
+            if self.send_cq._entries:
+                yield from self.on_cq_event(self.send_cq)
+            else:
+                self.finish_cq_event(self.send_cq)
             if self.qp.send_queue_free < 1:
                 return 0
             if self.config.flow_control:
@@ -668,7 +682,7 @@ class RubinChannel:
                     self.credit_stalls.increment()
                     if self._stall_since is None:
                         self._stall_since = self.env.now
-                        if tracer.enabled and trace_ctx is not None:
+                        if traced:
                             self._stall_span = tracer.start_span(
                                 "channel.credit_stall",
                                 layer="rubin",

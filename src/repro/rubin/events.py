@@ -20,7 +20,6 @@ from collections import deque
 
 from repro.rdma.cm import CmEvent, ConnectionManager
 from repro.rdma.cq import CompletionChannel, CompletionQueue
-from repro.sim import Drive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Environment, Event
@@ -83,6 +82,10 @@ class HybridEventQueue:
 class EventManager:
     """Feeds the hybrid queue from CM events and CQ notifications."""
 
+    #: ``repro.explore`` groups the entries the manager waits on under
+    #: the name's first dot-token, "rubin".
+    name = "rubin.event_manager"
+
     def __init__(self, env: "Environment", queue: HybridEventQueue):
         self.env = env
         self.queue = queue
@@ -90,7 +93,9 @@ class EventManager:
         self.comp_channel = CompletionChannel(env)
         self._cq_owner: dict[int, Any] = {}
         self._running = True
-        Drive(env, self._completion_loop(), name="rubin.event_manager")
+        # The completion loop starts where the generator loop it replaces
+        # started: on the urgent lane.
+        env._urgent.append(self._await_completion)
 
     def watch_cm(self, cm: ConnectionManager, owner_id: Any) -> None:
         """Copy ``cm``'s events onto the hybrid queue, tagged ``owner_id``."""
@@ -116,13 +121,19 @@ class EventManager:
         """The channel id a CQ was registered under."""
         return self._cq_owner.get(cq.number)
 
-    def _completion_loop(self):
-        """Forward CQ notifications as hybrid-queue events and re-arm."""
-        while self._running:
-            cq = yield self.comp_channel.get_cq_event()
-            owner = self._cq_owner.get(cq.number)
-            if owner is None:
-                continue  # CQ was unregistered; stale notification
+    # The completion loop, as callbacks: wait for a CQ notification,
+    # forward it, wait again — until stop().  The loop is the only
+    # subscriber of each wait, so each hand-over is a bare entry.
+
+    def _await_completion(self, _event: Optional["Event"] = None) -> None:
+        if self._running:
+            self.comp_channel.when_cq_event(self._forward_completion)
+
+    def _forward_completion(self, cq: CompletionQueue) -> None:
+        """Forward a CQ notification as a hybrid-queue event."""
+        owner = self._cq_owner.get(cq.number)
+        # An unregistered CQ's notification is stale: dropped.
+        if owner is not None:
             self.queue.push(
                 RubinEvent(kind=EVENT_COMPLETION, event_id=owner, cq=cq)
             )
@@ -130,6 +141,7 @@ class EventManager:
             # the CQ (request_notify with entries still pending re-notifies
             # immediately, so a CQE landing mid-drain cannot be lost — and
             # re-arming before the drain would spin on the pending entries).
+        self._await_completion()
 
     def unwatch_cq(self, cq: CompletionQueue) -> None:
         """Stop surfacing a CQ's completions."""

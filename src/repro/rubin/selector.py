@@ -37,7 +37,6 @@ from repro.rubin.selection_key import (
     OP_SEND,
     RubinSelectionKey,
 )
-from repro.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.host import Host
@@ -190,9 +189,9 @@ class RubinSelector:
                 key = self._keys.get(event.event_id)
                 if key is None or key.is_server:
                     continue
-                tracer = get_tracer(self.env)
+                tracer = self.env.tracer
                 span = None
-                if tracer.enabled:
+                if tracer is not None and tracer.enabled:
                     # Attribute the dispatch to the oldest completion's
                     # trace (the one whose latency this dispatch gates).
                     ctx = event.cq.head_trace_ctx()
@@ -206,7 +205,10 @@ class RubinSelector:
                         )
                 # Drain the CQ through the owning channel (charges the
                 # CQE-reap cost and re-arms the notification).
-                yield from key.channel.on_cq_event(event.cq)
+                if event.cq._entries:
+                    yield from key.channel.on_cq_event(event.cq)
+                else:
+                    key.channel.finish_cq_event(event.cq)
                 if span is not None:
                     span.end()
             elif event.kind == EVENT_CONNECTION:

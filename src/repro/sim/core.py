@@ -38,6 +38,25 @@ which lane an entry landed in — the split is purely a performance device.
 A lane holds what is pending and nothing else: a served entry is gone
 from it.
 
+Entries
+-------
+
+A keyed entry comes in two kinds with the same key:
+
+* an **event entry** ``(time, priority, sequence, event)``: serving it
+  runs the event's callbacks;
+* a **bare entry** ``(time, priority, sequence, None, fn, arg)``: serving
+  it calls ``fn(arg)``.  It is for the code that arms an entry and is
+  also its only subscriber — a hold's timer, a queue hand-over to a
+  consumer that is a function — and costs one tuple instead of an
+  :class:`Event`, its callback list and the append.  It cannot fail and
+  no one else can wait on it.  Keys are unique, so a comparison never
+  reaches the fourth field.
+
+Both are pushed the same way (``env._dq.append`` for ``(now, NORMAL)``,
+``heappush(env._far, ...)`` otherwise), under a :class:`TieBreakPolicy`
+too, where a bare entry is an ordinary choice point.
+
 Adjacency
 ---------
 
@@ -90,8 +109,9 @@ class TieBreakPolicy:
     ``(time, priority)``, the kernel collects them in sequence order and
     asks the policy which one to dispatch.
 
-    ``choose`` receives the current time and the tied entries (each a
-    ``(time, priority, sequence, event)`` tuple, sequence-ordered) and
+    ``choose`` receives the current time and the tied entries (each an
+    event entry ``(time, priority, sequence, event)`` or a bare entry
+    ``(time, priority, sequence, None, fn, arg)``, sequence-ordered) and
     returns the index of the entry to dispatch; the rest are pushed back
     with their original sequence numbers, so index ``0`` everywhere
     reproduces the kernel's native order bit-for-bit.  Out-of-range
@@ -194,12 +214,13 @@ class Environment:
         # before anything else due now.  ``env._urgent.append(start)`` is
         # the one way to schedule one.
         self._urgent: Any = deque()
-        # The zero-delay lane: ``(now, NORMAL, sequence, event)`` entries.
+        # The zero-delay lane: ``(now, NORMAL, sequence, ...)`` entries,
+        # event or bare.
         self._dq: Any = deque()
         # The far lane: a heap of keyed entries, touched only through
         # heapq.  The list object lives as long as the environment — the
         # run loops and the policy stand-ins hold references to it.
-        self._far: list[tuple[float, int, int, Event]] = []
+        self._far: list[tuple] = []
         # Timers cancelled since the far heap was last rebuilt without
         # them (Timeout.cancel); an upper bound, as one may have been
         # served since.
@@ -291,7 +312,7 @@ class Environment:
             self._dq = deque()
         self._tiebreak = policy
 
-    def _pop_choice(self) -> tuple[float, int, int, Event]:
+    def _pop_choice(self) -> tuple:
         """Pop the next agenda entry, letting the policy break ties.
 
         Entries tied on ``(time, priority)`` are collected in sequence
@@ -348,7 +369,10 @@ class Environment:
         else:
             entry = _heappop(far)
         self._now = entry[0]
-        self._fire(entry[3])
+        if entry[3] is None:
+            entry[4](entry[5])
+        else:
+            self._fire(entry[3])
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -435,23 +459,27 @@ class Environment:
                         break
                     self._now = entry[0]
                     event = entry[3]
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    # Single-callback events are the overwhelmingly
-                    # common case; calling directly skips the iterator
-                    # setup.
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
+                    if event is None:
+                        # A bare entry: one function, one argument.
+                        entry[4](entry[5])
                     else:
-                        for callback in callbacks:
-                            callback(event)
-                    if not event._ok and not event._defused:
-                        # A failed event nobody waited on: surface it
-                        # loudly.
-                        exc = event._value
-                        raise exc if isinstance(
-                            exc, BaseException
-                        ) else SimulationError(repr(exc))
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        # Single-callback events are the overwhelmingly
+                        # common case; calling directly skips the
+                        # iterator setup.
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            for callback in callbacks:
+                                callback(event)
+                        if not event._ok and not event._defused:
+                            # A failed event nobody waited on: surface
+                            # it loudly.
+                            exc = event._value
+                            raise exc if isinstance(
+                                exc, BaseException
+                            ) else SimulationError(repr(exc))
                 if stop_event.callbacks is None:
                     if stop_event._ok:
                         return stop_event._value
@@ -480,6 +508,9 @@ class Environment:
                     break
                 self._now = entry[0]
                 event = entry[3]
+                if event is None:
+                    entry[4](entry[5])
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 if len(callbacks) == 1:
@@ -518,7 +549,10 @@ class Environment:
                 return None
             entry = self._pop_choice()
             self._now = entry[0]
-            self._fire(entry[3])
+            if entry[3] is None:
+                entry[4](entry[5])
+            else:
+                self._fire(entry[3])
             if stop_event is not None and stop_event.callbacks is None:
                 if stop_event._ok:
                     return stop_event._value

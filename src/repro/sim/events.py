@@ -301,10 +301,12 @@ class Timeout(Event):
         far = env._far
         if env._cancelled * 2 > len(far):
             # Compact in place (each entry moves to an index the loop
-            # has passed), then restore the heap order.
+            # has passed), then restore the heap order.  Bare entries
+            # (no event) cannot be cancelled and always stay.
             kept = 0
             for entry in far:
-                if entry[3].callbacks is not _CANCELLED:
+                event = entry[3]
+                if event is None or event.callbacks is not _CANCELLED:
                     far[kept] = entry
                     kept += 1
             del far[kept:]

@@ -16,10 +16,11 @@ Two primitives cover everything the network and protocol layers need:
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import PENDING, Event, Timeout
+from repro.sim.events import PENDING, Event
 from repro.sim.monitor import UtilizationTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +54,11 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    """Event for a pending :meth:`Store.get`; value is the item."""
+    """Event for a pending :meth:`Store.get`; value is the item.
+
+    Not to be subclassed: a store tells its getters apart by exact type
+    (anything else waiting in it is a :meth:`Store.get_call` consumer).
+    """
 
     __slots__ = ("filter",)
 
@@ -85,7 +90,9 @@ class Store:
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._putters: Deque[StorePut] = deque()
-        self._getters: Deque[StoreGet] = deque()
+        #: Blocked gets in FIFO order: a :class:`StoreGet`, or the
+        #: consumer function of a :meth:`get_call`.
+        self._getters: Deque[Any] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -129,16 +136,25 @@ class Store:
         ``put``.
         """
         getters = self._getters
-        if getters and getters[0].filter is None:
+        if getters:
             # A blocked unfiltered getter means the store is empty: the
-            # item is its, as _dispatch would find.  Inlined succeed()
-            # (a queued getter is pending).
-            get = getters.popleft()
-            get._value = item
-            env = self.env
-            env._eid += 1
-            env._dq.append((env._now, 1, env._eid, get))
-            return
+            # item is its, as _dispatch would find.
+            get = getters[0]
+            if type(get) is not StoreGet:
+                # A get_call consumer: the hand-over is its bare entry.
+                getters.popleft()
+                env = self.env
+                env._eid += 1
+                env._dq.append((env._now, 1, env._eid, None, get, item))
+                return
+            if get.filter is None:
+                # Inlined succeed() (a queued getter is pending).
+                getters.popleft()
+                get._value = item
+                env = self.env
+                env._eid += 1
+                env._dq.append((env._now, 1, env._eid, get))
+                return
         if len(self.items) >= self.capacity:
             self.put(item)
             return
@@ -153,35 +169,49 @@ class Store:
         zero-delay entry.  When that entry is provably the next one
         served — urgent lane empty, zero-delay lane empty, far head
         strictly later than ``now`` — and nothing runs between this call
-        and the end of the step, the getter's callbacks run here instead
-        (DESIGN §11, rule 7).  The caller vouches for the second half;
-        the store checks the first.  Otherwise, and under a
+        and the end of the step, the getter's callbacks (or its
+        :meth:`get_call` consumer) run here instead (DESIGN §11, rule 7).
+        The caller vouches for the second half; the store checks the
+        first.  Otherwise, and under a
         :class:`~repro.sim.core.TieBreakPolicy`, it is :meth:`post`.
         """
         getters = self._getters
-        if getters and getters[0].filter is None:
-            get = getters.popleft()
-            get._value = item
-            env = self.env
-            far = env._far
-            if (
-                env._tiebreak is None
-                and not env._urgent
-                and not env._dq
-                and (not far or far[0][0] > env._now)
-            ):
+        if not getters:
+            if len(self.items) < self.capacity:
+                # post() with nobody waiting: the receiver is busy.
+                self.items.append(item)
+            else:
+                self.post(item)
+            return
+        get = getters[0]
+        consumer = type(get) is not StoreGet
+        if not consumer and get.filter is not None:
+            self.post(item)
+            return
+        getters.popleft()
+        env = self.env
+        far = env._far
+        if (
+            env._tiebreak is None
+            and not env._urgent
+            and not env._dq
+            and (not far or far[0][0] > env._now)
+        ):
+            if consumer:
+                get(item)
+            else:
+                get._value = item
                 callbacks, get.callbacks = get.callbacks, None
                 for callback in callbacks:
                     callback(get)
-            else:
-                # post()'s hand-over: the getter's entry.
-                env._eid += 1
-                env._dq.append((env._now, 1, env._eid, get))
-        elif not getters and len(self.items) < self.capacity:
-            # post() with nobody waiting: the receiver is busy.
-            self.items.append(item)
+            return
+        # post()'s hand-over: the getter's entry.
+        env._eid += 1
+        if consumer:
+            env._dq.append((env._now, 1, env._eid, None, get, item))
         else:
-            self.post(item)
+            get._value = item
+            env._dq.append((env._now, 1, env._eid, get))
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Take the first (matching) item; event value is the item."""
@@ -201,6 +231,29 @@ class Store:
         self._getters.append(event)
         self._dispatch()
         return event
+
+    def get_call(self, consumer: Callable[[Any], None]) -> None:
+        """:meth:`get` for a consumer that is a function.
+
+        ``consumer(item)`` runs where the get's one callback would have
+        run, and the get's entry is a bare one (``repro.sim.core``):
+        armed with its id where the :class:`StoreGet` would have been
+        scheduled — here when an item is waiting, in :meth:`post` or
+        :meth:`_dispatch` when one arrives — or, from :meth:`post_tail`,
+        a call in place.  For a caller that would subscribe to the get
+        and hand it to no one else.  Unfiltered only.
+        """
+        items = self.items
+        if not self._getters and items:
+            env = self.env
+            env._eid += 1
+            env._dq.append((env._now, 1, env._eid, None, consumer, items.popleft()))
+            if self._putters:
+                self._dispatch()
+            return
+        self._getters.append(consumer)
+        if items or self._putters:
+            self._dispatch()
 
     def try_get(self) -> Any:
         """Non-blocking get: pop the head item or return None."""
@@ -228,6 +281,15 @@ class Store:
             # later getters overtake, keeping completion polling fair).
             while self._getters and self.items:
                 get = self._getters[0]
+                if type(get) is not StoreGet:
+                    # A get_call consumer: its bare entry.
+                    item = self.items.popleft()
+                    self._getters.popleft()
+                    env = self.env
+                    env._eid += 1
+                    env._dq.append((env._now, 1, env._eid, None, get, item))
+                    progress = True
+                    continue
                 if get.filter is None:
                     item = self.items.popleft()
                 else:
@@ -360,6 +422,11 @@ class TimedHold(Event):
     spot: an uncontended hold with nothing else due at either end costs
     one sequence number, a contended or crowded one up to three.
 
+    The hold is the only subscriber of its timer and of a grant on a
+    free core, so both are bare entries (``repro.sim.core``), and on a
+    free core the hold itself stands in ``Resource._users``.  Only a
+    hold queued behind a busy core needs a :class:`ResourceRequest`.
+
     ``tracker`` (optional) has ``begin()``/``end()`` called around the
     hold — for a :class:`~repro.sim.monitor.UtilizationTracker`, the
     tracker of every ``Cpu``, their arithmetic is done here, in place;
@@ -375,6 +442,8 @@ class TimedHold(Event):
         tracker: Any = None,
         span: Any = None,
     ):
+        if duration < 0:
+            raise SimulationError(f"negative hold duration {duration!r}")
         env = resource.env
         self.env = env
         self.callbacks = []
@@ -383,8 +452,8 @@ class TimedHold(Event):
         self._defused = False
         self._resource = resource
         self._duration = duration
-        #: The request holding (or queued for) the slot; ``None`` when
-        #: the grant was adjacent and the hold itself is the slot's user.
+        #: The request queued for the slot behind a busy core; ``None``
+        #: when the core was free and the hold itself is the slot's user.
         self._request: Optional[ResourceRequest] = None
         self._tracker = tracker
         self._span = span
@@ -394,24 +463,24 @@ class TimedHold(Event):
         resource = self._resource
         users = resource._users
         env = self.env
-        free = len(users) < resource.capacity
-        if free and not env._urgent and not env._dq:
-            far = env._far
-            if not far or far[0][0] > env._now:
-                # Adjacent: the grant would be served next, so it is
-                # taken now, and needs no request to carry it.
-                users.append(self)
-                self._hold()
-                return
-        # Inlined Resource.request() (same grant push, same FIFO order).
-        request = self._request = ResourceRequest(env, resource)
-        if free:
-            users.append(request)
-            request._value = None
+        if len(users) < resource.capacity:
+            # A free core: the slot is the hold's now, as Resource.request()
+            # would grant it.
+            users.append(self)
+            if not env._urgent and not env._dq:
+                far = env._far
+                if not far or far[0][0] > env._now:
+                    # Adjacent: the grant would be served next, so it is
+                    # taken now.
+                    self._hold()
+                    return
+            # The grant's entry, bare: the hold is its only subscriber.
             env._eid += 1
-            env._dq.append((env._now, 1, env._eid, request))
-        else:
-            resource._waiters.append(request)
+            env._dq.append((env._now, 1, env._eid, None, self._hold, None))
+            return
+        # Inlined Resource.request() on a busy core (same FIFO order).
+        request = self._request = ResourceRequest(env, resource)
+        resource._waiters.append(request)
         request.callbacks.append(self._hold)
 
     def _hold(self, _event: Optional[Event] = None) -> None:
@@ -425,10 +494,13 @@ class TimedHold(Event):
                 tracker._depth += 1
             else:
                 tracker.begin()
-        timeout = Timeout(env, self._duration)
-        timeout.callbacks.append(self._finish)
+        # The timer, bare: the hold is its only subscriber.
+        env._eid += 1
+        _heappush(
+            env._far, (env._now + self._duration, 1, env._eid, None, self._finish, None)
+        )
 
-    def _finish(self, _event: Event) -> None:
+    def _finish(self, _arg: None) -> None:
         tracker = self._tracker
         if tracker is not None:
             if type(tracker) is UtilizationTracker and tracker._depth:

@@ -593,12 +593,12 @@ class TcpConnection:
         # come back around are polled and pay only protocol processing.
         # (Computed before get(): an uncontended get pops the item.)
         self._rx_blocked = not rx_queue.items
-        rx_queue.get().callbacks.append(self._rx_dequeued)
+        rx_queue.get_call(self._rx_dequeued)
 
-    def _rx_dequeued(self, event: Event) -> None:
+    def _rx_dequeued(self, segment: Segment) -> None:
         if self.state == CLOSED:
             return
-        self._rx_segment = event._value
+        self._rx_segment = segment
         cost = self._cost_rx_burst if self._rx_blocked else self._cost_per_segment
         if cost > 0.0:
             charged = TimedHold(self._cpu_resource, cost, self._cpu_tracker)

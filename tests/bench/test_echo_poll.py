@@ -172,18 +172,30 @@ def _count_unfused_holds(monkeypatch):
     fusion).  An idle tick or read that shares its instant with a hold's
     boundary bit-exactly therefore costs the reference an entry that is
     neither a tick nor a read; the tally is what tells those apart.
+
+    Counted from the ids taken, not from how a grant is carried: ``_hold``
+    takes exactly one (its timer), so what else ``_acquire`` takes is the
+    grant's entry; and a completion took one when it is still pending
+    after ``_finish`` (its entry waits on the agenda).
     """
     tally = [0]
-    acquire, finish = TimedHold._acquire, TimedHold._finish
+    holds = [0]
+    acquire, hold, finish = TimedHold._acquire, TimedHold._hold, TimedHold._finish
+
+    def counting_hold(self, event=None):
+        holds[0] += 1
+        hold(self, event)
 
     def counting_acquire(self, _entry=None):
+        ids, held = self.env._eid, holds[0]
         acquire(self, _entry)
-        tally[0] += self._request is not None
+        tally[0] += (self.env._eid - ids) - (holds[0] - held)
 
     def counting_finish(self, event):
         finish(self, event)
         tally[0] += self.callbacks is not None
 
+    monkeypatch.setattr(TimedHold, "_hold", counting_hold)
     monkeypatch.setattr(TimedHold, "_acquire", counting_acquire)
     monkeypatch.setattr(TimedHold, "_finish", counting_finish)
     return tally

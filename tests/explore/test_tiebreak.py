@@ -144,6 +144,32 @@ class TestOwnerKey:
         event.callbacks.append(_NamedPort().deliver)
         assert owner_key(event) == "client<->server"
 
+    def test_a_bare_entry_is_owned_by_its_function_s_object(self):
+        """A bare entry has no event: its one function says who owns it,
+        as an event's first callback does — and a policy recording owners
+        sees it among its ties."""
+
+        class _NamedPort:
+            def __init__(self, name):
+                self.name = name
+
+            def deliver(self, _arg):
+                pass
+
+        def plain(_arg):
+            pass
+
+        env = Environment()
+        policy = RecordingPolicy(record_owners=True)
+        env.set_tiebreak(policy)
+        for port in (_NamedPort("a<->b.fwd"), _NamedPort("c.rnic")):
+            env._eid += 1
+            env._dq.append((env.now, 1, env._eid, None, port.deliver, None))
+        env._eid += 1
+        env._dq.append((env.now, 1, env._eid, None, plain, None))
+        env.run()
+        assert policy.owners[0] == ("a<->b", "c", "plain")
+
 
 class TestSeededFuzz:
     def test_same_seed_same_decisions(self):

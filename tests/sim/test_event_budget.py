@@ -14,7 +14,9 @@ their waits.)
 ``Process`` objects are pinned beside them.  Every channel, selector and
 connection operation on the request path runs inside its caller
 (``repro.sim.inline``) or detached (``repro.sim.detach``), so a new
-spawn per request is a decision too.
+spawn per request is a decision too.  So are the ``Event`` objects behind
+the entries: an entry whose one subscriber is known when it is armed is
+a bare tuple, not an event (DESIGN §11, rule 8).
 """
 
 import gc
@@ -24,7 +26,7 @@ import pytest
 
 from repro.bench.echo import run_echo
 from repro.bft import BftCluster, BftConfig
-from repro.sim import GridWait, Process
+from repro.sim import Event, GridWait, Process
 
 PUTS = 40
 #: Entries for 40 sequential unbatched PUTs on a wired 4-replica cluster.
@@ -61,8 +63,16 @@ PBFT_SPAWNS = {"rubin": 40, "nio": 41}
 #: version compiles other frames, so the pins hold on 3.11 only.  They
 #: may only fall.  Before the per-message diet (the struct codec, MACs
 #: from pad states, slotted records, NIO readiness read from fields) the
-#: runs entered 12 534.475 / 15 826.45.
-PBFT_FRAMES_PER_PUT = {"rubin": 11_710.375, "nio": 11_694.95}
+#: runs entered 12 534.475 / 15 826.45; before bare entries (DESIGN §11,
+#: rule 8) 11 710.375 / 11 694.95.
+PBFT_FRAMES_PER_PUT = {"rubin": 10_262.025, "nio": 10_733.2}
+#: ``Event`` objects constructed per PUT over the same run, every class
+#: counted (a ``Timeout``, a ``StoreGet``, a ``TimedHold``, ...).  Exact,
+#: whatever the hash seed; they may only fall.  Before bare entries —
+#: timers, free-core grants and queue hand-overs whose one subscriber is
+#: known when they are armed (DESIGN §11, rule 8) — they were 1 079.575
+#: over RUBIN and 1 208.85 over NIO.
+PBFT_EVENT_OBJECTS_PER_PUT = {"rubin": 358.85, "nio": 563.1}
 #: Entries for the whole Fig-3 channel echo run: 26 to connect, then 126
 #: per echo — two messages of 15 + 6 per MTU frame, 8 frames here (the
 #: per-primitive table in DESIGN §11) — and a dozen amortized ones (a
@@ -73,6 +83,40 @@ PBFT_FRAMES_PER_PUT = {"rubin": 11_710.375, "nio": 11_694.95}
 #: one of an echo's 18 frames (8 data and an ACK per message) found the
 #: receiving rx pipeline parked and handed its packet over in place.
 ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 2_560
+#: ``Event`` objects the whole echo run constructs; 3 462 before bare
+#: entries.  What is left is mostly the holds themselves (the DMA and CPU
+#: charges), the grid waits and the writes' completions.  May only fall.
+ECHO_EVENT_OBJECTS = 671
+
+
+def _count_event_objects(monkeypatch):
+    """Tally every :class:`Event` constructed from now on, whatever class.
+
+    Each class's own ``__init__`` counts the objects whose type meets it
+    first in its MRO, so an object is counted once however many
+    ``super().__init__`` calls it makes.
+    """
+    made = [0]
+
+    def classes(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from classes(sub)
+
+    def first_init(cls):
+        return next(c for c in cls.__mro__ if "__init__" in vars(c))
+
+    for cls in set(classes(Event)):
+        if "__init__" not in vars(cls):
+            continue
+
+        def counting(self, *args, _init=vars(cls)["__init__"], _cls=cls, **kwargs):
+            if first_init(type(self)) is _cls:
+                made[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made
 
 
 def _pbft_run(transport, monkeypatch):
@@ -100,6 +144,18 @@ def test_pbft_puts_take_exactly_this_many_entries(transport, monkeypatch):
     events, spawns = _pbft_run(transport, monkeypatch)
     assert events == PBFT_EVENTS[transport]
     assert spawns == PBFT_SPAWNS[transport]
+
+
+@pytest.mark.parametrize("transport", ["rubin", "nio"])
+def test_pbft_puts_construct_exactly_this_many_event_objects(transport, monkeypatch):
+    cluster = BftCluster(
+        transport=transport, config=BftConfig(batch_size=1, batch_delay=0.0)
+    )
+    cluster.start()
+    made = _count_event_objects(monkeypatch)
+    for i in range(PUTS):
+        assert cluster.invoke_and_wait(b"PUT k%d=v%d" % (i, i)) == b"OK"
+    assert made[0] / PUTS == PBFT_EVENT_OBJECTS_PER_PUT[transport]
 
 
 @pytest.mark.skipif(
@@ -137,3 +193,9 @@ def test_channel_echo_takes_exactly_this_many_entries():
     assert result.sim_events == ECHO_EVENTS
     # No completion landed bit-exactly on a sleeping reader's poll grid.
     assert GridWait.ties == ties
+
+
+def test_channel_echo_constructs_exactly_this_many_event_objects(monkeypatch):
+    made = _count_event_objects(monkeypatch)
+    run_echo("rdma_channel", ECHO_BYTES, ECHO_MESSAGES)
+    assert made[0] == ECHO_EVENT_OBJECTS

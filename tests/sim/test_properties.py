@@ -1,5 +1,7 @@
 """Property-based tests for the kernel's core ordering invariants."""
 
+import heapq
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -1555,6 +1557,36 @@ class TestCancel:
         assert sizes == [(8, 1), (8, 2), (8, 3), (8, 4), (3, 0)]
         env.run()
         assert fired == [1.0, 2.0, 3.0]
+
+    def test_bare_entries_survive_the_rebuild_in_order(self):
+        """A bare entry has no event to be cancelled: the rebuild keeps
+        it, and every survivor pops where it would have."""
+
+        def run(cancel):
+            env = Environment()
+            fired = []
+            for when in (3.0, 1.0, 2.5, 2.0, 0.75):
+                env._eid += 1
+                heapq.heappush(
+                    env._far, (when, 1, env._eid, None, fired.append, ("bare", when))
+                )
+                env.timeout(when + 0.25, value=when).callbacks.append(
+                    lambda e: fired.append(("event", e.value))
+                )
+            doomed = [env.timeout(0.5 + k) for k in range(11)]  # no subscriber
+            sizes = []
+            if cancel:
+                for timer in doomed:
+                    timer.cancel()
+                    sizes.append(len(env._far))
+            env.run()
+            return fired, sizes
+
+        expected, _ = run(cancel=False)
+        fired, sizes = run(cancel=True)
+        assert fired == expected
+        # 11 of 21 is more than half: rebuilt, the ten survivors kept.
+        assert sizes == [21] * 10 + [10]
 
     def test_a_subscriber_still_waiting_refuses_the_cancel(self):
         env = Environment()

@@ -8,17 +8,23 @@ property tests run randomized programs on the kernel and on the
 definition itself — one heap keyed ``(time, priority, sequence)``, a
 dozen lines — and require identical dispatch traces under every drive:
 ``run()``, run-until-event, ``step()`` and a policy that always answers 0.
+Entries come in both kinds the kernel has: events, and bare entries
+(``(time, priority, sequence, None, fn, arg)``) — timers, the grants and
+timers of holds on a one-core resource, hand-overs to a store consumer
+that is a function.
 """
 
 import heapq
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, TieBreakPolicy
+from repro.sim import Environment, Resource, Store, TieBreakPolicy
 from repro.sim.events import Event
+from repro.sim.resources import TimedHold
 
 _DRIVES = ["run", "until", "step", "policy"]
 
@@ -48,7 +54,10 @@ _TIED_OPS = st.lists(
 # as ``(kind, delay)`` in push order.  Kinds: "proc" starts a process
 # (zero-delay URGENT) that naps ``delay`` on a Timeout unless it is None;
 # "urgent" and "normal" go through ``schedule``; "timeout" is a Timeout
-# made inside the callback; "at" is ``timeout_at(now + delay)``.
+# made inside the callback; "at" is ``timeout_at(now + delay)``; "bare" is
+# a bare timer; "hold" holds the one core for ``delay`` (a TimedHold,
+# queued behind earlier holds); "handover" parks a consumer function on
+# an empty store and posts to it, "waiting" posts first and then gets.
 
 
 def _no_children(index, delay):
@@ -82,8 +91,24 @@ def _all_children(index, delay):
     yield from _urgent_children(index, delay)
 
 
+def _bare_children(index, delay):
+    yield from _all_children(index, delay)
+    if index % 2 == 0:
+        # Zero rides the zero-delay lane.
+        yield "bare", (index % 3) * 1e-7
+        yield "hold", (index % 4) * 1e-7
+    if index % 3 == 1:
+        yield "handover", 0.0
+        yield "waiting", 0.0
+        # Short enough that the queue of holds drains before the "until"
+        # drive's bound, long enough to end on other entries' instants.
+        yield "hold", delay / 8
+
+
 def _order_by_definition(ops, children):
     heap, sequence, trace = [], itertools.count(), []
+    # The one core: held or not, and the holds queued for it.
+    core = {"users": 0, "waiters": deque()}
 
     def push(when, priority, what):
         heapq.heappush(heap, (when, priority, next(sequence), what))
@@ -100,12 +125,32 @@ def _order_by_definition(ops, children):
                     push(now, 0, ("proc", what, delay))
                 elif kind == "urgent":
                     push(now, 0, ("urgent", what))
+                elif kind == "hold":
+                    push(now, 0, ("acquire", what, delay))
+                elif kind in ("handover", "waiting"):
+                    push(now, 1, (kind, what))
                 else:
                     push(now + delay, 1, (kind, what))
         elif what[0] == "proc":
             trace.append((now, ("start", what[1])))
             if what[2] is not None:
                 push(now + what[2], 1, ("woke", what[1]))
+        # A hold, every step an entry: start, grant, timer, completion;
+        # a busy core queues it and a release grants the next in line.
+        elif what[0] == "acquire":
+            if core["users"]:
+                core["waiters"].append(what[1:])
+            else:
+                core["users"] += 1
+                push(now, 1, ("grant",) + what[1:])
+        elif what[0] == "grant":
+            push(now + what[2], 1, ("finish", what[1]))
+        elif what[0] == "finish":
+            core["users"] -= 1
+            if core["waiters"]:
+                core["users"] += 1
+                push(now, 1, ("grant",) + core["waiters"].popleft())
+            push(now, 1, ("hold", what[1]))
         else:
             trace.append((now, what))
     return trace
@@ -125,6 +170,12 @@ def _program(ops, children):
         event.callbacks.append(note(what))
         return event
 
+    core = Resource(env, capacity=1)
+    store = Store(env)
+
+    def record(what):
+        trace.append((env.now, what))
+
     def proc(index, nap):
         trace.append((env.now, ("start", index)))
         if nap is not None:
@@ -143,6 +194,22 @@ def _program(ops, children):
                 env.schedule(ready(what), delay=delay)
             elif kind == "timeout":
                 env.timeout(delay).callbacks.append(note(what))
+            elif kind == "bare":
+                env._eid += 1
+                if delay == 0.0:
+                    env._dq.append((env.now, 1, env._eid, None, record, what))
+                else:
+                    heapq.heappush(
+                        env._far, (env.now + delay, 1, env._eid, None, record, what)
+                    )
+            elif kind == "hold":
+                TimedHold(core, delay).callbacks.append(note(what))
+            elif kind == "handover":
+                store.get_call(record)
+                store.post(what)
+            elif kind == "waiting":
+                store.post(what)
+                store.get_call(record)
             else:
                 env.timeout_at(env.now + delay).callbacks.append(note(what))
 
@@ -206,6 +273,20 @@ def test_timeouts_inside_a_process_follow_the_key_order(drive, ops):
 @settings(max_examples=60, deadline=None)
 def test_urgent_lane_follows_the_key_order(drive, ops):
     _check(ops, _urgent_children, drive)
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@given(ops=_OPS)
+@settings(max_examples=60, deadline=None)
+def test_bare_entries_follow_the_key_order(drive, ops):
+    _check(ops, _bare_children, drive)
+
+
+@pytest.mark.parametrize("drive", _DRIVES)
+@given(ops=_TIED_OPS)
+@settings(max_examples=60, deadline=None)
+def test_bare_entries_follow_the_key_order_through_ties(drive, ops):
+    _check(ops, _bare_children, drive)
 
 
 def test_policy_hand_over_mid_run_keeps_the_key_order():
