@@ -12,57 +12,39 @@ import pytest
 
 from repro.bench import (
     FIG3_PAYLOADS,
-    FIG3_TRANSPORTS,
     FIG4_PAYLOADS,
-    FigureTable,
-    reptor_echo,
-    run_echo,
-    write_baseline,
+    fig3_sweep,
+    fig4_sweep,
+    sweep_points,
 )
+from repro.obs.sampler import write_json_atomic
 
 #: Messages per data point.  The paper uses 1000; the default here keeps
 #: `pytest benchmarks/` pleasant.  EXPERIMENTS.md documents a bigger run.
 FIG3_MESSAGES = 60
 FIG4_MESSAGES = 100
 
-KB = 1024
 
-
-def _baseline_path(filename: str) -> str:
-    """Destination for BENCH_*.json (override via ``REPRO_BENCH_DIR``)."""
+def _write_baseline(figure: str, results) -> None:
+    """Write BENCH_<figure>.json (into ``REPRO_BENCH_DIR``, default ``.``)."""
     directory = os.environ.get("REPRO_BENCH_DIR", ".")
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, filename)
+    write_json_atomic(
+        {"figure": figure, "points": sweep_points(results)},
+        os.path.join(directory, f"BENCH_{figure}.json"),
+    )
 
 
 @pytest.fixture(scope="session")
 def fig3_results():
     """All Figure-3 echo runs, keyed by (transport, payload_kb)."""
-    results = {
-        (transport, kb): run_echo(transport, kb * KB, FIG3_MESSAGES)
-        for transport in FIG3_TRANSPORTS
-        for kb in FIG3_PAYLOADS
-    }
-    write_baseline("fig3", results, _baseline_path("BENCH_fig3.json"))
+    results = fig3_sweep(FIG3_MESSAGES, FIG3_PAYLOADS)
+    _write_baseline("fig3", results)
     return results
 
 
 @pytest.fixture(scope="session")
 def fig4_results():
     """All Figure-4 Reptor-stack runs, keyed by (transport, payload_kb)."""
-    results = {
-        (transport, kb): reptor_echo(transport, kb * KB, FIG4_MESSAGES)
-        for transport in ("nio", "rubin")
-        for kb in FIG4_PAYLOADS
-    }
-    write_baseline("fig4", results, _baseline_path("BENCH_fig4.json"))
+    results = fig4_sweep(FIG4_MESSAGES, FIG4_PAYLOADS)
+    _write_baseline("fig4", results)
     return results
-
-
-def table_from(results, title, metric, unit, value_of) -> FigureTable:
-    """Build a FigureTable from cached echo results."""
-    table = FigureTable(title, metric, unit)
-    for (transport, kb), result in results.items():
-        table.add(result.transport if metric else transport, kb * KB,
-                  value_of(result))
-    return table

@@ -5,19 +5,12 @@ RDMA Send/Receive, RDMA Read/Write and the optimized RDMA channel, and
 asserts the paper's Section-V shape claims.
 """
 
-from repro.bench import check_fig3_shape
-from benchmarks.conftest import table_from
+from repro.bench import check_fig3_shape, fig3_panels
 
 
 def test_fig3a_latency(benchmark, fig3_results):
     def build():
-        return table_from(
-            fig3_results,
-            "Figure 3a (reproduced)",
-            "latency",
-            "us",
-            lambda r: r.mean_latency_us,
-        )
+        return fig3_panels(fig3_results)[0]
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
     facts = check_fig3_shape(table)
@@ -31,13 +24,7 @@ def test_fig3a_latency(benchmark, fig3_results):
 
 def test_fig3b_throughput(benchmark, fig3_results):
     def build():
-        return table_from(
-            fig3_results,
-            "Figure 3b (reproduced)",
-            "throughput",
-            "krps",
-            lambda r: r.requests_per_second / 1000.0,
-        )
+        return fig3_panels(fig3_results)[1]
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
     print()

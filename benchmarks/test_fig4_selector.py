@@ -4,19 +4,12 @@ Window 30, batching 10 (the paper's parameters); both panels regenerated
 and checked against the Section-V claims.
 """
 
-from repro.bench import check_fig4_shape
-from benchmarks.conftest import table_from
+from repro.bench import check_fig4_shape, fig4_panels
 
 
 def test_fig4a_latency(benchmark, fig4_results):
     def build():
-        return table_from(
-            fig4_results,
-            "Figure 4a (reproduced)",
-            "latency",
-            "us",
-            lambda r: r.mean_latency_us,
-        )
+        return fig4_panels(fig4_results)[0]
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
     print()
@@ -26,18 +19,9 @@ def test_fig4a_latency(benchmark, fig4_results):
 
 def test_fig4b_throughput(benchmark, fig4_results):
     def build():
-        return table_from(
-            fig4_results,
-            "Figure 4b (reproduced)",
-            "throughput",
-            "rps",
-            lambda r: r.requests_per_second,
-        )
+        return fig4_panels(fig4_results)
 
-    throughput = benchmark.pedantic(build, rounds=1, iterations=1)
-    latency = table_from(
-        fig4_results, "Figure 4a", "latency", "us", lambda r: r.mean_latency_us
-    )
+    latency, throughput = benchmark.pedantic(build, rounds=1, iterations=1)
     facts = check_fig4_shape(latency, throughput)
     print()
     print(throughput.render(float_format="{:>12.0f}"))

@@ -11,9 +11,10 @@ Run:  python examples/echo_microbenchmark.py [--messages N]
 import argparse
 
 from repro.bench import (
+    FIG3_PAYLOADS,
     check_fig3_shape,
-    fig3a_latency,
-    fig3b_throughput,
+    fig3_panels,
+    fig3_sweep,
     percent_lower,
 )
 
@@ -35,9 +36,8 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    latency = fig3a_latency(messages=args.messages, payloads_kb=args.payloads)
-    throughput = fig3b_throughput(
-        messages=args.messages, payloads_kb=args.payloads
+    latency, throughput = fig3_panels(
+        fig3_sweep(args.messages, args.payloads or FIG3_PAYLOADS)
     )
 
     print(latency.render())

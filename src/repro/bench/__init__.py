@@ -4,9 +4,21 @@
   testbed, with every model constant documented;
 * :mod:`repro.bench.echo` — the four Figure-3 micro-benchmark workloads;
 * :mod:`repro.bench.selector_echo` — the Figure-4 Reptor-stack workload;
-* :mod:`repro.bench.figures` — per-figure sweeps and the shape checks
-  that encode the paper's Section-V claims;
+* :mod:`repro.bench.overload`, :mod:`repro.bench.onesided`,
+  :mod:`repro.bench.cop` — the BFT workloads behind the overload,
+  one-sided and COP figures;
+* :mod:`repro.bench.figures` — per-figure sweeps, the shape checks that
+  encode the paper's Section-V claims, and :data:`FIGURES`, the registry
+  declaring each gated figure once;
+* :mod:`repro.bench.regression` — the ``--check`` gate over the
+  committed ``BENCH_*.json`` baselines;
+* :mod:`repro.bench.profiles` — the committed ``PROFILE_*.json``
+  critical-path profiles that attribute a gate failure to a layer;
 * :mod:`repro.bench.results` — result containers and table rendering.
+
+Host time (events per host second, host seconds per operation) is
+perfbench's to measure; the exact agenda-entry and copy counts of the
+echo sweeps are pinned in ``tests/sim/test_event_budget.py``.
 """
 
 from repro.bench.calibration import (
@@ -25,31 +37,27 @@ from repro.bench.echo import (
     run_echo,
     tcp_echo,
 )
-from repro.bench.baseline import baseline_document, echo_record, write_baseline
 from repro.bench.figures import (
     FIG3_PAYLOADS,
     FIG3_TRANSPORTS,
     FIG4_PAYLOADS,
+    FIGURES,
+    Figure,
     check_fig3_shape,
     check_fig4_shape,
+    fig3_panels,
     fig3_sweep,
-    fig3a_latency,
-    fig3b_throughput,
+    fig4_panels,
     fig4_sweep,
-    fig4a_latency,
-    fig4b_throughput,
+    sweep_points,
 )
-from repro.bench.regression import (
-    DEFAULT_TOLERANCES,
-    CheckReport,
-    MetricCheck,
-    PointReport,
-    check_figure,
-    load_baseline,
-    rerun_point,
-    run_check,
+from repro.bench.results import (
+    EchoResult,
+    FigureTable,
+    echo_record,
+    percent_higher,
+    percent_lower,
 )
-from repro.bench.results import EchoResult, FigureTable, percent_higher, percent_lower
 from repro.bench.selector_echo import FIG4_BATCH, FIG4_WINDOW, reptor_echo
 
 __all__ = [
@@ -70,23 +78,14 @@ __all__ = [
     "FIG4_BATCH",
     "fig3_sweep",
     "fig4_sweep",
-    "fig3a_latency",
-    "fig3b_throughput",
-    "fig4a_latency",
-    "fig4b_throughput",
+    "fig3_panels",
+    "fig4_panels",
+    "sweep_points",
     "echo_record",
-    "baseline_document",
-    "write_baseline",
     "check_fig3_shape",
     "check_fig4_shape",
-    "DEFAULT_TOLERANCES",
-    "MetricCheck",
-    "PointReport",
-    "CheckReport",
-    "load_baseline",
-    "rerun_point",
-    "check_figure",
-    "run_check",
+    "Figure",
+    "FIGURES",
     "FIG3_PAYLOADS",
     "FIG4_PAYLOADS",
     "FIG3_TRANSPORTS",

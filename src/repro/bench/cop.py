@@ -22,15 +22,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bft import BftCluster, BftConfig
+from repro.bench.overload import run_burst
+from repro.bft import BftConfig
 from repro.errors import ReproError
 from repro.rubin import RubinConfig
-from repro.sim import SummaryStats
 
 __all__ = [
     "COP_GROUP_COUNTS",
     "run_cop_point",
-    "run_cop",
     "check_cop_shape",
 ]
 
@@ -56,14 +55,13 @@ def run_cop_point(
     tracer=None,
     sampler=None,
 ) -> Dict[str, Any]:
-    """One COP sweep point; returns a JSON-ready baseline record.
+    """One COP sweep point, an open-loop :func:`run_burst`; returns a
+    JSON-ready baseline record.
 
     ``tracer``/``sampler`` hook the run up to ``repro.obs`` (per-request
     span trees with group-tagged phases, metrics time series); both
     default off.
     """
-    if messages % num_clients:
-        raise ReproError("messages must divide evenly across clients")
     config = BftConfig(
         group_count=group_count,
         batch_size=batch_size,
@@ -75,89 +73,30 @@ def run_cop_point(
         log_window=16,
         merge_fill_interval=200e-6,
     )
-    cluster = BftCluster(
-        transport=transport,
-        config=config,
-        num_clients=num_clients,
-        rubin_config=rubin_config,
-        tracer=tracer,
+    cluster, record, rate = run_burst(
+        "cop", config, transport, payload_bytes, messages, num_clients,
+        rubin_config, tracer, sampler,
     )
-    cluster.start()
-    env = cluster.env
-    if sampler is not None:
-        sampler.bind(env, cluster.metrics_registry())
-        sampler.start()
-
-    per_client = messages // num_clients
-    payload = b"\x5a" * payload_bytes
-    latencies_us: List[float] = []
-    pending = []
-    start = env.now
-
-    def submit(client, index):
-        submitted = env.now
-        result = yield client.invoke(b"PUT k%d=" % index + payload)
-        if result is None:
-            raise ReproError("invocation returned no result")
-        latencies_us.append((env.now - submitted) * 1e6)
-
-    for c in range(num_clients):
-        client = cluster.client(c)
-        for i in range(per_client):
-            pending.append(
-                env.process(
-                    submit(client, c * per_client + i),
-                    name=f"cop.c{c}.{i}",
-                )
-            )
-    env.run(until=env.all_of(pending))
-    duration = env.now - start
-    if sampler is not None:
-        sampler.sample_now()
-        sampler.stop()
-
     snapshot = cluster.metrics_registry().snapshot()
-    per_group_committed = {
-        str(g): snapshot[f"bft.group.{g}.committed"]
-        for g in range(group_count)
-    }
     batch_limits = [
         pipeline._batcher.limit
         for replica in cluster.replicas.values()
         for pipeline in replica.group_pipelines()
         if getattr(pipeline, "_batcher", None) is not None
     ]
-    violations = (
-        len(cluster.audit.violations) if cluster.audit.enabled else 0
-    )
     return {
+        **record,
         "figure_point": "cop",
-        "transport": transport,
         "group_count": group_count,
-        "payload_bytes": payload_bytes,
-        "messages": messages,
-        "num_clients": num_clients,
         "batch_size": batch_size,
         "handler_cost": handler_cost,
-        "latency_us": SummaryStats(latencies_us).to_dict(),
-        "committed_rps": messages / duration if duration > 0 else 0.0,
-        "duration_s": duration,
-        "per_group_committed": per_group_committed,
+        "committed_rps": rate,
+        "per_group_committed": {
+            str(g): snapshot[f"bft.group.{g}.committed"]
+            for g in range(group_count)
+        },
         "max_batch_limit": max(batch_limits) if batch_limits else 0,
-        "audit_violations": violations,
     }
-
-
-def run_cop(
-    group_counts: Sequence[int] = COP_GROUP_COUNTS,
-    messages: int = 256,
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """The COP sweep: one point per group count, all else equal."""
-    return [
-        run_cop_point(group_count, messages=messages, **kwargs)
-        for group_count in group_counts
-    ]
 
 
 def check_cop_shape(points: Sequence[Dict[str, Any]]) -> List[str]:

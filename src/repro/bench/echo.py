@@ -142,11 +142,7 @@ def tcp_echo(payload_bytes: int, messages: int) -> EchoResult:
         result.duration_s = env.now - start
 
     env.process(server(env), name="echo.server")
-    done = env.process(client(env), name="echo.client")
-    env.run(until=done)
-    result.messages = len(result.latencies_us)
-    result.sim_events = env._eid
-    return result
+    return result.finish(env, env.process(client(env), name="echo.client"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +284,7 @@ def rdma_send_recv_echo(payload_bytes: int, messages: int) -> EchoResult:
         result.duration_s = env.now - start
 
     env.process(server(env), name="sr.server")
-    done = env.process(client(env), name="sr.client")
-    env.run(until=done)
-    result.messages = len(result.latencies_us)
-    result.sim_events = env._eid
-    return result
+    return result.finish(env, env.process(client(env), name="sr.client"))
 
 
 def rdma_read_write_echo(payload_bytes: int, messages: int) -> EchoResult:
@@ -336,11 +328,7 @@ def rdma_read_write_echo(payload_bytes: int, messages: int) -> EchoResult:
             result.latencies_us.append((env.now - t0) * 1e6)
         result.duration_s = env.now - start
 
-    done = env.process(client(env), name="rw.client")
-    env.run(until=done)
-    result.messages = len(result.latencies_us)
-    result.sim_events = env._eid
-    return result
+    return result.finish(env, env.process(client(env), name="rw.client"))
 
 
 def _read_exactly(channel, host, buffer, nbytes):
@@ -482,8 +470,4 @@ def rubin_channel_echo(
             sampler.stop()
 
     env.process(server(env), name="rubin.server")
-    done = env.process(client(env), name="rubin.client")
-    env.run(until=done)
-    result.messages = len(result.latencies_us)
-    result.sim_events = env._eid
-    return result
+    return result.finish(env, env.process(client(env), name="rubin.client"))

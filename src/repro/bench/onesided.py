@@ -24,7 +24,7 @@ and detection counts are gated exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.bft import BftCluster, BftConfig, faults
 from repro.errors import ReproError
@@ -35,7 +35,6 @@ __all__ = [
     "ONESIDED_MODES",
     "ONESIDED_DEFAULTS",
     "run_onesided_point",
-    "run_onesided",
     "check_onesided_shape",
 ]
 
@@ -175,24 +174,6 @@ def run_onesided_point(
         "corrupted_slots": counters["corrupted_slots"],
         "fallbacks": counters["fallbacks"],
     }
-
-
-def run_onesided(
-    payload_bytes: Optional[int] = None,
-    messages: Optional[int] = None,
-) -> List[Dict[str, Any]]:
-    """All four modes with the baseline parameters."""
-    defaults = ONESIDED_DEFAULTS
-    return [
-        run_onesided_point(
-            mode,
-            payload_bytes=payload_bytes or defaults["payload_bytes"],
-            messages=messages or defaults["messages"],
-            request_gap=defaults["request_gap"],
-            attack_at=defaults["attack_at"],
-        )
-        for mode in ONESIDED_MODES
-    ]
 
 
 def check_onesided_shape(points: List[Dict[str, Any]]) -> List[str]:

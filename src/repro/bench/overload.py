@@ -16,14 +16,14 @@ changes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bft import BftCluster, BftConfig
 from repro.errors import ReproError
 from repro.rubin import RubinConfig
 from repro.sim import SummaryStats
 
-__all__ = ["run_overload", "OVERLOAD_DEFAULTS"]
+__all__ = ["run_overload", "run_burst", "OVERLOAD_DEFAULTS"]
 
 #: Baseline scenario parameters (recorded in every point so the gate can
 #: rerun it exactly).
@@ -37,35 +37,30 @@ OVERLOAD_DEFAULTS: Dict[str, Any] = {
 }
 
 
-def run_overload(
-    transport: str = "rubin",
-    payload_bytes: int = 64,
-    messages: int = 48,
-    num_clients: int = 4,
-    admission_budget: int = 8,
-    view_change_timeout: float = 200e-3,
-    rubin_config: Optional[RubinConfig] = None,
-    tracer=None,
-    sampler=None,
-) -> Dict[str, Any]:
-    """One overload run; returns a JSON-ready baseline point.
+def run_burst(
+    name: str,
+    config: BftConfig,
+    transport: str,
+    payload_bytes: int,
+    messages: int,
+    num_clients: int,
+    rubin_config: Optional[RubinConfig],
+    tracer,
+    sampler,
+) -> Tuple[BftCluster, Dict[str, Any], float]:
+    """Submit ``messages`` requests open-loop (all at once) against a
+    fresh cluster; return it, the point's common fields (the run's
+    parameters, latency distribution, duration and audit violations) and
+    the requests completed per modeled second.
 
-    ``messages`` requests are split across ``num_clients`` clients and
-    submitted open-loop (all at once), offering far more concurrent work
-    than ``admission_budget`` admits per replica — replicas shed the
-    excess with ``Busy`` and clients converge via seeded exponential
-    backoff.  The run completes when every request has been executed.
-
-    ``tracer`` is handed to the cluster (every invocation roots a
-    ``bft.request`` trace); ``sampler`` runs over the cluster's metrics
-    registry for the duration of the burst.  Both default off.
+    The requests are split evenly across ``num_clients`` clients, each
+    one a process named ``<name>.c<client>.<index>``.  ``tracer`` is
+    handed to the cluster (every invocation roots a ``bft.request``
+    trace); ``sampler`` runs over the cluster's metrics registry for the
+    duration of the burst.  Both default off.
     """
     if messages % num_clients:
         raise ReproError("messages must divide evenly across clients")
-    config = BftConfig(
-        admission_budget=admission_budget,
-        view_change_timeout=view_change_timeout,
-    )
     cluster = BftCluster(
         transport=transport,
         config=config,
@@ -81,7 +76,7 @@ def run_overload(
 
     per_client = messages // num_clients
     payload = b"\x5a" * payload_bytes
-    latencies_us: list = []
+    latencies_us: List[float] = []
     pending = []
     start = env.now
 
@@ -98,41 +93,66 @@ def run_overload(
             pending.append(
                 env.process(
                     submit(client, c * per_client + i),
-                    name=f"overload.c{c}.{i}",
+                    name=f"{name}.c{c}.{i}",
                 )
             )
-    done = env.all_of(pending)
-    env.run(until=done)
+    env.run(until=env.all_of(pending))
     duration = env.now - start
     if sampler is not None:
         sampler.sample_now()
         sampler.stop()
-
-    shed_total = sum(
-        replica.shed_requests.value for replica in cluster.replicas.values()
-    )
-    busy_backoffs = sum(
-        client.busy_backoffs for client in cluster.clients.values()
-    )
-    retransmissions = sum(
-        client.retransmissions for client in cluster.clients.values()
-    )
-    violations = (
-        len(cluster.audit.violations) if cluster.audit.enabled else 0
-    )
-    return {
+    violations = len(cluster.audit.violations) if cluster.audit.enabled else 0
+    record = {
         "transport": transport,
         "payload_bytes": payload_bytes,
         "messages": messages,
         "num_clients": num_clients,
+        "latency_us": SummaryStats(latencies_us).to_dict(),
+        "duration_s": duration,
+        "audit_violations": violations,
+    }
+    return cluster, record, messages / duration if duration > 0 else 0.0
+
+
+def run_overload(
+    transport: str = "rubin",
+    payload_bytes: int = 64,
+    messages: int = 48,
+    num_clients: int = 4,
+    admission_budget: int = 8,
+    view_change_timeout: float = 200e-3,
+    rubin_config: Optional[RubinConfig] = None,
+    tracer=None,
+    sampler=None,
+) -> Dict[str, Any]:
+    """One overload run; returns a JSON-ready baseline point.
+
+    The open-loop :func:`run_burst` offers far more concurrent work than
+    ``admission_budget`` admits per replica — replicas shed the excess
+    with ``Busy`` and clients converge via seeded exponential backoff.
+    """
+    config = BftConfig(
+        admission_budget=admission_budget,
+        view_change_timeout=view_change_timeout,
+    )
+    cluster, record, rate = run_burst(
+        "overload", config, transport, payload_bytes, messages, num_clients,
+        rubin_config, tracer, sampler,
+    )
+    shed_total = sum(
+        replica.shed_requests.value for replica in cluster.replicas.values()
+    )
+    return {
+        **record,
         "admission_budget": admission_budget,
         "view_change_timeout": view_change_timeout,
-        "latency_us": SummaryStats(latencies_us).to_dict(),
-        "goodput_rps": messages / duration if duration > 0 else 0.0,
+        "goodput_rps": rate,
         "shed_rate": shed_total / messages,
         "shed_total": shed_total,
-        "busy_backoffs": busy_backoffs,
-        "retransmissions": retransmissions,
-        "audit_violations": violations,
-        "duration_s": duration,
+        "busy_backoffs": sum(
+            client.busy_backoffs for client in cluster.clients.values()
+        ),
+        "retransmissions": sum(
+            client.retransmissions for client in cluster.clients.values()
+        ),
     }

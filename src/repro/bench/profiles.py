@@ -1,6 +1,7 @@
 """Committed critical-path profiles per figure, for regression attribution.
 
-Every ``--check`` figure has a *profile scenario*: a fixed, deterministic
+Every ``--check`` figure has a *profile scenario*
+(:attr:`~repro.bench.figures.Figure.scenario`): a fixed, deterministic
 traced run whose critical-path profile (``repro.obs/critical_path/v1``)
 is committed beside the ``BENCH_*.json`` baselines as
 ``PROFILE_<figure>.json``.  When the perf gate fails a tolerance it
@@ -18,78 +19,26 @@ are exactly reproducible, so the committed profiles are bit-stable and
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.bench.figures import FIGURES
 from repro.errors import ReproError
 from repro.obs.attribution import rank_suspects, render_suspects
 from repro.obs.critical_path import critical_path, load_profile_document
-from repro.obs.sampler import MetricsSampler, write_json_atomic
+from repro.obs.sampler import MetricsSampler
 
 __all__ = [
-    "PROFILE_SCENARIOS",
+    "scenarios",
     "capture_observability",
     "capture_profile",
     "profile_path",
     "timeseries_path",
-    "write_profile",
-    "write_observability",
     "attribute_figure",
 ]
-
-#: Figures with a committed profile scenario (gate figure names).
-PROFILE_SCENARIOS = (
-    "fig3", "fig4", "overload", "onesided", "cop", "chaos"
-)
 
 #: Sim-clock sampling period used when a scenario also records a time
 #: series (1 ms covers every scenario with a handful of samples).
 _SAMPLE_PERIOD = 1e-3
-
-
-def _scenario_fig3(tracer, sampler) -> Dict[str, Any]:
-    from repro.bench.echo import run_echo
-
-    run_echo("rdma_channel", 10 * 1024, 20, tracer=tracer, sampler=sampler)
-    return {"transport": "rdma_channel", "payload_bytes": 10 * 1024,
-            "messages": 20}
-
-
-def _scenario_fig4(tracer, sampler) -> Dict[str, Any]:
-    from repro.bench.selector_echo import reptor_echo
-
-    reptor_echo("rubin", 20 * 1024, 30, tracer=tracer, sampler=sampler)
-    return {"transport": "rubin", "payload_bytes": 20 * 1024, "messages": 30}
-
-
-def _scenario_overload(tracer, sampler) -> Dict[str, Any]:
-    from repro.bench.overload import OVERLOAD_DEFAULTS, run_overload
-
-    run_overload(tracer=tracer, sampler=sampler)
-    return dict(OVERLOAD_DEFAULTS)
-
-
-def _scenario_onesided(tracer, sampler) -> Dict[str, Any]:
-    """The guarded attack point: fast path + denial path both traced."""
-    from repro.bench.onesided import ONESIDED_DEFAULTS, run_onesided_point
-
-    run_onesided_point("attack-guarded", tracer=tracer, sampler=sampler)
-    return {"mode": "attack-guarded", **ONESIDED_DEFAULTS}
-
-
-def _scenario_cop(tracer, sampler) -> Dict[str, Any]:
-    from repro.bench.cop import run_cop_point
-
-    params = {"group_count": 4, "payload_bytes": 64, "messages": 64,
-              "num_clients": 4}
-    run_cop_point(
-        params["group_count"],
-        payload_bytes=params["payload_bytes"],
-        messages=params["messages"],
-        num_clients=params["num_clients"],
-        tracer=tracer,
-        sampler=sampler,
-    )
-    return params
 
 
 def _scenario_chaos(tracer, sampler) -> Dict[str, Any]:
@@ -134,14 +83,10 @@ def _scenario_chaos(tracer, sampler) -> Dict[str, Any]:
     return {"transport": "rubin", "faulty_fabric": True, "requests": 13}
 
 
-_SCENARIOS = {
-    "fig3": _scenario_fig3,
-    "fig4": _scenario_fig4,
-    "overload": _scenario_overload,
-    "onesided": _scenario_onesided,
-    "cop": _scenario_cop,
-    "chaos": _scenario_chaos,
-}
+def scenarios() -> Dict[str, Callable[[Any, Any], Dict[str, Any]]]:
+    """Every profile scenario: each registered figure's, then the
+    profile-only chaos run."""
+    return {**{n: f.scenario for n, f in FIGURES.items()}, "chaos": _scenario_chaos}
 
 
 def capture_observability(
@@ -156,11 +101,11 @@ def capture_observability(
     """
     from repro.trace import Tracer
 
-    scenario = _SCENARIOS.get(figure)
+    scenario = scenarios().get(figure)
     if scenario is None:
         raise ReproError(
             f"no profile scenario for figure {figure!r} "
-            f"(have {sorted(_SCENARIOS)})"
+            f"(have {', '.join(scenarios())})"
         )
     tracer = Tracer()
     sampler = MetricsSampler(period=_SAMPLE_PERIOD) if with_timeseries else None
@@ -188,27 +133,6 @@ def profile_path(directory: str, figure: str) -> str:
 
 def timeseries_path(directory: str, figure: str) -> str:
     return os.path.join(directory, f"TIMESERIES_{figure}.json")
-
-
-def write_profile(document: Dict[str, Any], path: str) -> None:
-    """Atomically write one profile document."""
-    write_json_atomic(document, path)
-
-
-def write_observability(figure: str, directory: str) -> List[str]:
-    """Capture and write ``figure``'s profile + time series artifacts.
-
-    Returns the paths written (used by ``--obs-dir`` in the gate).
-    """
-    os.makedirs(directory, exist_ok=True)
-    profile, timeseries = capture_observability(figure, with_timeseries=True)
-    paths = [profile_path(directory, figure)]
-    write_json_atomic(profile, paths[0])
-    if timeseries is not None:
-        path = timeseries_path(directory, figure)
-        write_json_atomic(timeseries, path)
-        paths.append(path)
-    return paths
 
 
 def attribute_figure(

@@ -1,8 +1,9 @@
 """The performance-regression gate (``python -m repro.bench --check``).
 
-Re-runs every point recorded in a committed ``BENCH_fig*.json`` baseline
-— same transport, payload and message count — and compares the fresh
-numbers against the stored ones under per-metric tolerance bands.  The
+Re-runs every point recorded in a committed ``BENCH_<figure>.json``
+baseline with its recorded parameters (:attr:`Figure.rerun`) and compares
+the fresh numbers against the stored ones under the figure's per-metric
+tolerance bands (:attr:`Figure.tolerances`).  The
 simulation is deterministic, so an unchanged tree reproduces the
 baseline exactly; the bands only absorb intentional model changes small
 enough not to count as regressions.
@@ -18,80 +19,26 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.bench.baseline import echo_record
-from repro.bench.cop import run_cop_point
-from repro.bench.echo import run_echo
-from repro.bench.onesided import run_onesided_point
-from repro.bench.overload import run_overload
-from repro.bench.results import EchoResult
-from repro.bench.selector_echo import reptor_echo
+from repro.bench.figures import FIGURES
 from repro.errors import ReproError
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "OVERLOAD_TOLERANCES",
-    "COP_TOLERANCES",
-    "ONESIDED_TOLERANCES",
+    "HISTORY_MAX_LINES",
     "MetricCheck",
     "PointReport",
     "CheckReport",
     "load_baseline",
-    "rerun_point",
     "check_figure",
     "run_check",
     "append_history",
 ]
 
-#: Relative tolerance per metric.  Positive direction = the metric
-#: regresses when it grows (latency); negative = when it shrinks
-#: (throughput).  Tail percentiles get wider bands: they move more under
-#: legitimate model adjustments.
-DEFAULT_TOLERANCES: Dict[str, Tuple[float, int]] = {
-    "latency_us.p50": (0.25, +1),
-    "latency_us.p95": (0.30, +1),
-    "latency_us.p99": (0.40, +1),
-    "throughput_rps": (0.25, -1),
-}
-
-#: The overload figure gates different metrics: goodput must not drop,
-#: the shed rate and completed-request tail must not blow up.  Shedding
-#: is intentionally generous — its absolute value is a scenario property,
-#: not a performance target; the band only catches it *doubling*.
-OVERLOAD_TOLERANCES: Dict[str, Tuple[float, int]] = {
-    "latency_us.p99": (0.40, +1),
-    "goodput_rps": (0.25, -1),
-    "shed_rate": (0.50, +1),
-}
-
-#: The COP sweep gates committed-request throughput per group count plus
-#: client-observed latency.  The G=4/G=1 speedup itself is asserted by
-#: the shape check when the baseline is (re)generated; the bands here
-#: keep every individual point from drifting.
-COP_TOLERANCES: Dict[str, Tuple[float, int]] = {
-    "latency_us.p50": (0.25, +1),
-    "latency_us.p99": (0.40, +1),
-    "committed_rps": (0.25, -1),
-}
-
-#: The one-sided figure bands latency like the echo figures but gates
-#: the security metrics *exactly* (tolerance 0, deterministic run): the
-#: blast radius may never grow past its baseline — in particular the
-#: guarded points' committed 0 — and detections and completed requests
-#: may never drop.
-ONESIDED_TOLERANCES: Dict[str, Tuple[float, int]] = {
-    "latency_us.p50": (0.25, +1),
-    "latency_us.p99": (0.40, +1),
-    "blast_radius": (0.0, +1),
-    "detections": (0.0, -1),
-    "completed": (0.0, -1),
-}
-
-#: ``reptor_echo`` takes the protocol name; baselines store the label
-#: the workload reports.
-_FIG4_TRANSPORTS = {"nio_tcp": "nio", "rubin": "rubin"}
+#: Lines kept in the history file: the gate appends one per run, and the
+#: oldest are dropped so the file stays bounded.
+HISTORY_MAX_LINES = 200
 
 
 @dataclass(frozen=True)
@@ -102,41 +49,16 @@ class MetricCheck:
     baseline: float
     fresh: float
     tolerance: float
-    direction: int
     regressed: bool
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "fresh": self.fresh,
-            "tolerance": self.tolerance,
-            "regressed": self.regressed,
-        }
 
 
 @dataclass
 class PointReport:
-    """All metric checks for one (transport, payload) sweep point."""
+    """All metric checks for one sweep point, labelled by its transport,
+    payload and (COP) group count."""
 
-    transport: str
-    payload_bytes: int
-    group_count: Optional[int] = None
+    label: str
     checks: List[MetricCheck] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[MetricCheck]:
-        return [c for c in self.checks if c.regressed]
-
-    def to_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "transport": self.transport,
-            "payload_bytes": self.payload_bytes,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-        if self.group_count is not None:
-            record["group_count"] = self.group_count
-        return record
 
 
 @dataclass
@@ -148,18 +70,11 @@ class CheckReport:
 
     @property
     def regressions(self) -> List[MetricCheck]:
-        return [c for p in self.points for c in p.regressions]
+        return [c for p in self.points for c in p.checks if c.regressed]
 
     @property
     def ok(self) -> bool:
         return not self.regressions
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "figure": self.figure,
-            "ok": self.ok,
-            "points": [p.to_dict() for p in self.points],
-        }
 
 
 def load_baseline(path: str) -> Dict[str, Any]:
@@ -177,58 +92,6 @@ def load_baseline(path: str) -> Dict[str, Any]:
     return document
 
 
-def rerun_point(figure: str, point: Mapping[str, Any]):
-    """Repeat one baseline point with its recorded parameters.
-
-    Returns an :class:`EchoResult` for the echo figures, or the
-    JSON-ready record dict for the overload figure.
-    """
-    transport = point["transport"]
-    payload = int(point["payload_bytes"])
-    messages = int(point["messages"])
-    if figure == "fig3":
-        return run_echo(transport, payload, messages)
-    if figure == "fig4":
-        protocol = _FIG4_TRANSPORTS.get(transport)
-        if protocol is None:
-            raise ReproError(
-                f"unknown fig4 transport {transport!r} "
-                f"(have {sorted(_FIG4_TRANSPORTS)})"
-            )
-        return reptor_echo(protocol, payload, messages)
-    if figure == "overload":
-        return run_overload(
-            transport=transport,
-            payload_bytes=payload,
-            messages=messages,
-            num_clients=int(point["num_clients"]),
-            admission_budget=int(point["admission_budget"]),
-            view_change_timeout=float(point["view_change_timeout"]),
-        )
-    if figure == "onesided":
-        return run_onesided_point(
-            point["mode"],
-            payload_bytes=payload,
-            messages=messages,
-            request_gap=float(point["request_gap"]),
-            attack_at=float(point["attack_at"]),
-        )
-    if figure == "cop":
-        return run_cop_point(
-            int(point["group_count"]),
-            transport=transport,
-            payload_bytes=payload,
-            messages=messages,
-            num_clients=int(point["num_clients"]),
-            batch_size=int(point["batch_size"]),
-            handler_cost=float(point["handler_cost"]),
-        )
-    raise ReproError(
-        f"unknown figure {figure!r} "
-        "(have fig3, fig4, overload, onesided, cop)"
-    )
-
-
 def _metric(record: Mapping[str, Any], path: str) -> float:
     node: Any = record
     for part in path.split("."):
@@ -236,39 +99,25 @@ def _metric(record: Mapping[str, Any], path: str) -> float:
     return float(node)
 
 
-def check_figure(
-    document: Mapping[str, Any],
-    tolerances: Optional[Mapping[str, Tuple[float, int]]] = None,
-    tolerance_scale: float = 1.0,
-) -> CheckReport:
-    """Re-run every point of ``document`` and band-check each metric."""
-    if tolerance_scale <= 0:
-        raise ReproError("tolerance scale must be positive")
-    figure = document["figure"]
-    if tolerances is None:
-        if figure == "overload":
-            tolerances = OVERLOAD_TOLERANCES
-        elif figure == "cop":
-            tolerances = COP_TOLERANCES
-        elif figure == "onesided":
-            tolerances = ONESIDED_TOLERANCES
-        else:
-            tolerances = DEFAULT_TOLERANCES
-    report = CheckReport(figure=figure)
-    for point in document["points"]:
-        rerun = rerun_point(figure, point)
-        fresh = rerun if isinstance(rerun, Mapping) else echo_record(rerun)
-        point_report = PointReport(
-            transport=point["transport"],
-            payload_bytes=int(point["payload_bytes"]),
-            group_count=(
-                int(point["group_count"]) if "group_count" in point else None
-            ),
+def check_figure(document: Mapping[str, Any]) -> CheckReport:
+    """Re-run every point of ``document`` and band-check each metric under
+    its figure's tolerance table."""
+    figure = FIGURES.get(document["figure"])
+    if figure is None:
+        raise ReproError(
+            f"unknown figure {document['figure']!r} (have {', '.join(FIGURES)})"
         )
-        for metric, (tolerance, direction) in sorted(tolerances.items()):
+    report = CheckReport(figure=figure.name)
+    for point in document["points"]:
+        fresh = figure.rerun(point)
+        label = f"{point['transport']} {point['payload_bytes']}B"
+        if "group_count" in point:
+            label += f" G={point['group_count']}"
+        point_report = PointReport(label)
+        for metric, (tolerance, direction) in sorted(figure.tolerances.items()):
             baseline_value = _metric(point, metric)
             fresh_value = _metric(fresh, metric)
-            band = abs(baseline_value) * tolerance * tolerance_scale
+            band = abs(baseline_value) * tolerance
             if direction > 0:
                 regressed = fresh_value > baseline_value + band
             else:
@@ -278,8 +127,7 @@ def check_figure(
                     metric=metric,
                     baseline=baseline_value,
                     fresh=fresh_value,
-                    tolerance=tolerance * tolerance_scale,
-                    direction=direction,
+                    tolerance=tolerance,
                     regressed=regressed,
                 )
             )
@@ -288,9 +136,16 @@ def check_figure(
 
 
 def append_history(
-    history_path: str, reports: List[CheckReport]
+    history_path: str,
+    reports: List[CheckReport],
+    max_lines: int = HISTORY_MAX_LINES,
 ) -> Dict[str, Any]:
-    """Append one JSON line describing this check run; returns the entry."""
+    """Append one JSON line describing this check run; returns the entry.
+
+    The file keeps the newest ``max_lines`` lines and is rewritten via
+    temp + rename, so the history stays bounded no matter how many runs
+    touch it and a reader never sees a torn file.
+    """
     entry = {
         "checked_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "ok": all(r.ok for r in reports),
@@ -298,7 +153,7 @@ def append_history(
             r.figure: {
                 "ok": r.ok,
                 "points": len(r.points),
-                "regressions": [c.to_dict() for c in r.regressions],
+                "regressions": [asdict(c) for c in r.regressions],
             }
             for r in reports
         },
@@ -306,18 +161,26 @@ def append_history(
     directory = os.path.dirname(history_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(history_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    try:
+        with open(history_path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+    except FileNotFoundError:
+        lines = []
+    lines = [*lines, json.dumps(entry, sort_keys=True)][-max_lines:]
+    tmp = history_path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, history_path)
     return entry
 
 
 def run_check(
     baseline_dir: str,
-    figures: Tuple[str, ...] = ("fig3", "fig4", "overload"),
+    figures: Tuple[str, ...] = tuple(FIGURES),
     history_path: Optional[str] = None,
-    tolerance_scale: float = 1.0,
 ) -> Tuple[bool, List[CheckReport]]:
-    """Gate entry point: check every committed figure baseline.
+    """Gate entry point: check every committed figure baseline (by
+    default every registered figure).
 
     Missing baseline files are an error — the gate exists to stop the
     trajectory from silently going dark.
@@ -327,10 +190,7 @@ def run_check(
         path = os.path.join(baseline_dir, f"BENCH_{figure}.json")
         if not os.path.exists(path):
             raise ReproError(f"baseline {path} not found")
-        document = load_baseline(path)
-        reports.append(
-            check_figure(document, tolerance_scale=tolerance_scale)
-        )
+        reports.append(check_figure(load_baseline(path)))
     if history_path is not None:
         append_history(history_path, reports)
     return all(r.ok for r in reports), reports

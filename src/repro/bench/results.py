@@ -7,7 +7,13 @@ from typing import Dict, List, Optional
 
 from repro.sim import SummaryStats
 
-__all__ = ["EchoResult", "FigureTable", "percent_lower", "percent_higher"]
+__all__ = [
+    "EchoResult",
+    "FigureTable",
+    "echo_record",
+    "percent_lower",
+    "percent_higher",
+]
 
 
 @dataclass
@@ -20,8 +26,16 @@ class EchoResult:
     latencies_us: List[float] = field(default_factory=list)
     duration_s: float = 0.0
     #: Total kernel events scheduled by the run's Environment (its final
-    #: ``_eid``) — the numerator of the wall-clock events/sec metric.
+    #: ``_eid``), pinned per sweep in ``tests/sim/test_event_budget.py``.
     sim_events: int = 0
+
+    def finish(self, env, done) -> "EchoResult":
+        """Run ``env`` until ``done``; record the echoes completed and the
+        agenda entries taken."""
+        env.run(until=done)
+        self.messages = len(self.latencies_us)
+        self.sim_events = env._eid
+        return self
 
     @property
     def mean_latency_us(self) -> float:
@@ -47,6 +61,19 @@ class EchoResult:
             f"lat={self.mean_latency_us:.1f}us "
             f"rps={self.requests_per_second:.0f}>"
         )
+
+
+def echo_record(result: EchoResult) -> Dict[str, object]:
+    """One sweep point as a JSON-ready dict (a ``BENCH_fig3/4.json`` point):
+    the full latency distribution and the achieved throughput."""
+    return {
+        "transport": result.transport,
+        "payload_bytes": result.payload_bytes,
+        "messages": result.messages,
+        "latency_us": result.stats().to_dict(),
+        "throughput_rps": result.requests_per_second,
+        "duration_s": result.duration_s,
+    }
 
 
 def percent_lower(value: float, baseline: float) -> float:

@@ -139,8 +139,4 @@ def reptor_echo(
             sampler.sample_now()
             sampler.stop()
 
-    done = env.process(client_proc(env), name="fig4.client")
-    env.run(until=done)
-    result.messages = len(result.latencies_us)
-    result.sim_events = env._eid
-    return result
+    return result.finish(env, env.process(client_proc(env), name="fig4.client"))

@@ -6,9 +6,11 @@ application's send buffer directly while the receive path keeps exactly
 one copy into the application buffer.  This probe counts how many times
 the *simulator's host CPU* actually materialises payload bytes while a
 frame crosses the stack, so the reproduction can demonstrate the same
-staging/copy discipline the paper describes — and so the wall-clock gate
-(``python -m repro.bench --wallclock``) can stop future PRs from quietly
-re-introducing copies.
+staging/copy discipline the paper describes — and so the exact copy
+counts of the Figure-3/Figure-4 echo workloads, pinned in
+``tests/sim/test_event_budget.py``, stop a change from quietly
+re-introducing copies.  perfbench reports the same counters per operation
+(``sim.copies_per_op``, ``sim.copied_bytes_per_op``, ``sim.dma_bytes_per_op``).
 
 Semantics (documented in DESIGN.md §11):
 
@@ -19,10 +21,10 @@ Semantics (documented in DESIGN.md §11):
 * ``dma_bytes`` / ``dma_ops`` — modeled *NIC* transfers (scatter/gather
   into registered memory regions).  These are the RNIC's DMA engine in
   the modeled world, not the host CPU, exactly as the paper accounts
-  them; they are tallied separately so the gate metric isolates the
+  them; they are tallied separately so the copy counts isolate the
   avoidable CPU copies.
 * ``frames_delivered`` / ``frame_bytes`` — link-level frame deliveries,
-  the denominator of the gate metric *bytes copied per delivered frame*.
+  the denominator of *bytes copied per delivered frame*.
 
 The probe is **pure host bookkeeping**: it is disabled by default, every
 instrumentation site is guarded by ``if COPYSTATS.enabled:``, and no
@@ -87,13 +89,13 @@ class CopyStats:
 
     @property
     def copied_per_frame(self) -> float:
-        """Gate metric: host bytes copied per delivered frame."""
+        """Host bytes copied per delivered frame."""
         if not self.frames_delivered:
             return 0.0
         return self.copied_bytes / self.frames_delivered
 
     def snapshot(self) -> dict:
-        """All counters plus the derived gate metric, as a plain dict."""
+        """All counters plus bytes copied per frame, as a plain dict."""
         return {
             "copied_bytes": self.copied_bytes,
             "copies": self.copies,

@@ -13,9 +13,9 @@ import os
 import pytest
 
 from repro.bench.__main__ import main
-from repro.bench.baseline import echo_record
 from repro.bench.echo import run_echo
 from repro.bench.profiles import capture_profile, profile_path
+from repro.bench.results import echo_record
 from repro.obs.sampler import write_json_atomic
 
 POINT_PAYLOAD = 2048

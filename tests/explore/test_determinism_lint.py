@@ -28,9 +28,8 @@ import repro
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
 #: Modules allowed to read the host clock: they benchmark the host
-#: (wall-clock throughput gate, perf-regression stamps), not the model.
+#: (perf-regression stamps), not the model.
 TIME_ALLOWED = {
-    "bench/wallclock.py",
     "bench/regression.py",
 }
 

@@ -1,19 +1,22 @@
 """Profile scenarios: committed baselines, capture determinism, attribution."""
 
+import inspect
 import json
 import os
 
 import pytest
 
+from repro.bench.__main__ import build_parser
+from repro.bench.figures import FIGURES
 from repro.bench.profiles import (
-    PROFILE_SCENARIOS,
     attribute_figure,
     capture_observability,
     capture_profile,
     profile_path,
+    scenarios,
     timeseries_path,
-    write_observability,
 )
+from repro.bench.regression import run_check
 from repro.errors import ReproError
 from repro.obs import load_profile_document
 from repro.obs.sampler import write_json_atomic
@@ -25,8 +28,20 @@ BASELINE_DIR = os.path.join(REPO_ROOT, "benchmarks", "baselines")
 
 
 def test_every_gate_figure_has_a_scenario():
-    assert PROFILE_SCENARIOS == (
-        "fig3", "fig4", "overload", "onesided", "cop", "chaos"
+    """The registry is the one list of figures: the ``--fig`` choices, the
+    gate's default set, the profile scenarios and the committed baselines
+    all name exactly its figures (chaos is a profile-only scenario)."""
+    names = list(FIGURES)
+    assert names == ["fig3", "fig4", "overload", "onesided", "cop"]
+    fig = next(a for a in build_parser()._actions if a.dest == "fig")
+    assert list(fig.choices) == [*names, "all"]
+    assert inspect.signature(run_check).parameters["figures"].default == (
+        tuple(names)
+    )
+    assert list(scenarios()) == [*names, "chaos"]
+    assert sorted(os.listdir(BASELINE_DIR)) == sorted(
+        [f"BENCH_{name}.json" for name in names]
+        + [f"PROFILE_{name}.json" for name in scenarios()]
     )
 
 
@@ -42,7 +57,7 @@ def test_paths():
     )
 
 
-@pytest.mark.parametrize("figure", PROFILE_SCENARIOS)
+@pytest.mark.parametrize("figure", list(scenarios()))
 def test_committed_profile_baselines_exist(figure):
     """Every scenario has a committed, schema-valid profile."""
     document = load_profile_document(profile_path(BASELINE_DIR, figure))
@@ -66,16 +81,6 @@ def test_capture_with_timeseries():
     assert timeseries["figure"] == "fig3"
     assert timeseries["samples"]
     assert any(m.startswith("host.client.cpu") for m in timeseries["metrics"])
-
-
-def test_write_observability_artifacts(tmp_path):
-    paths = write_observability("fig3", str(tmp_path))
-    assert paths == [
-        profile_path(str(tmp_path), "fig3"),
-        timeseries_path(str(tmp_path), "fig3"),
-    ]
-    for path in paths:
-        assert os.path.exists(path)
 
 
 class TestAttributeFigure:

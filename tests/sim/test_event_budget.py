@@ -25,8 +25,10 @@ import sys
 import pytest
 
 from repro.bench.echo import run_echo
+from repro.bench.figures import FIG3_PAYLOADS, FIG4_PAYLOADS, fig3_sweep, fig4_sweep
+from repro.bench.selector_echo import reptor_echo
 from repro.bft import BftCluster, BftConfig
-from repro.sim import Event, GridWait, Process
+from repro.sim import COPYSTATS, Event, GridWait, Process
 
 PUTS = 40
 #: Entries for 40 sequential unbatched PUTs on a wired 4-replica cluster.
@@ -87,7 +89,24 @@ ECHO_MESSAGES, ECHO_BYTES, ECHO_EVENTS = 20, 32 * 1024, 2_560
 #: entries.  What is left is mostly the holds themselves (the DMA and CPU
 #: charges), the grid waits and the writes' completions.  May only fall.
 ECHO_EVENT_OBJECTS = 671
-
+#: Entries over whole echo-figure sweeps, summed over their points:
+#: (sweep, messages per point, payloads, entries).  They move with every
+#: workload the figures run (all four Fig-3 transports, both Fig-4
+#: stacks), not just the channel echo above.  May only fall.
+SWEEP_EVENTS = {
+    "fig3": (fig3_sweep, 10, FIG3_PAYLOADS, 53_046),
+    "fig4": (fig4_sweep, 30, FIG4_PAYLOADS, 155_215),
+}
+#: Host copies (``repro.sim.copystats``) of one representative point per
+#: data path: (workload, transport, payload, messages) and the pinned
+#: (copies, copied bytes, frames delivered).  Schedule-exact, so pinned
+#: exactly; the copies may only fall.
+COPY_WORKLOADS = {
+    "fig3_rdma": ((run_echo, "rdma_channel", 10 * 1024, 20), (81, 829_440, 163)),
+    "fig3_tcp": ((run_echo, "tcp", 10 * 1024, 20), (740, 1_638_400, 483)),
+    "fig4_rubin": ((reptor_echo, "rubin", 20 * 1024, 30), (300, 2_459_820, 361)),
+    "fig4_nio": ((reptor_echo, "nio", 20 * 1024, 30), (2_095, 9_553_166, 1_289)),
+}
 
 def _count_event_objects(monkeypatch):
     """Tally every :class:`Event` constructed from now on, whatever class.
@@ -199,3 +218,26 @@ def test_channel_echo_constructs_exactly_this_many_event_objects(monkeypatch):
     made = _count_event_objects(monkeypatch)
     run_echo("rdma_channel", ECHO_BYTES, ECHO_MESSAGES)
     assert made[0] == ECHO_EVENT_OBJECTS
+
+
+@pytest.mark.parametrize("figure", sorted(SWEEP_EVENTS))
+def test_echo_sweep_takes_exactly_this_many_entries(figure):
+    sweep, messages, payloads, events = SWEEP_EVENTS[figure]
+    results = sweep(messages, payloads)
+    assert sum(r.sim_events for r in results.values()) == events
+
+
+@pytest.mark.parametrize("workload", sorted(COPY_WORKLOADS))
+def test_echo_copies_exactly_this_much(workload):
+    (run, *args), expected = COPY_WORKLOADS[workload]
+    COPYSTATS.reset()
+    COPYSTATS.enabled = True
+    try:
+        run(*args)
+        counted = (
+            COPYSTATS.copies, COPYSTATS.copied_bytes, COPYSTATS.frames_delivered
+        )
+    finally:
+        COPYSTATS.enabled = False
+        COPYSTATS.reset()
+    assert counted == expected
