@@ -31,12 +31,22 @@ __all__ = ["SocketChannel", "ServerSocketChannel"]
 class SocketChannel:
     """A non-blocking TCP channel (``java.nio.channels.SocketChannel``)."""
 
+    #: A byte stream: a short write leaves the rest of its buffer for the
+    #: next write (RUBIN's message channels take all or nothing).
+    stream = True
+    #: Most bytes one write may carry: the stream takes what fits.
+    max_write = 1 << 30
+    #: TCP carries no trace context (RUBIN's reads set theirs).
+    last_read_trace_ctx = None
+
     def __init__(self, host: "Host"):
         self.host = host
         self.env = host.env
         self.connection: Optional["TcpConnection"] = None
         self._connect_pending = False
         self._closed = False
+        #: The buffer :meth:`read_view_gen` reads into, reused per read.
+        self._view_buffer: Optional[ByteBuffer] = None
 
     # -- factories ----------------------------------------------------------
 
@@ -87,6 +97,11 @@ class SocketChannel:
         return False
 
     @property
+    def remote_host(self) -> str:
+        """The peer's host name."""
+        return self.connection.remote_host
+
+    @property
     def is_connected(self) -> bool:
         """True while the channel can transfer data."""
         return (
@@ -114,7 +129,20 @@ class SocketChannel:
         self._check_io_ready()
         return self._read(buffer)
 
-    def _read(self, buffer: ByteBuffer):
+    def read_view_gen(self, max_bytes: int):
+        """RUBIN's ``read_view`` over TCP, for ``yield from inline(...)``.
+
+        Reads up to ``max_bytes`` into the channel's own buffer and
+        returns a view of them (valid until the next read), ``0`` when
+        nothing is ready or ``None`` at EOF.
+        """
+        self._check_io_ready()
+        buffer = self._view_buffer
+        if buffer is None or buffer._capacity != max_bytes:
+            buffer = self._view_buffer = ByteBuffer.allocate(max_bytes)
+        return self._read(buffer.clear(), view=True)
+
+    def _read(self, buffer: ByteBuffer, view: bool = False):
         conn = self.connection
         assert conn is not None
         want = buffer.remaining()
@@ -122,20 +150,33 @@ class SocketChannel:
             return 0
         data = yield from inline(self.env, conn.read_some_gen(want), "tcp.read")
         if data is None:
-            return -1
+            return None if view else -1
         if not data:
             return 0
         buffer.put(data)
+        if view:
+            return buffer.flip().peek_view()
         return len(data)
 
     def write(self, buffer: ByteBuffer) -> "Event":
         """Write from ``buffer``; event value is bytes written (may be 0)."""
         return self.env.process(self.write_gen(buffer), name="nio.write")
 
-    def write_gen(self, buffer: ByteBuffer):
-        """The body of :meth:`write`, for ``yield from inline(...)``."""
+    def write_gen(self, buffer: ByteBuffer, trace_ctx=None):
+        """The body of :meth:`write`, for ``yield from inline(...)``.
+
+        ``trace_ctx`` keeps RUBIN's signature; TCP does not carry it.
+        """
         self._check_io_ready()
         return self._write(buffer)
+
+    def write_staging(self):
+        """``size -> ByteBuffer``: a fresh buffer to stage each write in.
+
+        The stack snapshots what a write takes, and a short write's rest
+        stays in its own buffer until the next write, so no reuse.
+        """
+        return ByteBuffer.allocate
 
     def _write(self, buffer: ByteBuffer):
         conn = self.connection

@@ -13,7 +13,7 @@ stack over both transports (window 30, batching 10).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 from collections import deque
 
 from repro.crypto import KeyStore
@@ -51,41 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ReptorEndpoint", "ReptorConnection"]
 
 
-class _StagingRing:
-    """A ring of reusable, lazily grown send staging buffers.
-
-    Slot count equals the channel's send-queue depth, which guarantees a
-    slot is never overwritten while the RNIC could still gather from it
-    (the previous send occupying that slot must have completed for a new
-    send-queue slot to have been available).  Buffers grow in powers of
-    two so small-batch connections stay small.
-    """
-
-    __slots__ = ("_buffers", "_index")
-
-    def __init__(self, slots: int):
-        self._buffers: list[Optional[ByteBuffer]] = [None] * max(1, slots)
-        self._index = 0
-
-    def take(self, size: int) -> ByteBuffer:
-        """A cleared buffer of at least ``size`` bytes from the ring."""
-        index = self._index
-        self._index = (self._index + 1) % len(self._buffers)
-        buffer = self._buffers[index]
-        if buffer is None or buffer.capacity < size:
-            capacity = 1024
-            while capacity < size:
-                capacity *= 2
-            buffer = ByteBuffer.allocate(capacity)
-            # The slot-reuse guarantee above is exactly the stability
-            # contract zero-copy sends need: the RNIC may gather views
-            # of this buffer instead of snapshotting it.
-            buffer.stable_until_completion = True
-            self._buffers[index] = buffer
-        buffer.clear()
-        return buffer
-
-
 class ReptorConnection:
     """One authenticated, batched, windowed message connection."""
 
@@ -113,7 +78,7 @@ class ReptorConnection:
         #: are immutable parts (header, payload, mac) held unjoined so
         #: the write path can gather them without a concatenation.
         self._outbox: Deque[tuple[tuple[bytes, ...], int, Optional[object]]] = deque()
-        self._partial: Optional[ByteBuffer] = None  # mid-write batch (nio)
+        self._partial: Optional[ByteBuffer] = None  # mid-write batch (stream)
         #: Batches written to the channel but not yet send-completed, as
         #: (wr_id, batch segments, batch bytes, trace_ctx); requeued to
         #: the outbox front if the channel dies before the RNIC
@@ -121,12 +86,9 @@ class ReptorConnection:
         self._inflight: Deque[
             tuple[int, tuple[bytes, ...], int, Optional[object]]
         ] = deque()
-        #: Reusable read buffer (host-side optimization: one allocation
-        #: per connection rather than per read; reads fully drain it
-        #: before the next read starts, so reuse is safe).
-        self._read_buffer = ByteBuffer.allocate(config.read_buffer)
-        #: Cached selection key (set on adopt/dial; avoids a key scan on
-        #: every send).
+        #: ``size -> ByteBuffer`` the write path stages batches in.
+        self._stage = channel.write_staging()
+        #: The selection key (set on adopt/dial, where it is registered).
         self._key = None
         #: Dialed RUBIN connections watched by the endpoint's supervisor.
         self._supervised = False
@@ -325,16 +287,41 @@ class ReptorEndpoint:
             self.env, f"{self.name}.backpressure_time"
         )
         self._on_connection: List[Callable[[ReptorConnection], None]] = []
-        self._pending_dials: Dict[int, tuple] = {}
         self._running = False
         self._server = None
+        #: What a spawned read or write is called (see ``inline``).
+        self._read_name = f"{transport}.read"
+        self._write_name = f"{transport}.write"
 
+        # The one place the transport is consulted: the selector, the
+        # channel factories, the interest ops and supervision.
+        self.supervisor = None
         if transport == "nio":
             self.selector = Selector.open(host)
-            self.supervisor = None
+            self._open_server = lambda port: ServerSocketChannel.open(host).bind(port)
+
+            def dial(remote_host: str, port: int) -> SocketChannel:
+                channel = SocketChannel.open(host)
+                channel.connect(remote_host, port)
+                return channel
+
+            ops = (NIO_OP_ACCEPT, NIO_OP_CONNECT, NIO_OP_READ, NIO_OP_WRITE, 0)
         else:
-            self._cm = self._get_or_make_cm()
+            device, cm = host.stack("rdma"), self._get_or_make_cm()
             self.selector = RubinSelector.open(host)
+            self._open_server = lambda port: RubinServerChannel(
+                device, cm, port, self.rubin_config
+            )
+
+            def dial(remote_host: str, port: int) -> RubinChannel:
+                return RubinChannel.connect(
+                    device, cm, remote_host, port, self.rubin_config
+                )
+
+            ops = (
+                RUBIN_OP_CONNECT, RUBIN_OP_ACCEPT, RUBIN_OP_RECEIVE,
+                RUBIN_OP_SEND, RUBIN_OP_ACCEPT,
+            )
             if self.config.supervise:
                 self.supervisor = ChannelSupervisor(
                     self.env,
@@ -343,8 +330,18 @@ class ReptorEndpoint:
                     name=f"{self.name}.supervisor",
                 )
                 self.supervisor.on_recovered.append(self._on_channel_recovered)
-            else:
-                self.supervisor = None
+        self._open_channel = dial
+        #: Interest and readiness ops: a listener's incoming connection, a
+        #: dial's completion, readable, writable, and a supervised
+        #: channel's re-established connection (RUBIN's OP_ACCEPT again;
+        #: 0 on NIO, which has no supervisor).
+        (
+            self._op_accept,
+            self._op_dial,
+            self._op_read,
+            self._op_write,
+            self._op_redial,
+        ) = ops
 
     def _get_or_make_cm(self):
         from repro.rdma.cm import ConnectionManager
@@ -365,16 +362,9 @@ class ReptorEndpoint:
         """Start accepting peer connections on ``port``."""
         if self._server is not None:
             raise ConfigurationError(f"{self.name}: already listening")
-        if self.transport == "nio":
-            server = ServerSocketChannel.open(self.host).bind(port)
-            key = self.selector.register(server, NIO_OP_ACCEPT)
-            key.attach(("acceptor", server))
-        else:
-            server = RubinServerChannel(
-                self.host.stack("rdma"), self._cm, port, self.rubin_config
-            )
-            key = self.selector.register(server, RUBIN_OP_CONNECT)
-            key.attach(("acceptor", server))
+        server = self._open_server(port)
+        key = self.selector.register(server, self._op_accept)
+        key.attach(("acceptor", server))
         self._server = server
         self._ensure_loop()
 
@@ -382,18 +372,9 @@ class ReptorEndpoint:
         """Dial a peer; event value is the established connection."""
         peer_name = peer_name or remote_host
         done = self.env.event()
-        if self.transport == "nio":
-            channel = SocketChannel.open(self.host)
-            channel.connect(remote_host, port)
-            key = self.selector.register(channel, NIO_OP_CONNECT)
-            key.attach(("dialing", channel, peer_name, done))
-        else:
-            channel = RubinChannel.connect(
-                self.host.stack("rdma"), self._cm, remote_host, port,
-                self.rubin_config,
-            )
-            key = self.selector.register(channel, RUBIN_OP_ACCEPT)
-            key.attach(("dialing", channel, peer_name, done))
+        channel = self._open_channel(remote_host, port)
+        key = self.selector.register(channel, self._op_dial)
+        key.attach(("dialing", channel, peer_name, done))
         self._ensure_loop()
         return done
 
@@ -408,10 +389,7 @@ class ReptorEndpoint:
         """A connection queued output: enable write interest and wake."""
         key = self._key_of(connection)
         if key is not None:
-            if self.transport == "nio":
-                key.interest_ops = NIO_OP_READ | NIO_OP_WRITE
-            else:
-                key.interest_ops = RUBIN_OP_RECEIVE | RUBIN_OP_SEND
+            key.interest_ops = self._op_read | self._op_write
         self.selector.wakeup()
 
     def _key_of(self, connection: ReptorConnection):
@@ -454,23 +432,13 @@ class ReptorEndpoint:
                     yield from self._handle_io(key, connection)
 
     def _handle_accept(self, server) -> None:
-        if self.transport == "nio":
-            channel = server.accept()
-            if channel is None:
-                return
-            peer = channel.connection.remote_host
-            self._adopt(channel, peer, NIO_OP_READ)
-        else:
-            channel = server.accept()
-            if channel is None:
-                return
-            # Peer name: the CM request told the channel its remote host.
-            peer = channel.qp.remote_host
-            self._adopt(channel, peer, RUBIN_OP_RECEIVE)
+        channel = server.accept()
+        if channel is not None:
+            self._adopt(channel, channel.remote_host)
 
-    def _adopt(self, channel, peer_name: str, read_op: int) -> ReptorConnection:
+    def _adopt(self, channel, peer_name: str) -> ReptorConnection:
         connection = ReptorConnection(self, channel, peer_name, self.config)
-        key = self.selector.register(channel, read_op)
+        key = self.selector.register(channel, self._op_read)
         key.attach(("conn", connection))
         connection._key = key
         self.connections.append(connection)
@@ -480,36 +448,21 @@ class ReptorEndpoint:
 
     def _handle_dial_progress(self, key, attachment) -> None:
         _kind, channel, peer_name, done = attachment
-        if self.transport == "nio":
-            try:
-                finished = channel.finish_connect()
-            except Exception as exc:  # refused
-                key.cancel()
-                if not done.triggered:
-                    done.fail(BftError(f"connect failed: {exc}")).defused()
-                return
-            if not finished:
-                return
-            connection = ReptorConnection(self, channel, peer_name, self.config)
-            key.attach(("conn", connection))
-            connection._key = key
-            key.interest_ops = NIO_OP_READ
-        else:
-            try:
-                finished = channel.finish_connect()
-            except Exception as exc:
-                key.cancel()
-                if not done.triggered:
-                    done.fail(BftError(f"connect failed: {exc}")).defused()
-                return
-            if not finished:
-                return
-            connection = ReptorConnection(self, channel, peer_name, self.config)
-            key.attach(("conn", connection))
-            connection._key = key
-            key.interest_ops = RUBIN_OP_RECEIVE
-            if self.supervisor is not None:
-                self._supervise(connection)
+        try:
+            finished = channel.finish_connect()
+        except Exception as exc:  # refused
+            key.cancel()
+            if not done.triggered:
+                done.fail(BftError(f"connect failed: {exc}")).defused()
+            return
+        if not finished:
+            return
+        connection = ReptorConnection(self, channel, peer_name, self.config)
+        key.attach(("conn", connection))
+        connection._key = key
+        key.interest_ops = self._op_read
+        if self.supervisor is not None:
+            self._supervise(connection)
         self.connections.append(connection)
         if not done.triggered:
             done.succeed(connection)
@@ -539,7 +492,7 @@ class ReptorEndpoint:
             if connection.channel is channel and not connection.closed:
                 key = self._key_of(connection)
                 if key is not None and key.valid:
-                    key.interest_ops = RUBIN_OP_ACCEPT | RUBIN_OP_RECEIVE
+                    key.interest_ops = self._op_redial | self._op_read
                     self.selector.wakeup()
                 return
 
@@ -550,7 +503,7 @@ class ReptorEndpoint:
         except Exception:
             # Errored again before the loop ran; the supervisor retries.
             # Drop the OP_ACCEPT interest until the next recovery.
-            key.interest_ops = RUBIN_OP_RECEIVE
+            key.interest_ops = self._op_read
             return
         if not finished:
             return
@@ -561,8 +514,8 @@ class ReptorEndpoint:
         while connection._inflight:
             _wr_id, batch, size, trace_ctx = connection._inflight.pop()
             connection._outbox.appendleft((batch, size, trace_ctx))
-        key.interest_ops = RUBIN_OP_RECEIVE | (
-            RUBIN_OP_SEND if connection.has_output else 0
+        key.interest_ops = self._op_read | (
+            self._op_write if connection.has_output else 0
         )
 
     # -- per-connection I/O ------------------------------------------------
@@ -571,31 +524,21 @@ class ReptorEndpoint:
         if connection.closed:
             self._drop(connection)
             return
-        if self.transport == "nio":
-            if key.is_readable():
-                yield from self._read_nio(connection)
-            if key.is_writable() and connection.has_output:
-                yield from self._write_nio(connection)
-            if not connection.has_output and key.valid:
-                key.interest_ops = NIO_OP_READ
-        else:
-            if key.is_acceptable():
-                self._finish_reconnect(key, connection)
-            if key.is_receivable():
-                yield from self._read_rubin(connection)
-            if key.is_sendable() and connection.has_output:
-                yield from self._write_rubin(connection)
-            if not connection.has_output and key.valid:
-                key.interest_ops = (
-                    key.interest_ops & RUBIN_OP_ACCEPT
-                ) | RUBIN_OP_RECEIVE
+        if key.ready_ops & self._op_redial:
+            self._finish_reconnect(key, connection)
+        if key.ready_ops & self._op_read:
+            yield from self._read(connection)
+        if key.ready_ops & self._op_write and connection.has_output:
+            yield from self._write(connection)
+        if not connection.has_output and key.valid:
+            key.interest_ops = (key.interest_ops & self._op_redial) | self._op_read
 
-    def _deliver(self, connection: ReptorConnection, data, trace_ctx=None):
+    def _deliver(self, connection: ReptorConnection, data, trace_ctx):
         """Feed stream bytes (or a view of them); verify and deliver.
 
-        ``data`` may alias the connection's read buffer: the framer
-        consumes it synchronously (delivered payloads are owned bytes),
-        so the buffer is free for reuse as soon as ``feed`` returns.
+        ``data`` may alias a channel buffer: the framer consumes it
+        synchronously (delivered payloads are owned bytes), so the buffer
+        is free for reuse as soon as ``feed`` returns.
         """
         try:
             payloads = connection.framer.feed(data)
@@ -628,42 +571,19 @@ class ReptorEndpoint:
         if span is not None:
             span.end()
 
-    def _read_nio(self, connection: ReptorConnection):
-        buffer = connection._read_buffer.clear()
-        try:
-            n = yield from inline(
-                self.env, connection.channel.read_gen(buffer), "nio.read"
-            )
-        except Exception as exc:  # reset / hard close
-            connection._fail(BftError(f"read failed: {exc}"))
-            self._drop(connection)
-            return
-        if n is None or n == -1:
-            connection.close()
-            self._drop(connection)
-            return
-        if n > 0:
-            buffer.flip()
-            view = buffer.peek_view()
-            try:
-                yield from self._deliver(connection, view)
-            finally:
-                view.release()
-
-    def _read_rubin(self, connection: ReptorConnection):
-        # Zero-copy receive: the channel hands back a view of its pool
-        # buffer instead of copying into the connection's read buffer;
-        # the framer's payload materialization (inside _deliver) is then
-        # the only receive-side host copy.  The view is consumed before
-        # this process yields past _deliver's synchronous feed, as
-        # read_view's contract requires.
+    def _read(self, connection: ReptorConnection):
+        # The channel hands back a view of its own buffer (RUBIN: the pool
+        # buffer, no copy); the framer's payload materialization inside
+        # _deliver is the only receive-side copy Reptor adds.  _deliver
+        # feeds the view before its first yield, as read_view requires.
+        channel = connection.channel
         try:
             result = yield from inline(
                 self.env,
-                connection.channel.read_view_gen(connection._read_buffer.capacity),
-                "rubin.read",
+                channel.read_view_gen(self.config.read_buffer),
+                self._read_name,
             )
-        except Exception as exc:
+        except Exception as exc:  # reset / hard close
             if connection._supervised and not connection.closed:
                 return  # transient: the supervisor re-establishes it
             connection._fail(BftError(f"read failed: {exc}"))
@@ -678,12 +598,10 @@ class ReptorEndpoint:
             connection.close()
             self._drop(connection)
             return
-        if isinstance(result, memoryview):
+        if result:
             try:
                 yield from self._deliver(
-                    connection,
-                    result,
-                    trace_ctx=connection.channel.last_read_trace_ctx,
+                    connection, result, channel.last_read_trace_ctx
                 )
             finally:
                 result.release()
@@ -708,11 +626,7 @@ class ReptorEndpoint:
         trace_ctx: Optional[object] = None
         messages = 0
         limit = self.config.batch_size
-        if self.transport == "rubin":
-            # One RDMA message per write: respect the channel buffer size.
-            budget = connection.channel.config.buffer_size
-        else:
-            budget = 1 << 30
+        budget = connection.channel.max_write
         size = 0
         while connection._outbox and messages < limit:
             head, head_size, head_ctx = connection._outbox[0]
@@ -730,81 +644,52 @@ class ReptorEndpoint:
     #: selector, so a large outbox cannot starve reads on the same loop.
     _WRITE_ROUNDS = 2
 
-    def _write_nio(self, connection: ReptorConnection):
+    def _write(self, connection: ReptorConnection):
+        channel = connection.channel
         for _round in range(self._WRITE_ROUNDS):
-            if not connection.has_output:
-                break
-            if connection._partial is None:
-                segments, size, _trace_ctx = self._next_batch(connection)
-                if not size:
+            staging = connection._partial
+            trace_ctx = None
+            if staging is None:
+                if not connection._outbox:
                     break
-                staging = ByteBuffer.allocate(size)
+                segments, size, trace_ctx = self._next_batch(connection)
+                # The one send-side copy: the frame segments gather into
+                # the staging buffer (on RUBIN a ring slot the RNIC reads
+                # zero-copy from).
+                staging = connection._stage(size)
                 for segment in segments:
                     staging.put(segment)
-                connection._partial = staging.flip()
+                staging.flip()
+                if channel.stream:
+                    connection._partial = staging
             try:
                 n = yield from inline(
                     self.env,
-                    connection.channel.write_gen(connection._partial),
-                    "nio.write",
-                )
-            except Exception as exc:
-                connection._fail(BftError(f"write failed: {exc}"))
-                self._drop(connection)
-                return
-            if connection._partial.has_remaining():
-                if n == 0:
-                    break  # kernel buffer full; wait for writability
-            else:
-                connection._partial = None
-                connection._grant_credits()
-
-    def _write_rubin(self, connection: ReptorConnection):
-        # Batches are staged in a ring of reusable send buffers so the
-        # channel's zero-copy path registers each exactly once (the
-        # paper's "register the application's send buffer directly").
-        # The ring has one slot per send-queue WR: a slot can only be
-        # reused after its previous send's queue slot was freed, i.e.
-        # after the RNIC finished gathering from it — no use-after-post.
-        ring = getattr(connection, "_rubin_staging", None)
-        if ring is None:
-            ring = _StagingRing(connection.channel.qp.caps.max_send_wr)
-            connection._rubin_staging = ring
-        for _round in range(self._WRITE_ROUNDS):
-            if not connection._outbox:
-                break
-            segments, size, trace_ctx = self._next_batch(connection)
-            if not size:
-                break
-            # The one send-side copy: frame segments gather into the
-            # stable staging slot; the RNIC reads it zero-copy from there.
-            staging = ring.take(size)
-            for segment in segments:
-                staging.put(segment)
-            staging.flip()
-            batch = tuple(segments)
-            try:
-                n = yield from inline(
-                    self.env,
-                    connection.channel.write_gen(staging, trace_ctx=trace_ctx),
-                    "rubin.write",
+                    channel.write_gen(staging, trace_ctx),
+                    self._write_name,
                 )
             except Exception as exc:
                 if connection._supervised and not connection.closed:
                     # Channel died between readiness and write: hold the
                     # batch; it is resent after the supervisor reconnects.
-                    connection._outbox.appendleft((batch, size, trace_ctx))
+                    connection._outbox.appendleft((tuple(segments), size, trace_ctx))
                     return
                 connection._fail(BftError(f"write failed: {exc}"))
                 self._drop(connection)
                 return
             if n == 0:
-                # Send queue full: put the batch back (messages intact).
-                connection._outbox.appendleft((batch, size, trace_ctx))
+                # Kernel buffer or send queue full: wait for writability.
+                # A message channel took nothing, so the batch goes back
+                # to the outbox (messages intact) to be coalesced again.
+                if not channel.stream:
+                    connection._outbox.appendleft((tuple(segments), size, trace_ctx))
                 break
+            if channel.stream and staging.has_remaining():
+                continue  # the stream took part: push the rest
+            connection._partial = None
             if connection._supervised:
                 connection._inflight.append(
-                    (connection.channel.last_write_wr_id, batch, size, trace_ctx)
+                    (channel.last_write_wr_id, tuple(segments), size, trace_ctx)
                 )
             connection._grant_credits()
 

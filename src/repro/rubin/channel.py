@@ -57,8 +57,46 @@ class _InboundMessage:
         self.trace_ctx = trace_ctx
 
 
+class _StagingRing:
+    """A ring of reusable, lazily grown send staging buffers.
+
+    Slot count equals the channel's send-queue depth, which guarantees a
+    slot is never overwritten while the RNIC could still gather from it
+    (the previous send occupying that slot must have completed for a new
+    send-queue slot to have been available).  Buffers grow in powers of
+    two so small-batch connections stay small.
+    """
+
+    __slots__ = ("_buffers", "_index")
+
+    def __init__(self, slots: int):
+        self._buffers: list[Optional[ByteBuffer]] = [None] * max(1, slots)
+        self._index = 0
+
+    def take(self, size: int) -> ByteBuffer:
+        """A cleared buffer of at least ``size`` bytes from the ring."""
+        index = self._index
+        self._index = (self._index + 1) % len(self._buffers)
+        buffer = self._buffers[index]
+        if buffer is None or buffer.capacity < size:
+            capacity = 1024
+            while capacity < size:
+                capacity *= 2
+            buffer = ByteBuffer.allocate(capacity)
+            # The slot-reuse guarantee above is exactly the stability
+            # contract zero-copy sends need: the RNIC may gather views
+            # of this buffer instead of snapshotting it.
+            buffer.stable_until_completion = True
+            self._buffers[index] = buffer
+        buffer.clear()
+        return buffer
+
+
 class RubinChannel:
     """A connected RDMA channel with NIO-style non-blocking read/write."""
+
+    #: A message channel: a write takes its whole buffer or nothing.
+    stream = False
 
     def __init__(
         self,
@@ -71,6 +109,8 @@ class RubinChannel:
         self.host: "Host" = device.host
         self.env: "Environment" = device.env
         self.config = config if config is not None else RubinConfig()
+        #: Most bytes one write may carry: one message fills one buffer.
+        self.max_write = self.config.buffer_size
         #: The unique connection identifier of the paper.
         self.channel_id = next(_channel_ids)
 
@@ -301,6 +341,11 @@ class RubinChannel:
             self._establish_pending = False
             return True
         return False
+
+    @property
+    def remote_host(self) -> str:
+        """The peer's host name (an accept learns it from the CM request)."""
+        return self.qp.remote_host
 
     @property
     def accept_pending(self) -> bool:
@@ -766,6 +811,16 @@ class RubinChannel:
                 self._credit_reserved -= 1
             if span is not None:
                 span.end()
+
+    def write_staging(self):
+        """``size -> ByteBuffer``: a ring slot to stage each write in.
+
+        Slots are reused, so the zero-copy path registers each buffer
+        once (the paper's "register the application's send buffer
+        directly"); one slot per send-queue WR means a slot comes round
+        again only after the RNIC finished gathering from it.
+        """
+        return _StagingRing(self.qp.caps.max_send_wr).take
 
     def _app_buffer_mr(self, buffer: ByteBuffer):
         """Register (once) and return the MR for an application buffer.
