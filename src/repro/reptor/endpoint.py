@@ -92,7 +92,7 @@ class ReptorConnection:
         self._key = None
         #: Dialed RUBIN connections watched by the endpoint's supervisor.
         self._supervised = False
-        self._credit_waiters: List["Event"] = []
+        self._credit_waiters: Deque["Event"] = deque()
         #: Outbound-stage watermark state: whether the connection is
         #: currently above the high watermark, and since when (feeds the
         #: endpoint's backpressure_time series when it falls back below
@@ -211,7 +211,7 @@ class ReptorConnection:
 
     def _grant_credits(self) -> None:
         while self._credit_waiters and self.outstanding < self.config.window:
-            waiter = self._credit_waiters.pop(0)
+            waiter = self._credit_waiters.popleft()
             if not waiter.triggered:
                 waiter.succeed()
         self._check_watermarks()
@@ -387,32 +387,10 @@ class ReptorEndpoint:
 
     def _output_pending(self, connection: ReptorConnection) -> None:
         """A connection queued output: enable write interest and wake."""
-        key = self._key_of(connection)
-        if key is not None:
+        key = connection._key
+        if key.valid:
             key.interest_ops = self._op_read | self._op_write
         self.selector.wakeup()
-
-    def _key_of(self, connection: ReptorConnection):
-        key = connection._key
-        if key is not None:
-            attachment = key.attachment
-            if (
-                key.valid
-                and isinstance(attachment, tuple)
-                and attachment[0] == "conn"
-                and attachment[1] is connection
-            ):
-                return key
-        for key in self.selector.keys():
-            attachment = key.attachment
-            if (
-                isinstance(attachment, tuple)
-                and attachment[0] == "conn"
-                and attachment[1] is connection
-            ):
-                connection._key = key
-                return key
-        return None
 
     def _loop(self):
         select_name = f"{self.transport}.select"  # what a spawned one is called
@@ -490,8 +468,8 @@ class ReptorEndpoint:
         """
         for connection in self.connections:
             if connection.channel is channel and not connection.closed:
-                key = self._key_of(connection)
-                if key is not None and key.valid:
+                key = connection._key
+                if key.valid:
                     key.interest_ops = self._op_redial | self._op_read
                     self.selector.wakeup()
                 return
@@ -608,9 +586,7 @@ class ReptorEndpoint:
 
     def _drop(self, connection: ReptorConnection) -> None:
         """Deregister a dead connection so the loop stops polling it."""
-        key = self._key_of(connection)
-        if key is not None:
-            key.cancel()
+        connection._key.cancel()
 
     def _next_batch(
         self, connection: ReptorConnection

@@ -68,8 +68,9 @@ PBFT_SPAWNS = {"rubin": 40, "nio": 41}
 #: runs entered 12 534.475 / 15 826.45; before bare entries (DESIGN §11,
 #: rule 8) 11 710.375 / 11 694.95; before one Reptor I/O path (readiness
 #: read from ``ready_ops``, no per-transport write prologue) 10 262.025 /
-#: 10 733.2.
-PBFT_FRAMES_PER_PUT = {"rubin": 10_064.875, "nio": 10_615.075}
+#: 10 733.2; before the endpoint read each connection's cached selection
+#: key directly (no ``_key_of`` call per send) 10 064.875 / 10 615.075.
+PBFT_FRAMES_PER_PUT = {"rubin": 10_035.875, "nio": 10_586.075}
 #: ``Event`` objects constructed per PUT over the same run, every class
 #: counted (a ``Timeout``, a ``StoreGet``, a ``TimedHold``, ...).  Exact,
 #: whatever the hash seed; they may only fall.  Before bare entries —
