@@ -43,6 +43,9 @@ class ByteBuffer:
         #: ``MemoryRegion.stable``).  Channels use it to decide between a
         #: zero-copy gather view and an owned snapshot.
         self.stable_until_completion = False
+        #: Work request id of the last zero-copy send that gathers from
+        #: this buffer (0: none); set by RUBIN's write path.
+        self.gather_wr_id = 0
 
     # -- factories ----------------------------------------------------------
 

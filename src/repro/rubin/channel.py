@@ -60,16 +60,20 @@ class _InboundMessage:
 class _StagingRing:
     """A ring of reusable, lazily grown send staging buffers.
 
-    Slot count equals the channel's send-queue depth, which guarantees a
-    slot is never overwritten while the RNIC could still gather from it
-    (the previous send occupying that slot must have completed for a new
-    send-queue slot to have been available).  Buffers grow in powers of
-    two so small-batch connections stay small.
+    Slot count equals the channel's send-queue depth, so a slot comes
+    round again about when the send that last gathered from it has left
+    the send queue.  Not always: a write the channel refuses still took
+    its slot, so a later take can land on a slot whose zero-copy send is
+    still queued — the RNIC gathers (and retransmits) from it until then.
+    Such a slot gets a fresh buffer instead of being overwritten.
+    Buffers grow in powers of two so small-batch connections stay small.
     """
 
-    __slots__ = ("_buffers", "_index")
+    __slots__ = ("_channel", "_buffers", "_index")
 
-    def __init__(self, slots: int):
+    def __init__(self, channel: "RubinChannel"):
+        self._channel = channel
+        slots = channel.qp.caps.max_send_wr
         self._buffers: list[Optional[ByteBuffer]] = [None] * max(1, slots)
         self._index = 0
 
@@ -78,12 +82,18 @@ class _StagingRing:
         index = self._index
         self._index = (self._index + 1) % len(self._buffers)
         buffer = self._buffers[index]
-        if buffer is None or buffer.capacity < size:
+        # The oldest send still queued: everything before it was gathered.
+        queued = self._channel.qp._pending
+        if (
+            buffer is None
+            or buffer.capacity < size
+            or (queued and queued[0].wr.wr_id <= buffer.gather_wr_id)
+        ):
             capacity = 1024
             while capacity < size:
                 capacity *= 2
             buffer = ByteBuffer.allocate(capacity)
-            # The slot-reuse guarantee above is exactly the stability
+            # What a ring slot is used for is exactly the stability
             # contract zero-copy sends need: the RNIC may gather views
             # of this buffer instead of snapshotting it.
             buffer.stable_until_completion = True
@@ -776,6 +786,8 @@ class RubinChannel:
                     trace_ctx=trace_ctx,
                 )
                 buffer.position = buffer.position + length
+                # The RNIC reads the buffer until this WR leaves the queue.
+                buffer.gather_wr_id = wr_id
                 self._send_wr_buffers.append((wr_id, None))
             else:
                 pooled = self.send_pool.try_acquire()
@@ -817,10 +829,9 @@ class RubinChannel:
 
         Slots are reused, so the zero-copy path registers each buffer
         once (the paper's "register the application's send buffer
-        directly"); one slot per send-queue WR means a slot comes round
-        again only after the RNIC finished gathering from it.
+        directly").
         """
-        return _StagingRing(self.qp.caps.max_send_wr).take
+        return _StagingRing(self).take
 
     def _app_buffer_mr(self, buffer: ByteBuffer):
         """Register (once) and return the MR for an application buffer.

@@ -1,19 +1,31 @@
-"""End-to-end Reptor endpoint tests over both transports."""
+"""End-to-end Reptor endpoint tests, one conformance suite over both
+transports: every case runs over NIO (TCP) and over RUBIN (RDMA)."""
 
 import pytest
 
+from repro.crypto import KeyStore
 from repro.errors import BftError
 from repro.net import Fabric
 from repro.rdma import RdmaDevice
 from repro.reptor import ReptorConfig, ReptorEndpoint
+from repro.rubin import RubinConfig
 from repro.sim import Environment
-from repro.tcpstack import TcpStack
+from repro.tcpstack import TcpConfig, TcpStack
+
+TRANSPORTS = ["nio", "rubin"]
 
 
 class Cluster:
     """Two hosts with both stacks installed, Reptor endpoints on top."""
 
-    def __init__(self, transport, config=None):
+    def __init__(
+        self,
+        transport,
+        config=None,
+        rubin_config=None,
+        tcp_config=None,
+        keystores=(None, None),
+    ):
         self.env = Environment()
         self.fabric = Fabric(self.env)
         self.fabric.add_host("alice")
@@ -21,15 +33,19 @@ class Cluster:
         self.fabric.connect("alice", "bob")
         for name in ("alice", "bob"):
             host = self.fabric.host(name)
-            TcpStack(host)
+            TcpStack(host, tcp_config)
             RdmaDevice(host)
         self.transport = transport
         self.config = config if config is not None else ReptorConfig()
-        self.alice = ReptorEndpoint(
-            self.fabric.host("alice"), transport, config=self.config
-        )
-        self.bob = ReptorEndpoint(
-            self.fabric.host("bob"), transport, config=self.config
+        self.alice, self.bob = (
+            ReptorEndpoint(
+                self.fabric.host(name),
+                transport,
+                config=self.config,
+                keystore=keystore,
+                rubin_config=rubin_config,
+            )
+            for name, keystore in zip(("alice", "bob"), keystores)
         )
 
     def link(self, port=7000):
@@ -45,7 +61,7 @@ class Cluster:
         return conn, self.bob.connections[0]
 
 
-@pytest.fixture(params=["nio", "rubin"])
+@pytest.fixture(params=TRANSPORTS)
 def cluster(request):
     return Cluster(request.param)
 
@@ -156,8 +172,9 @@ def test_echo_round_trips_pipeline(cluster):
     assert replies == [f"req-{i:03d}".encode() for i in range(total)]
 
 
-def test_window_applies_backpressure():
-    cluster = Cluster("nio", config=ReptorConfig(window=2))
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_window_applies_backpressure(transport):
+    cluster = Cluster(transport, config=ReptorConfig(window=2))
     a, _b = cluster.link()
     admitted = []
 
@@ -192,8 +209,9 @@ def test_send_on_closed_connection_raises(cluster):
         cluster.env.run(until=p)
 
 
-def test_unauthenticated_mode():
-    cluster = Cluster("nio", config=ReptorConfig(authenticate=False))
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_unauthenticated_mode(transport):
+    cluster = Cluster(transport, config=ReptorConfig(authenticate=False))
     a, b = cluster.link()
 
     def scenario(env):
@@ -212,27 +230,13 @@ def test_invalid_transport_rejected():
         ReptorEndpoint(cluster.fabric.host("alice"), "carrier-pigeon")
 
 
-def test_keystore_mismatch_detected():
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_keystore_mismatch_detected(transport):
     """Endpoints with different group secrets reject each other's MACs."""
-    from repro.crypto import KeyStore
-
-    cluster = Cluster.__new__(Cluster)
-    cluster.env = Environment()
-    cluster.fabric = Fabric(cluster.env)
-    cluster.fabric.add_host("alice")
-    cluster.fabric.add_host("bob")
-    cluster.fabric.connect("alice", "bob")
-    for name in ("alice", "bob"):
-        TcpStack(cluster.fabric.host(name))
-    alice = ReptorEndpoint(
-        cluster.fabric.host("alice"), "nio", keystore=KeyStore(b"secret-A")
+    cluster = Cluster(
+        transport, keystores=(KeyStore(b"secret-A"), KeyStore(b"secret-B"))
     )
-    bob = ReptorEndpoint(
-        cluster.fabric.host("bob"), "nio", keystore=KeyStore(b"secret-B")
-    )
-    bob.listen(7000)
-    dial = alice.connect("bob", 7000)
-    conn = cluster.env.run(until=dial)
+    conn, bob_conn = cluster.link()
 
     def scenario(env):
         yield conn.send(b"who am I talking to?")
@@ -240,6 +244,135 @@ def test_keystore_mismatch_detected():
 
     p = cluster.env.process(scenario(cluster.env))
     cluster.env.run(until=p)
-    assert bob.connections
-    assert bob.connections[0].error is not None
-    assert bob.connections[0].closed
+    assert bob_conn.error is not None
+    assert bob_conn.closed
+
+
+def _record_writes(connection, probe=lambda: None):
+    """Wrap the connection's channel writes; returns the list of
+    ``(bytes offered, bytes taken, probe())`` they append, one per write."""
+    writes = []
+    write_gen = connection.channel.write_gen
+
+    def recording(buffer, *args, **kwargs):
+        offered = buffer.remaining()
+        body = write_gen(buffer, *args, **kwargs)
+
+        def tracked():
+            taken = yield from body
+            writes.append((offered, taken, probe()))
+            return taken
+
+        return tracked()
+
+    connection.channel.write_gen = recording
+    return writes
+
+
+def _send_all(cluster, sender, receiver, payloads):
+    """Start one send per payload at once; returns what ``receiver`` got."""
+    for payload in payloads:
+        sender.send(payload)
+
+    def receive(env):
+        got = []
+        for _ in payloads:
+            got.append((yield receiver.receive()))
+        return got
+
+    return cluster.env.run(until=cluster.env.process(receive(cluster.env)))
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_frame_split_across_reads(transport):
+    """A frame larger than one read arrives in pieces and is reassembled."""
+    cluster = Cluster(transport, config=ReptorConfig(read_buffer=1024))
+    a, b = cluster.link()
+    feeds = []
+    feed = b.framer.feed
+    b.framer.feed = lambda data: feeds.append(len(data)) or feed(data)
+    payload = bytes(i % 251 for i in range(3000))
+    assert _send_all(cluster, a, b, [payload]) == [payload]
+    assert len(feeds) >= 2 and max(feeds) <= 1024
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_coalescing_honours_batch_size_and_size_budget(transport):
+    # RUBIN's budget is one channel buffer (three frames here); NIO's
+    # stream takes any size, so only batch_size bounds a write.
+    budget = 2048
+    cluster = Cluster(
+        transport,
+        config=ReptorConfig(batch_size=4, authenticate=False),
+        rubin_config=RubinConfig(buffer_size=budget),
+    )
+    a, b = cluster.link()
+    writes = _record_writes(a)
+    payloads = [bytes([i]) * 600 for i in range(12)]
+    frame = sum(map(len, a.framer.encode_parts(payloads[0])))
+    assert _send_all(cluster, a, b, payloads) == payloads
+    largest = max(offered for offered, _taken, _ in writes)
+    if transport == "rubin":
+        assert largest == 3 * frame <= budget
+    else:
+        assert largest == 4 * frame
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_short_write_resends_in_order(transport):
+    """A full send queue (RUBIN takes nothing) or a full kernel buffer
+    (NIO takes part) leaves no gap and no reordering."""
+    cluster = Cluster(
+        transport,
+        config=ReptorConfig(batch_size=1),
+        rubin_config=RubinConfig(num_send_buffers=1, signal_interval=1),
+        tcp_config=TcpConfig(send_buffer=4096),
+    )
+    a, b = cluster.link()
+    # After each write: whether batches were left waiting on a full queue.
+    writes = _record_writes(
+        a,
+        lambda: bool(a._outbox)
+        and not (a.channel.writable if transport == "nio" else a.channel.sendable),
+    )
+    payloads = [b"%04d" % i + bytes(1500) for i in range(40)]
+    assert _send_all(cluster, a, b, payloads) == payloads
+    assert any(waiting for _offered, _taken, waiting in writes)
+    if transport == "nio":  # the stream took part of a batch
+        assert any(taken < offered for offered, taken, _ in writes)
+
+
+@pytest.mark.parametrize(
+    "transport",
+    [
+        "nio",
+        pytest.param(
+            "rubin",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="an errored RUBIN channel raises no OP_RECEIVE "
+                "readiness, so an unsupervised connection never reads "
+                "the close",
+            ),
+        ),
+    ],
+)
+def test_peer_close_drops_connection_and_wakes_blocked_senders(transport):
+    cluster = Cluster(
+        transport,
+        config=ReptorConfig(window=2, authenticate=False),
+        rubin_config=RubinConfig(retry_timeout=1e-3, retry_count=3),
+    )
+    a, b = cluster.link()
+    senders = [b.send(b"x" * 100) for _ in range(200)]
+    for sender in senders:
+        sender.defused()
+    while not b._credit_waiters:  # until the window holds some back
+        cluster.env.step()
+    a.close()
+    cluster.env.run(until=cluster.env.now + 100e-3)
+    assert b.closed and not b._key.valid
+    assert not b._credit_waiters
+    assert all(sender.triggered for sender in senders)
+    failed = [sender.value for sender in senders if not sender.ok]
+    assert failed and all(isinstance(error, BftError) for error in failed)
