@@ -506,6 +506,9 @@ class ReptorEndpoint:
             self._finish_reconnect(key, connection)
         if key.ready_ops & self._op_read:
             yield from self._read(connection)
+            if connection.closed:  # keep its error: write nothing more
+                self._drop(connection)
+                return
         if key.ready_ops & self._op_write and connection.has_output:
             yield from self._write(connection)
         if not connection.has_output and key.valid:

@@ -376,3 +376,19 @@ def test_peer_close_drops_connection_and_wakes_blocked_senders(transport):
     assert all(sender.triggered for sender in senders)
     failed = [sender.value for sender in senders if not sender.ok]
     assert failed and all(isinstance(error, BftError) for error in failed)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_read_failure_is_not_overwritten_by_pending_output(transport):
+    """A frame that fails its MAC while output is queued: the connection
+    is dropped with the framing error, and no write is tried on it."""
+    cluster = Cluster(
+        transport, keystores=(KeyStore(b"secret-A"), KeyStore(b"secret-B"))
+    )
+    a, b = cluster.link()
+    for _ in range(40):
+        b.post(b"y" * 100)
+    a.post(b"tampered in transit, as far as bob can tell")
+    cluster.env.run(until=cluster.env.now + 10e-3)
+    assert b.closed and b.has_output
+    assert "HMAC verification failed" in str(b.error)
