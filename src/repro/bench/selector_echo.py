@@ -95,10 +95,9 @@ def reptor_echo(
                 message = yield connection.receive()
                 # Attribute the reply path to the most recently read
                 # frame's trace (exact under rubin; nio has no ctx).
-                reply_ctx = getattr(
-                    connection.channel, "last_read_trace_ctx", None
+                yield connection.send(
+                    message, trace_ctx=connection.channel.last_read_trace_ctx
                 )
-                yield connection.send(message, trace_ctx=reply_ctx)
 
         env.process(loop(env), name="fig4.server")
 

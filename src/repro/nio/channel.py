@@ -64,8 +64,11 @@ class SocketChannel:
 
     # -- connection management ----------------------------------------------
 
-    def connect(self, remote_host: str, remote_port: int) -> None:
-        """Start a non-blocking connect (finish with :meth:`finish_connect`)."""
+    def connect(self, remote_host: str, remote_port: int) -> "SocketChannel":
+        """Start a non-blocking connect (finish with :meth:`finish_connect`).
+
+        Returns the channel, as :meth:`ServerSocketChannel.bind` does.
+        """
         if self.connection is not None:
             raise TcpError("channel is already connected or connecting")
         if self._closed:
@@ -73,6 +76,7 @@ class SocketChannel:
         stack = self.host.stack("tcp")
         self.connection = stack.connect(remote_host, remote_port)
         self._connect_pending = True
+        return self
 
     @property
     def connect_pending(self) -> bool:

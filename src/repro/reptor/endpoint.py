@@ -3,12 +3,38 @@
 One :class:`ReptorEndpoint` per process (replica or client): a single
 selector-driven event loop that accepts connections, reads and verifies
 framed messages, and writes outbound batches — the communication stack of
-Behl et al.'s Reptor, which the paper integrates RUBIN into.  The whole
-point of RUBIN is that this code is *transport-agnostic*: the endpoint
-runs identically over the Java-NIO-style TCP stack (``transport="nio"``)
-and over RUBIN's RDMA channels (``transport="rubin"``); only the thin
-adapter methods differ.  Figure 4 of the paper benchmarks exactly this
+Behl et al.'s Reptor, which the paper integrates RUBIN into.  RUBIN
+recreates the Java NIO selector and channel API, so the endpoint has one
+accept, dial, read and write path for the NIO TCP stack
+(``transport="nio"``) and for RUBIN's RDMA channels
+(``transport="rubin"``).  Figure 4 of the paper benchmarks exactly this
 stack over both transports (window 30, batching 10).
+
+The transport picks the selector, the channel factories, the interest
+ops and supervision once, in ``ReptorEndpoint.__init__``.  After that the
+endpoint relies only on this channel contract, which
+:class:`~repro.nio.SocketChannel` and :class:`~repro.rubin.RubinChannel`
+both meet:
+
+* *register* with the selector under an interest: a listener's incoming
+  connection, a dial's completion, read, write, and (RUBIN only) a
+  supervised channel's re-established connection;
+* *accept* (``server.accept()``) or *finish a dial*
+  (``finish_connect()``, which raises if the dial failed);
+* ``remote_host``, the peer's name;
+* ``read_view_gen(max_bytes)``: a view of the next bytes (valid until the
+  next read), ``0`` for nothing yet or ``None`` once closed, with
+  ``last_read_trace_ctx`` the trace context they carried;
+* ``write_gen(buffer, trace_ctx)``: write a staged batch, returning the
+  bytes taken; ``write_staging()`` gives the ``size -> ByteBuffer`` that
+  batches are staged in, and ``max_write`` caps one write's bytes;
+* ``stream``: a short write on a stream (NIO) keeps the rest of its
+  buffer for the next write; a message channel (RUBIN) takes a whole
+  write or nothing, so the batch goes back to the outbox to be coalesced
+  again.
+
+Supervision — re-dialing a dead channel and resending the batches it
+never acknowledged — is RUBIN-only and chosen at construction.
 """
 
 from __future__ import annotations
@@ -17,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 from collections import deque
 
 from repro.crypto import KeyStore
+from repro.rdma.cm import ConnectionManager
 from repro.errors import BftError, ConfigurationError
 from repro.nio import (
     OP_ACCEPT as NIO_OP_ACCEPT,
@@ -184,10 +211,6 @@ class ReptorConnection:
         """Next verified inbound message (blocking; value is the payload)."""
         return self.inbox.get()
 
-    def try_receive(self) -> Optional[bytes]:
-        """Non-blocking receive."""
-        return self.inbox.try_get()
-
     @property
     def outstanding(self) -> int:
         """Messages occupying the outbound window."""
@@ -294,30 +317,30 @@ class ReptorEndpoint:
         self._write_name = f"{transport}.write"
 
         # The one place the transport is consulted: the selector, the
-        # channel factories, the interest ops and supervision.
+        # channel factories, supervision, and the interest and readiness
+        # ops — a listener's incoming connection, a dial's completion,
+        # read, write, and a supervised channel's re-established
+        # connection (RUBIN's OP_ACCEPT again; 0 on NIO, never supervised).
         self.supervisor = None
         if transport == "nio":
             self.selector = Selector.open(host)
             self._open_server = lambda port: ServerSocketChannel.open(host).bind(port)
-
-            def dial(remote_host: str, port: int) -> SocketChannel:
-                channel = SocketChannel.open(host)
-                channel.connect(remote_host, port)
-                return channel
-
+            self._open_channel = lambda remote_host, port: SocketChannel.open(
+                host
+            ).connect(remote_host, port)
             ops = (NIO_OP_ACCEPT, NIO_OP_CONNECT, NIO_OP_READ, NIO_OP_WRITE, 0)
         else:
-            device, cm = host.stack("rdma"), self._get_or_make_cm()
+            device = host.stack("rdma")
+            if not host.has_stack("rdma_cm"):
+                host.install("rdma_cm", ConnectionManager(device))
+            cm = host.stack("rdma_cm")
             self.selector = RubinSelector.open(host)
             self._open_server = lambda port: RubinServerChannel(
                 device, cm, port, self.rubin_config
             )
-
-            def dial(remote_host: str, port: int) -> RubinChannel:
-                return RubinChannel.connect(
-                    device, cm, remote_host, port, self.rubin_config
-                )
-
+            self._open_channel = lambda remote_host, port: RubinChannel.connect(
+                device, cm, remote_host, port, self.rubin_config
+            )
             ops = (
                 RUBIN_OP_CONNECT, RUBIN_OP_ACCEPT, RUBIN_OP_RECEIVE,
                 RUBIN_OP_SEND, RUBIN_OP_ACCEPT,
@@ -330,11 +353,6 @@ class ReptorEndpoint:
                     name=f"{self.name}.supervisor",
                 )
                 self.supervisor.on_recovered.append(self._on_channel_recovered)
-        self._open_channel = dial
-        #: Interest and readiness ops: a listener's incoming connection, a
-        #: dial's completion, readable, writable, and a supervised
-        #: channel's re-established connection (RUBIN's OP_ACCEPT again;
-        #: 0 on NIO, which has no supervisor).
         (
             self._op_accept,
             self._op_dial,
@@ -342,15 +360,6 @@ class ReptorEndpoint:
             self._op_write,
             self._op_redial,
         ) = ops
-
-    def _get_or_make_cm(self):
-        from repro.rdma.cm import ConnectionManager
-
-        if self.host.has_stack("rdma_cm"):
-            return self.host.stack("rdma_cm")
-        cm = ConnectionManager(self.host.stack("rdma"))
-        self.host.install("rdma_cm", cm)
-        return cm
 
     # -- wiring ----------------------------------------------------------
 
@@ -412,17 +421,10 @@ class ReptorEndpoint:
     def _handle_accept(self, server) -> None:
         channel = server.accept()
         if channel is not None:
-            self._adopt(channel, channel.remote_host)
-
-    def _adopt(self, channel, peer_name: str) -> ReptorConnection:
-        connection = ReptorConnection(self, channel, peer_name, self.config)
-        key = self.selector.register(channel, self._op_read)
-        key.attach(("conn", connection))
-        connection._key = key
-        self.connections.append(connection)
-        for callback in self._on_connection:
-            callback(connection)
-        return connection
+            key = self.selector.register(channel, self._op_read)
+            connection = self._open(key, channel, channel.remote_host)
+            for callback in self._on_connection:
+                callback(connection)
 
     def _handle_dial_progress(self, key, attachment) -> None:
         _kind, channel, peer_name, done = attachment
@@ -435,15 +437,20 @@ class ReptorEndpoint:
             return
         if not finished:
             return
-        connection = ReptorConnection(self, channel, peer_name, self.config)
-        key.attach(("conn", connection))
-        connection._key = key
+        connection = self._open(key, channel, peer_name)
         key.interest_ops = self._op_read
         if self.supervisor is not None:
             self._supervise(connection)
-        self.connections.append(connection)
         if not done.triggered:
             done.succeed(connection)
+
+    def _open(self, key, channel, peer_name: str) -> ReptorConnection:
+        """Wrap an established channel, registered under ``key``."""
+        connection = ReptorConnection(self, channel, peer_name, self.config)
+        key.attach(("conn", connection))
+        connection._key = key
+        self.connections.append(connection)
+        return connection
 
     def _supervise(self, connection: ReptorConnection) -> None:
         """Track in-flight batches and auto-reconnect this dialed channel."""

@@ -74,10 +74,6 @@ class Framer:
             COPYSTATS.copy(sum(len(p) for p in parts))
         return b"".join(parts)
 
-    def encoded_size(self, payload_len: int) -> int:
-        """Wire size of a framed message with ``payload_len`` payload."""
-        return payload_len + frame_overhead(self.auth is not None)
-
     # -- decoding -----------------------------------------------------------
 
     def feed(self, data: "bytes | memoryview") -> List[bytes]:
@@ -175,18 +171,6 @@ class Framer:
         self.decoded_count += 1
         return payload, total
 
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes awaiting a complete frame."""
-        return len(self._parse_buffer)
-
     def mac_bytes_for(self, payload_len: int) -> int:
         """How many bytes a MAC computation covers for cost charging."""
         return HEADER_BYTES + payload_len
-
-
-def split_batches(payloads: List[bytes], batch_size: int) -> List[List[bytes]]:
-    """Group payloads into write batches of at most ``batch_size``."""
-    return [
-        payloads[i : i + batch_size] for i in range(0, len(payloads), batch_size)
-    ]
