@@ -115,7 +115,7 @@ class ReptorConnection:
         ] = deque()
         #: ``size -> ByteBuffer`` the write path stages batches in.
         self._stage = channel.write_staging()
-        #: The selection key (set on adopt/dial, where it is registered).
+        #: The selection key it is registered under (set by ``_open``).
         self._key = None
         #: Dialed RUBIN connections watched by the endpoint's supervisor.
         self._supervised = False
