@@ -513,7 +513,9 @@ class ReptorEndpoint:
             self._finish_reconnect(key, connection)
         if key.ready_ops & self._op_read:
             yield from self._read(connection)
-            if connection.closed:  # keep its error: write nothing more
+            if connection.closed:
+                # The read failed it: deregister it, and write nothing
+                # that could overwrite its error.
                 self._drop(connection)
                 return
         if key.ready_ops & self._op_write and connection.has_output:
@@ -532,7 +534,6 @@ class ReptorEndpoint:
             payloads = connection.framer.feed(data)
         except BftError as error:
             connection._fail(error)
-            self._drop(connection)
             return
         tracer = self.env.tracer
         span = None
@@ -575,7 +576,6 @@ class ReptorEndpoint:
             if connection._supervised and not connection.closed:
                 return  # transient: the supervisor re-establishes it
             connection._fail(BftError(f"read failed: {exc}"))
-            self._drop(connection)
             return
         if result is None:
             if connection._supervised and not connection.closed:
@@ -584,7 +584,6 @@ class ReptorEndpoint:
                 # resumes reading on the fresh QP.
                 return
             connection.close()
-            self._drop(connection)
             return
         if result:
             try:
