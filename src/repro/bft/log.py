@@ -2,17 +2,18 @@
 
 One :class:`Slot` per sequence number accumulates the pre-prepare and the
 prepare/commit votes; :class:`MessageLog` tracks the watermark window and
-truncates below the stable checkpoint.  Quorum sizes follow PBFT: with
-``n = 3f + 1`` replicas a *prepared certificate* is the pre-prepare plus
-``2f`` matching prepares from distinct backups, and a *committed
-certificate* is ``2f + 1`` matching commits (the replica's own included).
+truncates below the stable checkpoint, request batches included.  Quorum
+sizes follow PBFT: with ``n = 3f + 1`` replicas a *prepared certificate*
+is the pre-prepare plus ``2f`` matching prepares from distinct backups,
+and a *committed certificate* is ``2f + 1`` matching commits (the
+replica's own included).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.bft.messages import Commit, PrePrepare, Prepare
+from repro.bft.messages import Commit, PrePrepare, Prepare, Request
 from repro.errors import BftError
 
 __all__ = ["Slot", "MessageLog"]
@@ -109,6 +110,10 @@ class MessageLog:
         self.stable_seq = 0
         #: Checkpoint votes: seq -> digest -> set of replica ids.
         self.checkpoint_votes: Dict[int, Dict[bytes, Set[str]]] = {}
+        #: The request batch each sequence number carries (proposed,
+        #: accepted, re-proposed by a NewView or installed by state
+        #: transfer); the suffix a state transfer serves is read here.
+        self.batches: Dict[int, Tuple[Request, ...]] = {}
 
     @property
     def low_watermark(self) -> int:
@@ -205,6 +210,9 @@ class MessageLog:
         self.slots = {s: slot for s, slot in self.slots.items() if s > stable_seq}
         self.checkpoint_votes = {
             s: votes for s, votes in self.checkpoint_votes.items() if s > stable_seq
+        }
+        self.batches = {
+            s: batch for s, batch in self.batches.items() if s > stable_seq
         }
 
     def install_stable(self, seq: int) -> None:

@@ -213,7 +213,6 @@ class Replica:
         # several outstanding requests (Reptor-style), so caching only the
         # latest reply per client would swallow retransmission answers.
         self._reply_cache: Dict[Tuple[str, int], Reply] = {}
-        self._request_batches: Dict[int, Tuple[Request, ...]] = {}
 
         # View-change state.
         self.in_view_change = False
@@ -768,7 +767,7 @@ class Replica:
                 self.replica_id, self.view, seq, pre_prepare.digest,
                 self.replica_id, group=self.group,
             )
-        self._request_batches[seq] = batch
+        self.log.batches[seq] = batch
         ctx = self._batch_trace_ctx(batch)
         if ctx is not None:
             self._slot_trace_ctx[seq] = ctx
@@ -807,7 +806,7 @@ class Replica:
                 self.replica_id, message.view, message.seq, message.digest,
                 sender, group=self.group,
             )
-        self._request_batches[message.seq] = message.batch
+        self.log.batches[message.seq] = message.batch
         for request in message.batch:
             key = request.key()
             self._seen_requests.add(key)
@@ -912,7 +911,7 @@ class Replica:
             slot = self.log.slots.get(next_seq)
             if slot is None or not slot.committed or slot.executed:
                 break
-            batch = self._request_batches.get(next_seq, slot.pre_prepare.batch)
+            batch = self.log.batches.get(next_seq, slot.pre_prepare.batch)
             if coordinator is not None:
                 coordinator._merge.offer(
                     self.group, next_seq, (self, slot, batch)
@@ -1251,7 +1250,7 @@ class Replica:
         state_digest, snapshot = entry
         suffix: List[Tuple[int, Tuple[Request, ...]]] = []
         for s in range(seq + 1, self.executed_seq + 1):
-            batch = self._request_batches.get(s)
+            batch = self.log.batches.get(s)
             if batch is None:
                 break  # the suffix must stay contiguous
             suffix.append((s, batch))
@@ -1539,7 +1538,7 @@ class Replica:
                 view=self.view,
                 result=result,
             )
-        self._request_batches[seq] = batch
+        self.log.batches[seq] = batch
         if self.log.in_window(seq):
             slot = self.log.slot(seq)
             slot.committed = True
@@ -1733,7 +1732,7 @@ class Replica:
             slot.pre_prepare = pre_prepare
             slot.prepared = False
             slot.committed = slot.committed  # committed slots stay committed
-            self._request_batches[pre_prepare.seq] = pre_prepare.batch
+            self.log.batches[pre_prepare.seq] = pre_prepare.batch
             if audit.enabled:
                 # Report the adopted assignment like a direct pre-prepare
                 # so a new leader sending conflicting NewView batches to

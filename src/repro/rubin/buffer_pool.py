@@ -6,14 +6,17 @@ can be reused as needed" (paper, Section IV).  Registration is expensive
 channel creation and recycles buffers afterwards.
 
 That cost is a *modeled* one (:meth:`BufferPool.registration_pages`).
-The host pays only for pages the model writes: a pool is one demand-zero
-mapping (:func:`repro.rdma.mr.alloc_registered`) and each buffer a slice
-of it, so 64 x 128 KiB receive buffers that only ever see 256-byte
-messages cost 64 resident pages, not 8 MiB.
+The host pays only for pages that hold bytes the model still needs: a
+pool is one demand-zero mapping (:func:`repro.rdma.mr.alloc_registered`)
+and each buffer a slice of it, so a 128 KiB receive buffer that carries a
+256-byte message costs one resident page, and the channel gives that page
+back (:attr:`PooledBuffer.pages`) once the message has been read and the
+buffer is re-posted.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import TYPE_CHECKING, List
 
 from repro.errors import RubinError
@@ -29,13 +32,20 @@ __all__ = ["PooledBuffer", "BufferPool"]
 class PooledBuffer:
     """One registered buffer, loaned out and returned to its pool."""
 
-    __slots__ = ("pool", "mr", "index", "in_use")
+    __slots__ = ("pool", "mr", "index", "in_use", "pages")
 
     def __init__(self, pool: "BufferPool", mr: MemoryRegion, index: int):
         self.pool = pool
         self.mr = mr
         self.index = index
         self.in_use = False
+        #: ``(offset, length)`` in the pool's mapping of the host pages
+        #: this buffer alone covers, for ``madvise``; None if it covers
+        #: none (a buffer smaller than a page shares its pages).
+        start = index * pool.buffer_size
+        first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+        end = (start + pool.buffer_size) // mmap.PAGESIZE * mmap.PAGESIZE
+        self.pages = (first, end - first) if end > first else None
 
     @property
     def data(self) -> memoryview:

@@ -21,6 +21,7 @@ The channel implements all four Section-IV optimizations (driven by
 from __future__ import annotations
 
 import itertools
+import mmap
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
@@ -43,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RubinChannel", "RubinServerChannel"]
 
 _channel_ids = itertools.count(1)
+
+#: Gives a consumed receive buffer's pages back to the host (the next
+#: write re-faults them as demand-zero memory); None where the platform
+#: has no such advice.
+_MADV_DONTNEED = mmap.MADV_DONTNEED if hasattr(mmap, "MADV_DONTNEED") else None
 
 
 class _InboundMessage:
@@ -660,16 +666,41 @@ class RubinChannel:
         return result
 
     def _recycle_recv_buffer(self, pooled: PooledBuffer):
-        """Queue a consumed buffer for batched re-posting."""
+        """Queue a consumed buffer for batched re-posting.
+
+        When the batch fires, every buffer in it gives its pages back to
+        the host before the post hands it to the RNIC, so host memory
+        follows the bytes still unread, not every buffer ever written;
+        the next message into a released page re-faults it as
+        demand-zero memory.  ``pooled`` itself is exempt: a
+        ``read_view`` caller consumes a view of it after this recycle.
+        A buffer whose pool is destroyed is never posted again.
+        """
+        memory = self.recv_pool._memory
+        if memory is None:
+            return
         self._repost_backlog.append(pooled)
         limit = min(self.config.post_batch, self.device.attrs.max_post_batch)
         if len(self._repost_backlog) >= limit:
             cpu = self.host.cpu
             batch = []
+            mapping = memory.obj if _MADV_DONTNEED is not None else None
+            # Adjacent buffers' pages go back in one call per run: the
+            # syscall, not the range, is what a release costs.
+            start = end = 0
             for buf in self._repost_backlog:
+                if mapping is not None and buf is not pooled and buf.pages:
+                    offset, length = buf.pages
+                    if offset != end:
+                        if end > start:
+                            mapping.madvise(_MADV_DONTNEED, start, end - start)
+                        start = offset
+                    end = offset + length
                 wr_id = next(self._next_wr_id)
                 self._recv_wr_map[wr_id] = buf
                 batch.append(RecvWorkRequest(wr_id=wr_id, sge=Sge(buf.mr)))
+            if end > start:
+                mapping.madvise(_MADV_DONTNEED, start, end - start)
             self._repost_backlog = []
             # One doorbell for the whole batch (the paper's posting
             # optimization); WQE build cost per request.
@@ -677,8 +708,6 @@ class RubinChannel:
                 cpu.costs.post_wr * len(batch) + cpu.costs.doorbell
             )
             self.qp.post_recv_batch(batch)
-        else:
-            yield from ()
 
     def write(self, buffer: ByteBuffer, trace_ctx=None) -> "Event":
         """Send ``buffer``'s remaining bytes as one message; value = count.
@@ -879,7 +908,8 @@ class RubinChannel:
         self._notify()
 
     def _release_buffers(self) -> None:
-        """Give the pools' memory back: no buffer will be posted again.
+        """Give the pools' memory and the staging registrations back: no
+        buffer will be posted again.
 
         Called once the QP is dead for good, so every posted receive has
         completed.  Only the ones whose flush is visible in the CQ are
@@ -892,6 +922,10 @@ class RubinChannel:
                 self._recv_wr_map.pop(wc.wr_id, None)
         self._send_wr_buffers.clear()
         self._repost_backlog = []
+        # A channel that will re-dial never gets here: it keeps these.
+        for mr in self._app_mr_cache.values():
+            self.device.dereg_mr(mr)
+        self._app_mr_cache.clear()
         self.recv_pool.destroy()
         self.send_pool.destroy()
 
