@@ -86,7 +86,6 @@ One-sided agreement (dynamic permissions + slot arrays):
 
 from __future__ import annotations
 
-import heapq
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -106,56 +105,22 @@ __all__ = ["BftSafetyAuditor", "ResourceAuditor"]
 _NO_STREAKS: Dict[int, Tuple[int, int]] = {}
 
 
-class _SeqTable(dict):
-    """A table that drops its oldest entries past a size limit.
-
-    The oldest entry is the one with the lowest sequence number, and the
-    first inserted among equal ones: the key ``min(table, key=seq)``
-    picks in dict order.  A heap of ``(seq, insertion order, key)`` finds
-    it in O(log n).  A key deleted since its entry was pushed, or deleted
-    and inserted again, is skipped when its entry surfaces.
-    """
-
-    __slots__ = ("limit", "_heap", "_order", "_inserted")
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-        self._heap: list = []
-        self._order: Dict = {}
-        self._inserted = 0
-
-    def insert(self, key, value, seq: int) -> None:
-        """Set ``key``, which is not in the table, then trim to the limit."""
-        self[key] = value
-        self._inserted += 1
-        self._order[key] = self._inserted
-        heapq.heappush(self._heap, (seq, self._inserted, key))
-        while len(self) > self.limit:
-            _seq, order, oldest = heapq.heappop(self._heap)
-            if self._order.get(oldest) == order:
-                del self._order[oldest]
-                self.pop(oldest, None)
-
-
 class BftSafetyAuditor:
     """Cross-replica safety checks over the PBFT hook stream."""
 
     def __init__(self, manager: "AuditManager"):
         self.manager = manager
         self.f: Optional[int] = None
-        # Each sequence-keyed table keeps the newest sequence numbers.
-        limit = manager.config.max_tracked_seqs
         #: Consensus groups (COP); 1 keeps the historical single-group
         #: keying where the global merge slot equals the sequence number.
         self.group_count = 1
         #: (group, view, seq) -> (digest, first reporter)
-        self._proposals = _SeqTable(limit)
+        self._proposals: Dict[Tuple[int, int, int], Tuple[bytes, str]] = {}
         #: global merge slot -> (digest, first executor)
-        self._executions = _SeqTable(limit)
+        self._executions: Dict[int, Tuple[bytes, str]] = {}
         #: global merge slot -> ((group, seq), first reporter) —
         #: per-group sequence disjointness over the merged order.
-        self._slot_claims = _SeqTable(limit)
+        self._slot_claims: Dict[int, Tuple[Tuple[int, int], str]] = {}
         #: replica -> last executed global merge slot this incarnation.
         self._exec_frontier: Dict[str, int] = {}
         #: replica -> highest stable-checkpoint slot this incarnation.
@@ -166,12 +131,12 @@ class BftSafetyAuditor:
         #: not mean the replica executed the covered prefix itself.
         self._ckpt_frontier: Dict[str, int] = {}
         #: (group, seq) -> (state digest, first stabiliser)
-        self._checkpoints = _SeqTable(limit)
+        self._checkpoints: Dict[Tuple[int, int], Tuple[bytes, str]] = {}
         #: (replica, group) -> highest view adopted this incarnation
         self._views: Dict[Tuple[str, int], int] = {}
         #: (group, voter, new_view) -> (vote encoding digest, first
         #: observer)
-        self._vc_votes = _SeqTable(limit)
+        self._vc_votes: Dict[Tuple[int, str, int], Tuple[bytes, str]] = {}
 
     def configure(self, f: int, group_count: int = 1) -> None:
         """Learn the fault threshold (enables the quorum-size check) and
@@ -195,7 +160,8 @@ class BftSafetyAuditor:
         key = (group, view, seq)
         known = self._proposals.get(key)
         if known is None:
-            self._proposals.insert(key, (digest, replica), seq)
+            self._proposals[key] = (digest, replica)
+            self._prune(self._proposals, by_seq=lambda k: k[2])
             return
         if known[0] != digest:
             detail = dict(
@@ -265,7 +231,8 @@ class BftSafetyAuditor:
             return
         claim = self._slot_claims.get(slot)
         if claim is None:
-            self._slot_claims.insert(slot, ((group, seq), replica), slot)
+            self._slot_claims[slot] = ((group, seq), replica)
+            self._prune(self._slot_claims, by_seq=lambda k: k)
         elif claim[0] != (group, seq):
             self.manager.violation(
                 "bft.merge-slot-conflict",
@@ -299,7 +266,8 @@ class BftSafetyAuditor:
             self._exec_frontier[replica] = slot
         known = self._executions.get(slot)
         if known is None:
-            self._executions.insert(slot, (digest, replica), slot)
+            self._executions[slot] = (digest, replica)
+            self._prune(self._executions, by_seq=lambda k: k)
             return
         if known[0] != digest:
             detail = dict(
@@ -343,7 +311,8 @@ class BftSafetyAuditor:
         key = (group, voter, new_view)
         known = self._vc_votes.get(key)
         if known is None:
-            self._vc_votes.insert(key, (digest, replica), new_view)
+            self._vc_votes[key] = (digest, replica)
+            self._prune(self._vc_votes, by_seq=lambda k: k[2])
             return
         if known[0] != digest and replica != known[1]:
             detail = dict(
@@ -368,7 +337,8 @@ class BftSafetyAuditor:
         key = (group, seq)
         known = self._checkpoints.get(key)
         if known is None:
-            self._checkpoints.insert(key, (digest, replica), seq)
+            self._checkpoints[key] = (digest, replica)
+            self._prune(self._checkpoints, by_seq=lambda k: k[1])
         elif known[0] != digest:
             detail = dict(
                 seq=seq,
@@ -406,6 +376,15 @@ class BftSafetyAuditor:
         # recovers to; the frontiers re-baseline on the next execution.
         self._exec_frontier.pop(replica, None)
         self._ckpt_frontier.pop(replica, None)
+
+    # -- bookkeeping ----------------------------------------------------
+
+    def _prune(self, table: Dict, by_seq) -> None:
+        """Keep the tables bounded: drop the oldest sequence numbers."""
+        limit = self.manager.config.max_tracked_seqs
+        while len(table) > limit:
+            oldest = min(table, key=by_seq)
+            del table[oldest]
 
 
 class ResourceAuditor:

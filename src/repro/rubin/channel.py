@@ -674,14 +674,16 @@ class RubinChannel:
         the next message into a released page re-faults it as
         demand-zero memory.  ``pooled`` itself is exempt: a
         ``read_view`` caller consumes a view of it after this recycle.
-        A buffer whose pool is destroyed is never posted again.
+        A buffer whose pool is destroyed is never posted again, and a
+        dead QP gets no posts: a channel that re-dials hands its backlog
+        and unposted batch back to the pool (:meth:`_reprovision`).
         """
         memory = self.recv_pool._memory
         if memory is None:
             return
         self._repost_backlog.append(pooled)
         limit = min(self.config.post_batch, self.device.attrs.max_post_batch)
-        if len(self._repost_backlog) >= limit:
+        if len(self._repost_backlog) >= limit and not self.closed:
             cpu = self.host.cpu
             batch = []
             mapping = memory.obj if _MADV_DONTNEED is not None else None
@@ -707,6 +709,8 @@ class RubinChannel:
             yield cpu.execute(
                 cpu.costs.post_wr * len(batch) + cpu.costs.doorbell
             )
+            if self.closed:
+                return  # the QP died while the WQEs were built
             self.qp.post_recv_batch(batch)
 
     def write(self, buffer: ByteBuffer, trace_ctx=None) -> "Event":
@@ -882,6 +886,9 @@ class RubinChannel:
                 + attrs.mr_register_base
                 + pages * attrs.mr_register_per_page
             )
+            if self.recv_pool._memory is None:
+                # Released while registering: nothing would deregister it.
+                raise RubinError(f"{self}: channel is closed")
             mr = self.device.reg_mr(self.pd, backing)
             buffer._mr_token = mr.token
             self._app_mr_cache[mr.token] = mr

@@ -9,8 +9,6 @@ from the global active list once their run is scored.
 import glob
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.audit import (
     AuditConfig,
@@ -20,7 +18,6 @@ from repro.audit import (
     install_audit,
     release_audit,
 )
-from repro.audit.invariants import _SeqTable
 from repro.sim import Environment
 
 
@@ -105,47 +102,3 @@ class TestRelease:
         assert manager not in _ACTIVE
         # Releasing twice is harmless.
         release_audit(manager)
-
-
-#: (op, view, seq): keys are (view, seq) pairs, ordered by seq.  Few
-#: sequence numbers, so equal ones tie at the bottom of a full table.
-_TABLE_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "insert", "insert", "reset", "delete"]),
-        st.integers(0, 3),
-        st.integers(0, 4),
-    ),
-    min_size=10,
-    max_size=150,
-)
-
-
-class TestSeqTablePrune:
-    """The auditor's tables drop the entry ``min()`` over the dict would."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(ops=_TABLE_OPS)
-    # Re-inserted (0, 0) now comes after (1, 0): the full table drops
-    # (1, 0), not the stale first entry of (0, 0).
-    @example(
-        ops=[("insert", 0, 0), ("insert", 1, 0), ("delete", 0, 0), ("insert", 0, 0)]
-        + [("insert", view, seq) for seq in (1, 2) for view in range(4)][:7]
-    )
-    def test_drops_what_a_full_scan_would(self, ops):
-        limit = 8
-        table = _SeqTable(limit)
-        reference = {}
-        for step, (op, view, seq) in enumerate(ops):
-            key = (view, seq)
-            if op == "insert" and key not in reference:
-                reference[key] = step
-                while len(reference) > limit:
-                    del reference[min(reference, key=lambda k: k[1])]
-                table.insert(key, step, seq)
-            elif op == "reset" and key in reference:
-                reference[key] = step
-                table[key] = step
-            elif op == "delete" and key in reference:
-                del reference[key]
-                del table[key]
-            assert list(table.items()) == list(reference.items())

@@ -1,5 +1,7 @@
 """Shared RUBIN test rig: two hosts with RDMA devices and CMs."""
 
+import sys
+
 import pytest
 
 from repro.net import Fabric
@@ -56,6 +58,27 @@ class RubinRig:
 
     def run_for(self, seconds):
         self.env.run(until=self.env.now + seconds)
+
+
+def close_while_charging(monkeypatch, channel, method):
+    """Close ``channel`` inside the first CPU charge ``method`` yields on.
+
+    The close lands after ``method`` asks for the charge and before it
+    resumes, as a close from another process would.
+    """
+    cpu = channel.host.cpu
+    execute = cpu.execute
+    closed = []
+
+    def execute_then_close(duration):
+        event = execute(duration)
+        if not closed and sys._getframe(1).f_code.co_name == method:
+            closed.append(True)
+            channel.close()
+        return event
+
+    monkeypatch.setattr(cpu, "execute", execute_then_close)
+    return closed
 
 
 @pytest.fixture

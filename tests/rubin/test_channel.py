@@ -6,7 +6,7 @@ from repro.errors import RubinError
 from repro.nio import ByteBuffer
 from repro.rubin import RubinConfig
 
-from tests.rubin.conftest import RubinRig
+from tests.rubin.conftest import RubinRig, close_while_charging
 
 
 def write_all(rig, channel, payload):
@@ -164,6 +164,23 @@ class TestDataTransfer:
         rig.env.run(until=p)
         assert b"".join(pieces) == payload
 
+    def test_parked_messages_stay_readable_after_the_qp_fails(self, small_rig):
+        rig = small_rig
+        client, server = rig.establish()
+        batch = rig.config.post_batch
+        payloads = [bytes([0x61 + i]) * 1000 for i in range(batch)]
+        for payload in payloads:
+            rig.env.run(until=write_all(rig, server, payload))
+        rig.run_for(1e-3)
+        client.qp._enter_error()  # e.g. retries exhausted
+        assert client.closed and client.remote_addr is not None
+        # The read that fills a repost batch posts nothing to the dead QP;
+        # the re-dial hands every buffer back and posts the whole pool.
+        for payload in payloads:
+            assert rig.env.run(until=read_message(rig, client, 1000)) == payload
+        client.reconnect()
+        assert client.qp.recv_queue_depth == client.recv_pool.capacity
+
     def test_message_bigger_than_channel_buffer_rejected(self, small_rig):
         client, _server = small_rig.establish()
 
@@ -263,6 +280,18 @@ class TestOptimizations:
             q = read_message(rig, server, 4096)
             assert rig.env.run(until=q) == b"z" * 4096
         assert len(client._app_mr_cache) == 1  # registered exactly once
+
+    def test_a_close_during_registration_leaves_no_registration(
+        self, rig, monkeypatch
+    ):
+        client, _server = rig.establish()
+        closed = close_while_charging(monkeypatch, client, "_app_buffer_mr")
+        with pytest.raises(RubinError, match="closed"):
+            rig.env.run(until=write_all(rig, client, b"z" * 4096))
+        assert closed
+        # The close took the pools' registrations; none came after it.
+        assert client._app_mr_cache == {}
+        assert rig.client_dev._mrs == {}
 
     def test_copy_send_path_uses_pool(self):
         rig = RubinRig(config=RubinConfig(zero_copy_send=False))

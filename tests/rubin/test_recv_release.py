@@ -14,7 +14,7 @@ import pytest
 from repro.nio import ByteBuffer
 from repro.rubin import RubinConfig
 
-from tests.rubin.conftest import RubinRig
+from tests.rubin.conftest import RubinRig, close_while_charging
 from tests.rubin.test_channel import read_message
 
 pytestmark = pytest.mark.skipif(
@@ -107,4 +107,19 @@ def test_a_destroyed_pool_is_skipped():
     # deregistered buffers to the dead queue pair.
     for payload in PAYLOADS:
         assert rig.env.run(until=read_message(rig, server, len(payload))) == payload
+    assert posted == []
+
+
+def test_a_pool_destroyed_while_the_batch_is_built_is_skipped(monkeypatch):
+    rig = make_rig()
+    client, server = rig.establish()
+    posted = spy_reposts(server)
+    send_all(rig, client, PAYLOADS)
+    closed = close_while_charging(monkeypatch, server, "_recycle_recv_buffer")
+    # The read that fills the batch closes the channel while the post is
+    # charged; it still returns its message and posts nothing.
+    for payload in PAYLOADS:
+        assert rig.env.run(until=read_message(rig, server, len(payload))) == payload
+    assert closed
+    assert server.recv_pool._memory is None
     assert posted == []
